@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -17,9 +18,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import engine, measure, oracle
+from . import engine, golden, measure, oracle
 from .exceptions import CapExceeded
-from .measure import CLOSED, TAIL, Region, closed, frac_str, float_str, tail
+from .measure import closed, frac_str, float_str, tail
 from .words import render
 
 DEFAULT_SEED = oracle.DEFAULT_SEED
@@ -55,7 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv", "dot", "text"),
                        default="text")
         p.add_argument("--digits", type=_positive("digits"), default=DEFAULT_DIGITS)
-        p.add_argument("--cap", type=_positive("cap"), default=DEFAULT_CAP)
+        p.add_argument("--cap", type=_positive("cap"), default=DEFAULT_CAP,
+                       help="most optimal sets to build: in layer --n for "
+                            "enumerate, per layer and in all for tree")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--samples", type=_positive("samples"),
                        default=DEFAULT_SAMPLES)
@@ -356,33 +359,6 @@ def cmd_oracle_check(args) -> int:
 
 # --------------------------- verify ---------------------------------------
 
-GOLDEN_V = {
-    1: Fraction(288, 3577),
-    2: Fraction(69, 3577),
-    3: Fraction(57, 14308),
-    4: Fraction(237, 114464),
-    5: Fraction(255, 228928),
-    6: Fraction(1383, 1831424),
-    7: Fraction(135, 261632),
-    8: Fraction(507, 1831424),
-    15: Fraction(27, 598016),
-    16: Fraction(4635, 117211136),
-    17: Fraction(1989, 58605568),
-    18: Fraction(3321, 117211136),
-}
-
-GOLDEN_POINTS = {
-    1: [Fraction(4, 7)],
-    2: [Fraction(1, 7), Fraction(5, 7)],
-    3: [Fraction(1, 7), Fraction(4, 7), Fraction(6, 7)],
-    4: [Fraction(1, 7), Fraction(4, 7), Fraction(11, 14), Fraction(13, 14)],
-    5: [Fraction(1, 28), Fraction(5, 28), Fraction(4, 7), Fraction(11, 14),
-        Fraction(13, 14)],
-}
-
-GOLDEN_COUNTS = {15: 1, 16: 3, 17: 3, 18: 1, 19: 3, 20: 3, 21: 1}
-
-
 def _golden_checks():
     checks = []
 
@@ -390,13 +366,13 @@ def _golden_checks():
         checks.append((label, fn))
 
     add("measure constants identities", lambda: measure.validate_constants() or True)
-    for n, expect in sorted(GOLDEN_V.items()):
+    for n, expect in sorted(golden.GOLDEN_V.items()):
         add(f"V_{n} = {frac_str(expect)}",
             lambda n=n, e=expect: engine.quantization_error(n) == e)
-    for n, expect in sorted(GOLDEN_POINTS.items()):
+    for n, expect in sorted(golden.GOLDEN_POINTS.items()):
         add(f"optimal {n}-point set " + "{" + ", ".join(map(frac_str, expect)) + "}",
             lambda n=n, e=expect: list(engine.optimal_set(n).points()) == e)
-    for n, expect in sorted(GOLDEN_COUNTS.items()):
+    for n, expect in sorted(golden.GOLDEN_COUNTS.items()):
         add(f"card C_{n} = {expect}",
             lambda n=n, e=expect: engine.count_optimal_sets(n) == e)
     add("centroid a(1) = 1/7",
@@ -449,48 +425,18 @@ def _golden_checks():
         lambda: (measure.region_mass(tail(1)), measure.region_mass(tail(2)),
                  measure.region_mass(closed(2, 1)))
         == (Fraction(3, 4), Fraction(3, 8), Fraction(3, 32)))
-    add("enumerated 16-point listings (3 sets)", _check_sets_16)
-    add("enumerated 18-point listing (1 set)", _check_sets_18)
-    add("canonical 15-point listing", _check_set_15)
-    add("transition pattern 18 -> 21", _check_triangle_18_21)
+    add("enumerated 16-point listings (3 sets)",
+        lambda: {q.signature() for q in engine.enumerate_optimal_sets(16)}
+        == set(map(golden.as_signature, golden.LISTINGS_16)))
+    add("enumerated 18-point listing (1 set)",
+        lambda: [q.signature() for q in engine.enumerate_optimal_sets(18)]
+        == [golden.as_signature(golden.LISTING_18)])
+    add("canonical 15-point listing",
+        lambda: engine.optimal_set(15).signature()
+        == golden.as_signature(golden.LISTING_15))
+    add("transition pattern 18 -> 21",
+        lambda: _triangle_pattern(engine.transition_graph(18, 21, cap=100), 19))
     return checks
-
-
-def _listing(notation: str):
-    out = []
-    for item in notation.split():
-        kind, _, word = item.partition(":")
-        out.append((CLOSED if kind == "c" else TAIL, tuple(
-            int(ch) for ch in word.split("."))))
-    return tuple(sorted(out, key=lambda kw: (
-        measure.region_interval(Region(kw[0], kw[1]))[0], kw[0], kw[1])))
-
-
-LISTING_15 = ("c:1.1.1 t:1.1.1 c:1.2 c:1.3 t:1.3 c:2.1 c:2.2 c:2.3 t:2.3 "
-              "c:3.1 c:3.2 t:3.2 c:4 c:5 t:5")
-LISTINGS_16 = (
-    LISTING_15.replace("c:2.1 ", "c:2.1.1 t:2.1.1 "),
-    LISTING_15.replace("c:4 ", "c:4.1 t:4.1 "),
-    LISTING_15.replace("c:1.2 ", "c:1.2.1 t:1.2.1 "),
-)
-LISTING_18 = (LISTING_15
-              .replace("c:2.1 ", "c:2.1.1 t:2.1.1 ")
-              .replace("c:4 ", "c:4.1 t:4.1 ")
-              .replace("c:1.2 ", "c:1.2.1 t:1.2.1 "))
-
-
-def _check_set_15() -> bool:
-    return engine.optimal_set(15).signature() == _listing(LISTING_15)
-
-
-def _check_sets_16() -> bool:
-    got = {q.signature() for q in engine.enumerate_optimal_sets(16)}
-    return got == {_listing(s) for s in LISTINGS_16}
-
-
-def _check_sets_18() -> bool:
-    sets = engine.enumerate_optimal_sets(18)
-    return len(sets) == 1 and sets[0].signature() == _listing(LISTING_18)
 
 
 def _triangle_pattern(graph, n_mid) -> bool:
@@ -515,10 +461,6 @@ def _triangle_pattern(graph, n_mid) -> bool:
             if len(targets[i] & targets[j]) != 1:
                 return False
     return all(out[v.label] == {hi[0].label} for v in mid2)
-
-
-def _check_triangle_18_21() -> bool:
-    return _triangle_pattern(engine.transition_graph(18, 21, cap=100), 19)
 
 
 def run_verify(n_max: int, cap: int = DEFAULT_CAP, out=None) -> bool:
@@ -548,11 +490,20 @@ def run_verify(n_max: int, cap: int = DEFAULT_CAP, out=None) -> bool:
     report(f"structure valid for n <= {n_max}", not bad,
            "; ".join(bad[:3]))
 
+    # Besides the count, check what the block description takes for
+    # granted: the sets are distinct, and each one's total, re-derived node
+    # by node from the measure formulas, is the optimal error.
     upper = min(n_max, 40)
+    node_error = functools.cache(measure.node_error)
     mismatch = []
     for n in range(1, upper + 1):
-        if engine.count_optimal_sets(n) != len(
-            engine.enumerate_optimal_sets(n, cap=cap)
+        sets = engine.enumerate_optimal_sets(n, cap=cap)
+        v = engine.quantization_error(n)
+        if (
+            engine.count_optimal_sets(n) != len(sets)
+            or len({q.signature() for q in sets}) != len(sets)
+            or any(sum((node_error(node.region) for node in q.nodes), Fraction(0)) != v
+                   for q in sets)
         ):
             mismatch.append(str(n))
     report(f"count matches enumeration for n <= {upper}", not mismatch,

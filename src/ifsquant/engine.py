@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, combinations, islice
 from math import comb
 from typing import Iterable, Iterator
 
@@ -158,6 +159,35 @@ class QuantizerSet:
         return tuple((node.region.kind, node.region.word) for node in self.nodes)
 
 
+def _lean_children(kind: int, word: Word, m: int, a: int, dn: int, c: int):
+    """Integer data of a node's two children: (word, a, dn, c, M_closed, M_tail)."""
+    if kind == 0:
+        return word + (1,), a + 2, 4 * dn, c, m, 43 * (m // 3)
+    j = word[-1]
+    return (word[:-1] + (j + 1,), a + 1, 2 * dn + 4, c + 1 if j == 1 else c,
+            9 * (m // 43), m)
+
+
+def _materialize(kind: int, word: Word, m: int, a: int, dn: int, c: int) -> Node:
+    """The ``Node`` of a lean entry's fields (everything after the keys)."""
+    region = Region(CLOSED if kind == 0 else TAIL, word)
+    den = 1 << a
+    error = Fraction(m * VARIANCE.numerator, 9 * VARIANCE.denominator << (3 * a))
+    offset = 4 if kind == 0 else 20
+    return Node(
+        region,
+        Fraction(3**c, den),
+        Fraction(1, den),
+        Fraction(dn, den),
+        error,
+        Fraction(7 * dn + offset, 7 << a),
+    )
+
+
+def _canonical(entry) -> tuple:
+    return entry[1], entry[2], entry[3]
+
+
 class GenerationState:
     """Mutable frontier of the split induction, keyed by exact error.
 
@@ -174,11 +204,12 @@ class GenerationState:
 
     with prob = 3^c / 2^a, scale = 1 / 2^a, shift = dn / 2^a, and keys
     normalized to the shared exponent A: error_key = M << 3*(A - a),
-    left_key = (dn, or dn + 2 for tails) << (A - a).
+    left_key = (dn, or dn + 2 for tails) << (A - a).  A starts at
+    ``scale_exp`` and at least doubles whenever a node gets deeper than it.
     """
 
-    def __init__(self) -> None:
-        self._scale_exp = 64
+    def __init__(self, scale_exp: int = 64) -> None:
+        self._scale_exp = scale_exp
         self._heap = [self._lean_entry(0, (), 9, 0, 0, 0)]
         self._acc = 9 << (3 * self._scale_exp)  # running error sum, in keys
         self.n = 1
@@ -207,18 +238,12 @@ class GenerationState:
             for neg, left, kind, word, m, a, dn, c in self._heap
         ]
 
-    def _split_lean(self):
-        _, _, kind, word, m, a, dn, c = heapq.heappop(self._heap)
-        if kind == 0:
-            child_word = word + (1,)
-            ca, cdn, cc = a + 2, 4 * dn, c
-            m_closed, m_tail = m, 43 * (m // 3)
-        else:
-            j = word[-1]
-            child_word = word[:-1] + (j + 1,)
-            ca, cdn = a + 1, 2 * dn + 4
-            cc = c + 1 if j == 1 else c
-            m_closed, m_tail = 9 * (m // 43), m
+    def _push_children(self, entry):
+        """Add the children of ``entry``, already taken off the heap."""
+        _, _, kind, word, m, a, dn, c = entry
+        child_word, ca, cdn, cc, m_closed, m_tail = _lean_children(
+            kind, word, m, a, dn, c
+        )
         if ca > self._scale_exp:
             self._rescale(ca)
         first = self._lean_entry(0, child_word, m_closed, ca, cdn, cc)
@@ -229,41 +254,27 @@ class GenerationState:
         self.n += 1
         return first, second
 
-    def _materialize(self, entry) -> Node:
-        _, _, kind, word, m, a, dn, c = entry
-        region = Region(CLOSED if kind == 0 else TAIL, word)
-        den = 1 << a
-        error = Fraction(
-            m * VARIANCE.numerator, 9 * VARIANCE.denominator << (3 * a)
-        )
-        offset = 4 if kind == 0 else 20
-        return Node(
-            region,
-            Fraction(3**c, den),
-            Fraction(1, den),
-            Fraction(dn, den),
-            error,
-            Fraction(7 * dn + offset, 7 << a),
-        )
+    def _split_lean(self):
+        return self._push_children(heapq.heappop(self._heap))
 
     def peek(self) -> Node:
         """The node the next split will replace."""
-        return self._materialize(self._heap[0])
+        return _materialize(*self._heap[0][2:])
 
     def split(self) -> tuple[Node, Node, Node]:
         """Replace the maximal-error node by its children."""
-        parent = self._materialize(self._heap[0])
+        parent = _materialize(*self._heap[0][2:])
         first, second = self._split_lean()
-        return parent, self._materialize(first), self._materialize(second)
+        return parent, _materialize(*first[2:]), _materialize(*second[2:])
 
     def nodes(self) -> list[Node]:
         """Current frontier nodes, in no particular order."""
-        return [self._materialize(entry) for entry in self._heap]
+        return [_materialize(*entry[2:]) for entry in self._heap]
 
     def quantizer(self) -> QuantizerSet:
-        ordered = sorted(self._heap, key=lambda e: (e[1], e[2], e[3]))
+        ordered = sorted(self._heap, key=_canonical)
         return QuantizerSet(
-            tuple(self._materialize(entry) for entry in ordered), self.n, self.v
+            tuple(_materialize(*entry[2:]) for entry in ordered), self.n, self.v
         )
 
 
@@ -297,75 +308,87 @@ def iter_quantizers(n_max: int) -> Iterator[QuantizerSet]:
         yield state.quantizer()
 
 
-def _sig(nodes: Iterable[Node]) -> tuple[tuple[str, Word], ...]:
-    ordered = sorted(nodes, key=_node_key)
-    return tuple((node.region.kind, node.region.word) for node in ordered)
+def _layers(n_lo: int) -> Iterator[tuple]:
+    """Threshold-block description of the optimal sets of sizes n_lo, n_lo + 1, ...
+
+    Greedy split errors never increase and children carry less error than
+    their parent, so the splits come in blocks of equal error.  Every
+    optimal n-set makes the q forced splits, of error above the threshold
+    t of its last split, plus any r of the m nodes tied at t: there are
+    binomial(m, r) of them.  Yields ``(n, frontier, tied, r, V_n)`` for
+    each n, where ``frontier`` holds the lean entries left after the forced
+    splits apart from the tied ones, and ``tied`` the tied entries in
+    canonical order.
+    """
+    state = GenerationState()
+    n = n_lo
+    while True:
+        heap = state._heap
+        top = heap[0][0]
+        tied = []
+        while heap and heap[0][0] == top:
+            tied.append(heapq.heappop(heap))
+        # copying is O(frontier): only blocks that hold layer n need it
+        frontier = heap.copy() if n - state.n <= len(tied) else None
+        for r in range(len(tied) + 1):
+            if r:
+                state._push_children(tied[r - 1])
+            if state.n == n:
+                yield n, frontier, tied, r, state.v
+                n += 1
+
+
+def _layer_sets(n: int, frontier, tied, r: int, v: Fraction) -> list:
+    """The optimal sets of one ``_layers`` item as (chosen, set) pairs.
+
+    ``chosen`` holds the indices of the split tied entries.  A node's two
+    children cover its own region, closed child first, so a split node's
+    children take its place in the canonical order: the integer left keys,
+    distinct because the regions are disjoint, are sorted once per layer.
+    Pairs come sorted by set signature.
+    """
+    base = sorted([*frontier, *tied], key=_canonical)
+    pieces = [(_materialize(*entry[2:]),) for entry in base]
+    lefts = {entry[1] for entry in tied}
+    slots = [i for i, entry in enumerate(base) if entry[1] in lefts]
+    split = []
+    for entry in tied:
+        word, a, dn, c, m_closed, m_tail = _lean_children(*entry[2:])
+        split.append((_materialize(0, word, m_closed, a, dn, c),
+                      _materialize(1, word, m_tail, a, dn, c)))
+    pairs = []
+    for chosen in combinations(range(len(tied)), r):
+        parts = pieces.copy()
+        for i in chosen:
+            parts[slots[i]] = split[i]
+        pairs.append((chosen, QuantizerSet(tuple(chain.from_iterable(parts)), n, v)))
+    pairs.sort(key=lambda pair: pair[1].signature())
+    return pairs
 
 
 def enumerate_optimal_sets(n: int, cap: int = 10000) -> list[QuantizerSet]:
-    """All optimal n-point sets, oldest generation first.
+    """All optimal n-point sets, sorted by signature.
 
-    Generation k+1 is produced by splitting, in every set of generation k,
-    each node that ties for the maximal error; duplicates collapse by node
-    identity.  Raises CapExceeded naming the first k whose set count would
-    exceed ``cap``.
+    Built from the threshold-block description, so the cost follows the
+    number of sets in layer n alone.  Raises CapExceeded naming n when
+    that number, known before any set is built, exceeds ``cap``.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    root = root_node()
-    current: dict[tuple, frozenset[Node]] = {_sig([root]): frozenset([root])}
-    for k in range(1, n):
-        nxt: dict[tuple, frozenset[Node]] = {}
-        for members in current.values():
-            top = max(node.error for node in members)
-            for node in members:
-                if node.error != top:
-                    continue
-                first, second = children(node)
-                child = (members - {node}) | {first, second}
-                key = _sig(child)
-                if key not in nxt:
-                    nxt[key] = child
-                    if len(nxt) > cap:
-                        raise CapExceeded(
-                            f"number of optimal sets exceeds cap {cap} at n={k + 1}"
-                        )
-        current = nxt
-    sets = [QuantizerSet.from_nodes(members) for members in current.values()]
-    sets.sort(key=lambda q: q.signature())
-    return sets
+    _, frontier, tied, r, v = next(_layers(n))
+    if comb(len(tied), r) > cap:
+        raise CapExceeded(f"number of optimal sets exceeds cap {cap} at n={n}")
+    return [q for _, q in _layer_sets(n, frontier, tied, r, v)]
 
 
 def count_optimal_sets(n: int) -> int:
-    """Number of distinct optimal n-point sets, without full enumeration.
-
-    Greedy split errors are nonincreasing and tied nodes are never nested,
-    so every optimal set performs all splits of error strictly above the
-    final threshold t, plus some r-subset of the m threshold-error nodes
-    then present: the count is binomial(m, r).  (Cross-validated against
-    enumerate_optimal_sets in the test suite.)
-    """
+    """Number of distinct optimal n-point sets: binomial(m, r) of its block."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n == 1:
-        return 1
-    state = GenerationState()
-    split_errors = []
-    for _ in range(n - 1):
-        split_errors.append(state.peek().error)
-        state._split_lean()
-    threshold = split_errors[-1]
-    q = 0
-    while split_errors[q] > threshold:
-        q += 1
-    replay = GenerationState()
-    for _ in range(q):
-        replay._split_lean()
-    m = sum(1 for node in replay.nodes() if node.error == threshold)
-    r = (n - 1) - q
-    return comb(m, r)
+    _, _, tied, r, _ = next(_layers(n))
+    return comb(len(tied), r)
 
 
 @dataclass(frozen=True)
@@ -393,60 +416,49 @@ class TransitionGraph:
 
 
 def transition_graph(n_lo: int, n_hi: int, cap: int = 1000) -> TransitionGraph:
-    """Build the optimal-set transition DAG for sizes n_lo .. n_hi."""
+    """Build the optimal-set transition DAG for sizes n_lo .. n_hi.
+
+    An r-set of a block leads to the (r+1)-sets of the same block that
+    contain it; the one set that closes a block leads to every set of the
+    next.  Raises CapExceeded when a window layer, or the window as a
+    whole, holds more than ``cap`` sets; both are known before any set is
+    built.
+    """
     if not 1 <= n_lo <= n_hi:
         raise ValueError(f"need 1 <= n_lo <= n_hi, got {n_lo}, {n_hi}")
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    root = root_node()
-    current: dict[tuple, frozenset[Node]] = {_sig([root]): frozenset([root])}
-    layers: list[dict[tuple, frozenset[Node]]] = []
-    raw_edges: list[tuple[int, tuple, tuple]] = []  # (k, parent key, child key)
-    for k in range(1, n_hi + 1):
-        if k > 1:
-            nxt: dict[tuple, frozenset[Node]] = {}
-            for key, members in current.items():
-                top = max(node.error for node in members)
-                for node in members:
-                    if node.error != top:
-                        continue
-                    first, second = children(node)
-                    child = (members - {node}) | {first, second}
-                    child_key = _sig(child)
-                    if child_key not in nxt:
-                        nxt[child_key] = child
-                        if len(nxt) > cap:
-                            raise CapExceeded(
-                                f"transition graph exceeds cap {cap} sets at n={k}"
-                            )
-                    if k - 1 >= n_lo:
-                        raw_edges.append((k - 1, key, child_key))
-            current = nxt
-        if k >= n_lo:
-            layers.append(current)
+    width = n_hi - n_lo + 1
+    total = 0
+    for k, _, tied, r, _ in islice(_layers(n_lo), width):
+        size = comb(len(tied), r)
+        if size > cap:
+            raise CapExceeded(f"transition graph exceeds cap {cap} sets at n={k}")
+        total += size
+    if total > cap:
+        raise CapExceeded(f"transition graph exceeds cap {cap} vertices")
 
-    labels: dict[tuple[int, tuple], str] = {}
-    order: dict[tuple[int, tuple], int] = {}
     vertices: list[GraphVertex] = []
-    for offset, layer in enumerate(layers):
-        k = n_lo + offset
-        for index, key in enumerate(sorted(layer), start=1):
-            labels[(k, key)] = f"a_{{{k},{index}}}"
-            order[(k, key)] = index
-            total = sum((node.error for node in layer[key]), Fraction(0))
-            vertices.append(GraphVertex(k, index, labels[(k, key)], total, key))
-            if len(vertices) > cap:
-                raise CapExceeded(f"transition graph exceeds cap {cap} vertices")
-    unique = {
-        (k, order[(k, src)], order[(k + 1, dst)], src, dst)
-        for k, src, dst in raw_edges
-        if (k, src) in labels and (k + 1, dst) in labels
-    }
-    edges = tuple(
-        (labels[(k, src)], labels[(k + 1, dst)])
-        for k, _, _, src, dst in sorted(unique, key=lambda item: item[:3])
-    )
-    return TransitionGraph(n_lo, n_hi, tuple(vertices), edges)
+    edges: list[tuple[str, str]] = []
+    previous_tied, previous = None, {}
+    for k, frontier, tied, r, v in islice(_layers(n_lo), width):
+        order = {}
+        for index, (chosen, q) in enumerate(
+            _layer_sets(k, frontier, tied, r, v), start=1
+        ):
+            order[chosen] = index
+            vertices.append(GraphVertex(k, index, f"a_{{{k},{index}}}", v,
+                                        q.signature()))
+        for chosen, src in previous.items():
+            if tied is previous_tied:
+                targets = sorted(order[tuple(sorted((*chosen, x)))]
+                                 for x in range(len(tied)) if x not in chosen)
+            else:  # the closing set of the previous block feeds every set
+                targets = range(1, len(order) + 1)
+            edges.extend((f"a_{{{k - 1},{src}}}", f"a_{{{k},{dst}}}")
+                         for dst in targets)
+        previous_tied, previous = tied, order
+    return TransitionGraph(n_lo, n_hi, tuple(vertices), tuple(edges))
 
 
 def transition_graph_dot(graph: TransitionGraph) -> str:

@@ -1,13 +1,17 @@
-"""Shared golden values for the test suite.
+"""Golden values: exact errors, point sets, counts and optimal-set listings.
 
+``quantizer verify`` and the test suite both check against these tables.
 Node listings use a compact notation: "c:2.1" is the cylinder of word
 (2, 1), "t:2.1" its tail region.  Sets are given as whitespace-separated
-node lists; order does not matter (comparisons go through signatures).
+node lists in any order.
 """
+
+from __future__ import annotations
 
 from fractions import Fraction
 
-from ifsquant.measure import CLOSED, TAIL
+from .measure import CLOSED, TAIL, Region, region_interval
+from .words import Word
 
 GOLDEN_V = {
     1: Fraction(288, 3577),
@@ -52,7 +56,7 @@ LISTING_18 = (LISTING_15
               .replace("c:1.2 ", "c:1.2.1 t:1.2.1 "))
 
 
-def as_identity_set(listing: str) -> frozenset:
+def as_identity_set(listing: str) -> frozenset[tuple[str, Word]]:
     """Parse a compact listing into a set of (kind, word) identities."""
     out = set()
     for item in listing.split():
@@ -60,3 +64,9 @@ def as_identity_set(listing: str) -> frozenset:
         out.add((CLOSED if kind == "c" else TAIL,
                  tuple(int(ch) for ch in word.split("."))))
     return frozenset(out)
+
+
+def as_signature(listing: str) -> tuple[tuple[str, Word], ...]:
+    """A compact listing in canonical (left-to-right) order, as a signature."""
+    return tuple(sorted(as_identity_set(listing), key=lambda kw: (
+        region_interval(Region(*kw))[0], kw[0], kw[1])))

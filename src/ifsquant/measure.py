@@ -220,21 +220,32 @@ def tail_error_series(w: Word, terms: int) -> Fraction:
     # First-sibling quantities; successive siblings halve the mass and the
     # mean step and quarter the squared scale, exactly.
     prob = prob_word(base) * prob_letter(first)
-    sq_var = (base_scale * scale_letter(first)) ** 2 * VARIANCE
-    mean = base_scale * (
+    scale = base_scale * scale_letter(first)
+    diff = base_scale * (
         MEAN * scale_letter(first) + 1 - Fraction(1, 1 << (first - 1))
-    ) + base_shift
-    diff = mean - target
+    ) + base_shift - target
     step = base_scale * Fraction(6, 7 << first)
-    total = Fraction(0)
+    # The loop runs on integers: with the first sibling's scale 1/2^b and
+    # k = b + terms, mean offsets are integers over 7*2^k, squared scales
+    # times VARIANCE integers over 3577*4^k (3577 = 7^2 * 73), and masses
+    # integers over 2^terms times the first mass's denominator.
+    k = scale.denominator.bit_length() - 1 + terms
+    p = prob.numerator << terms
+    var = VARIANCE.numerator << (2 * terms)
+    d = diff.numerator * (7 << k) // diff.denominator
+    st = step.numerator * (7 << k) // step.denominator
+    per_49 = VARIANCE.denominator // 49
+    total = 0
     for i in range(terms):
         if i:
-            prob /= 2
-            sq_var /= 4
-            diff += step
-            step /= 2
-        total += prob * (sq_var + diff * diff)
-    return total
+            p >>= 1
+            var >>= 2
+            d += st
+            st >>= 1
+        total += p * (var + per_49 * d * d)
+    return Fraction(
+        total, (prob.denominator << terms) * (VARIANCE.denominator << (2 * k))
+    )
 
 
 def distortion(r: Region, x0: Fraction) -> Fraction:

@@ -11,8 +11,8 @@ import random
 import time
 from fractions import Fraction as F
 
-import golden
-from ifsquant import measure
+from bfs_reference import reference_sets
+from ifsquant import golden, measure
 from ifsquant.engine import (
     CLOSED_TO_CHILD,
     CLOSED_TO_TAIL,
@@ -85,10 +85,11 @@ def test_criterion_2():
 def test_criterion_3():
     started = time.perf_counter()
     assert [count_optimal_sets(n) for n in range(15, 22)] == [1, 3, 3, 1, 3, 3, 1]
+    # against the breadth-first reference, which assumes no tie structure
     for n in range(1, 41):
-        assert count_optimal_sets(n) == len(
-            enumerate_optimal_sets(n, cap=100000)
-        ), n
+        expected = [q.signature() for q in reference_sets(n)]
+        assert count_optimal_sets(n) == len(expected), n
+        assert [q.signature() for q in enumerate_optimal_sets(n)] == expected, n
     assert time.perf_counter() - started < 30.0
 
 

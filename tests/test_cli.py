@@ -1,6 +1,8 @@
 import json
 
+from ifsquant import engine
 from ifsquant.cli import main
+from ifsquant.measure import Region
 
 
 def run(capsys, *argv):
@@ -112,6 +114,46 @@ def test_cap_overflow_exits_1(capsys):
     code, _, err = run(capsys, "enumerate", "--n", "16", "--cap", "2")
     assert code == 1
     assert "cap" in err
+
+
+def test_cap_limits_only_the_requested_layer(capsys):
+    # Layers 68 .. 76 hold up to 3432 sets each; only layer 77 counts here.
+    code, out, _ = run(capsys, "enumerate", "--n", "77", "--cap", "1000")
+    assert code == 0
+    assert "count = 14" in out
+    code, out, err = run(capsys, "enumerate", "--n", "71", "--cap", "1000")
+    assert code == 1 and out == ""
+    assert "n=71" in err
+    code, out, _ = run(capsys, "tree", "--from", "77", "--to", "78", "--cap", "15")
+    assert code == 0
+    assert "layer 78: a_{78,1}" in out
+    code, _, err = run(capsys, "tree", "--from", "77", "--to", "78", "--cap", "14")
+    assert code == 1 and "vertices" in err
+
+
+def _tampered_verify(monkeypatch, capsys, tamper):
+    enumerate_sets = engine.enumerate_optimal_sets
+    monkeypatch.setattr(engine, "enumerate_optimal_sets",
+                        lambda n, cap: tamper(enumerate_sets(n, cap)))
+    code, out, _ = run(capsys, "verify", "--n", "16")
+    assert code == 1
+    return out
+
+
+def test_verify_catches_duplicate_sets(monkeypatch, capsys):
+    out = _tampered_verify(monkeypatch, capsys,
+                           lambda sets: sets[:1] * len(sets))
+    assert "count matches enumeration for n <= 16 FAIL (n=7,11,14,16)" in out
+
+
+def test_verify_rederives_set_totals(monkeypatch, capsys):
+    def swap_first_node(sets):
+        q = sets[0]
+        wrong = engine.make_node(Region(q.nodes[0].region.kind, (9,)))
+        return [engine.QuantizerSet((wrong, *q.nodes[1:]), q.n, q.v), *sets[1:]]
+
+    out = _tampered_verify(monkeypatch, capsys, swap_first_node)
+    assert "count matches enumeration for n <= 16 FAIL (n=1," in out
 
 
 def test_byte_identical_reruns(capsys):

@@ -1,11 +1,12 @@
 import dataclasses
+import functools
 import random
 from fractions import Fraction as F
 
 import pytest
 
-import golden
-from ifsquant import measure
+from bfs_reference import REFERENCE_N, reference_graph, reference_sets
+from ifsquant import engine, golden, measure
 from ifsquant.engine import (
     CLOSED_TO_CHILD,
     CLOSED_TO_TAIL,
@@ -40,6 +41,11 @@ def random_region(rng, max_len=8, max_letter=10):
 
 def identity_set(q: QuantizerSet) -> frozenset:
     return frozenset(q.signature())
+
+
+def _fields(node):
+    return (node.region, node.prob, node.scale, node.shift, node.error,
+            node.centroid)
 
 
 def test_children_of_root():
@@ -151,6 +157,10 @@ def test_enumerate_eighteen_matches_listing():
 def test_enumerate_cap_reports_layer():
     with pytest.raises(CapExceeded, match="n=16"):
         enumerate_optimal_sets(16, cap=2)
+    # Only layer n counts: layers 68 .. 76 hold up to 3432 sets, 77 holds 14.
+    with pytest.raises(CapExceeded, match="n=71"):
+        enumerate_optimal_sets(71, cap=1000)
+    assert len(enumerate_optimal_sets(77, cap=1000)) == 14
 
 
 @pytest.mark.parametrize("n, expected", sorted(golden.GOLDEN_COUNTS.items()))
@@ -159,10 +169,27 @@ def test_count_goldens(n, expected):
 
 
 def test_count_matches_enumeration():
+    # The breadth-first reference assumes no tie structure, so this checks
+    # the binomial count rather than the block description against itself.
     for n in range(1, 31):
-        sets = enumerate_optimal_sets(n, cap=100000)
+        sets = reference_sets(n)
         assert count_optimal_sets(n) == len(sets)
         assert len({q.v for q in sets}) == 1
+
+
+@pytest.mark.parametrize("n", range(1, REFERENCE_N + 1))
+def test_enumeration_matches_breadth_first_reference(n):
+    got = enumerate_optimal_sets(n)
+    expected = reference_sets(n)
+    assert [q.signature() for q in got] == [q.signature() for q in expected]
+    for q, ref in zip(got, expected):
+        assert (q.n, q.v) == (ref.n, ref.v)
+        assert list(map(_fields, q.nodes)) == list(map(_fields, ref.nodes))
+
+
+@pytest.mark.parametrize("n_lo, n_hi", [(2, 3), (15, 18), (18, 21), (60, 67)])
+def test_transition_graph_matches_breadth_first_reference(n_lo, n_hi):
+    assert transition_graph(n_lo, n_hi) == reference_graph(n_lo, n_hi)
 
 
 def test_transition_graph_chain():
@@ -239,6 +266,35 @@ def test_recurrence_and_monotonicity():
         assert state.v == expected
         assert state.v < previous
         previous = state.v
+
+
+def test_small_key_exponent_matches_default():
+    # The shared key exponent starts at 64, and no node gets deeper than
+    # that before n ~ 2*10^6; starting at 4 makes _rescale fire early.
+    default, small = GenerationState(), GenerationState(scale_exp=4)
+    for n in range(2, 1001):
+        got, expected = small.split(), default.split()
+        assert list(map(_fields, got)) == list(map(_fields, expected))
+        assert small.v == default.v, n
+        if n % 97 == 0 or n == 1000:
+            q, ref = small.quantizer(), default.quantizer()
+            assert (q.n, q.v) == (ref.n, ref.v)
+            assert list(map(_fields, q.nodes)) == list(map(_fields, ref.nodes))
+    assert small._scale_exp > 4
+
+
+def test_small_key_exponent_matches_default_for_blocks(monkeypatch):
+    def snapshot():
+        counts = [count_optimal_sets(n) for n in range(1, 1001)]
+        sets = [[(q.signature(), q.v, q.points()) for q in enumerate_optimal_sets(n)]
+                for n in range(1, 73)]
+        graphs = [transition_graph(60, 67), transition_graph(993, 995)]
+        return counts, sets, graphs
+
+    expected = snapshot()
+    monkeypatch.setattr(engine, "GenerationState",
+                        functools.partial(GenerationState, scale_exp=4))
+    assert snapshot() == expected
 
 
 def test_state_mass_and_mean_invariants():

@@ -219,6 +219,24 @@ def test_tail_error_series_converges():
     assert tail_error_series((1,), 1) < node_error(tail(1))
 
 
+def test_tail_error_series_is_the_sibling_sum():
+    # Term by term from the definition: each right sibling's own error
+    # about its mean plus its mass times its squared offset from the tail
+    # centroid.  The series itself runs on scaled integers.
+    rng = random.Random(12)
+    for _ in range(200):
+        w = random_word(rng, max_len=5, max_letter=9, min_len=1)
+        terms = rng.randint(1, 70)
+        target = centroid(Region("tail", w))
+        expected = F(0)
+        for i in range(1, terms + 1):
+            sibling = w[:-1] + (w[-1] + i,)
+            p = prob_word(sibling)
+            expected += p * (scale_word(sibling) ** 2 * VARIANCE
+                             + (centroid(closed(*sibling)) - target) ** 2)
+        assert tail_error_series(w, terms) == expected, (w, terms)
+
+
 def test_tail_error_series_monotone():
     w = (2, 1)
     previous = F(0)

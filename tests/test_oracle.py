@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-import golden
+from ifsquant import golden
 from ifsquant.engine import enumerate_optimal_sets, optimal_set, quantization_error
 from ifsquant.exceptions import CapExceeded
 from ifsquant.measure import Region, closed, node_error, region_interval, tail
