@@ -51,60 +51,65 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, **kwargs):
-        p = sub.add_parser(name, help=help_text, **kwargs)
-        p.add_argument("--format", choices=("json", "csv", "dot", "text"),
-                       default="text")
-        p.add_argument("--digits", type=_positive("digits"), default=DEFAULT_DIGITS)
-        p.add_argument("--cap", type=_positive("cap"), default=DEFAULT_CAP,
-                       help="most optimal sets to build: in layer --n for "
-                            "enumerate, per layer and in all for tree")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--samples", type=_positive("samples"),
-                       default=DEFAULT_SAMPLES)
-        p.add_argument("--depth", type=_positive("depth"), default=DEFAULT_DEPTH)
-        p.add_argument("--threads", type=_positive("threads"),
-                       default=os.cpu_count() or 1)
+    def add(name, help_text, func, formats=(), cap_help=None, sampling=False):
+        """A subcommand with only the shared flags it reads."""
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        if formats:
+            p.add_argument("--format", choices=formats, default="text")
+            p.add_argument("--digits", type=_positive("digits"),
+                           default=DEFAULT_DIGITS)
+        if cap_help:
+            p.add_argument("--cap", type=_positive("cap"), default=DEFAULT_CAP,
+                           help=cap_help)
+        if sampling:
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+            p.add_argument("--samples", type=_positive("samples"),
+                           default=DEFAULT_SAMPLES)
+            p.add_argument("--depth", type=_positive("depth"), default=DEFAULT_DEPTH)
+            p.add_argument("--threads", type=_positive("threads"),
+                           default=os.cpu_count() or 1)
         return p
 
-    p = add("optimal", "print one optimal n-point set and its exact error")
+    exact = ("json", "csv", "text")
+    p = add("optimal", "print one optimal n-point set and its exact error",
+            cmd_optimal, exact)
     p.add_argument("--n", type=_positive("n"), required=True)
-    p.set_defaults(func=cmd_optimal)
 
-    p = add("table", "exact quantization errors for a range of n")
+    p = add("table", "exact quantization errors for a range of n", cmd_table, exact)
     p.add_argument("--from", dest="n_lo", type=_positive("from"), required=True)
     p.add_argument("--to", dest="n_hi", type=_positive("to"), required=True)
-    p.set_defaults(func=cmd_table)
 
-    p = add("enumerate", "list every optimal n-point set")
+    p = add("enumerate", "list every optimal n-point set", cmd_enumerate, exact,
+            cap_help="most optimal sets to build in layer --n")
     p.add_argument("--n", type=_positive("n"), required=True)
-    p.set_defaults(func=cmd_enumerate)
 
-    p = add("count", "number of distinct optimal n-point sets")
+    p = add("count", "number of distinct optimal n-point sets", cmd_count)
     p.add_argument("--n", type=_positive("n"), required=True)
-    p.set_defaults(func=cmd_count)
 
-    p = add("tree", "transition DAG of optimal sets between two sizes")
+    p = add("tree", "transition DAG of optimal sets between two sizes", cmd_tree,
+            ("dot", "json", "text"),
+            cap_help="most optimal sets to build, per layer and in all")
     p.add_argument("--from", dest="n_lo", type=_positive("from"), required=True)
     p.add_argument("--to", dest="n_hi", type=_positive("to"), required=True)
-    p.set_defaults(func=cmd_tree)
 
-    p = add("oracle-sample", "draw deterministic samples of the measure")
+    p = add("oracle-sample", "draw deterministic samples of the measure",
+            cmd_oracle_sample, ("json", "text"), sampling=True)
     p.add_argument("--out", help="write the batch to this file (binary format)")
-    p.set_defaults(func=cmd_oracle_sample)
 
-    p = add("oracle-lloyd", "Lloyd and exact DP clustering vs exact centroids")
+    p = add("oracle-lloyd", "Lloyd and exact DP clustering vs exact centroids",
+            cmd_oracle_lloyd, ("json", "text"), sampling=True)
     p.add_argument("--n", type=_positive("n"), required=True)
-    p.set_defaults(func=cmd_oracle_lloyd)
 
-    p = add("oracle-check", "Monte Carlo (and small-n exhaustive) check of V_n")
+    p = add("oracle-check", "Monte Carlo (and small-n exhaustive) check of V_n",
+            cmd_oracle_check, ("json", "text"), sampling=True)
     p.add_argument("--n", type=_positive("n"), required=True)
-    p.set_defaults(func=cmd_oracle_check)
 
-    p = add("verify", "golden values, structure, counts and oracle agreement")
+    p = add("verify", "golden values, structure, counts and oracle agreement",
+            cmd_verify, cap_help="most optimal sets to build per layer when "
+                                 "checking counts against enumeration")
     p.add_argument("--n", type=_positive("n"), default=12,
                    help="largest n for the structural / counting checks")
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
@@ -151,12 +156,10 @@ def cmd_optimal(args) -> int:
         rows = [("word", "kind", "centroid", "centroid_float", "error")]
         rows.extend(_node_rows(q, args.digits))
         sys.stdout.write(_csv_text(rows))
-    elif args.format == "text":
+    else:
         for node in q.nodes:
             print(frac_str(node.centroid))
         print(f"V_{q.n} = {frac_str(q.v)}")
-    else:
-        raise ValueError("optimal supports json, csv and text formats")
     return 0
 
 
@@ -169,7 +172,7 @@ def cmd_table(args) -> int:
         if n >= args.n_lo:
             rows.append((n, state.v))
         if n < args.n_hi:
-            state.split()
+            state.step()
     if args.format == "json":
         print(json.dumps([
             {"n": n, "V": frac_str(v), "V_float": measure.float_val(v, args.digits)}
@@ -180,12 +183,10 @@ def cmd_table(args) -> int:
         out.extend((n, frac_str(v), float(float_str(v, args.digits)))
                    for n, v in rows)
         sys.stdout.write(_csv_text(out))
-    elif args.format == "text":
+    else:
         width = max(len(frac_str(v)) for _, v in rows)
         for n, v in rows:
             print(f"{n:<6d} {frac_str(v):<{width}} {float_str(v, args.digits)}")
-    else:
-        raise ValueError("table supports json, csv and text formats")
     return 0
 
 
@@ -200,15 +201,13 @@ def cmd_enumerate(args) -> int:
         for index, q in enumerate(sets, start=1):
             rows.extend((index, *row) for row in _node_rows(q, args.digits))
         sys.stdout.write(_csv_text(rows))
-    elif args.format == "text":
+    else:
         print(f"n = {args.n}")
         print(f"count = {len(sets)}")
         print(f"V = {frac_str(sets[0].v)}")
         for index, q in enumerate(sets, start=1):
             names = " ".join(f"{kind}:{render(w)}" for kind, w in q.signature())
             print(f"set {index}: {names}")
-    else:
-        raise ValueError("enumerate supports json, csv and text formats")
     return 0
 
 
@@ -223,15 +222,13 @@ def cmd_tree(args) -> int:
         sys.stdout.write(engine.transition_graph_dot(graph))
     elif args.format == "json":
         print(json.dumps(engine.transition_graph_to_dict(graph, args.digits)))
-    elif args.format == "text":
+    else:
         for n in range(graph.n_lo, graph.n_hi + 1):
             names = " ".join(v.label for v in graph.layer(n))
             print(f"layer {n}: {names}")
         print("edges:")
         for src, dst in graph.edges:
             print(f"{src} -> {dst}")
-    else:
-        raise ValueError("tree supports dot, json and text formats")
     return 0
 
 
@@ -255,14 +252,12 @@ def cmd_oracle_sample(args) -> int:
     stats = _summary_stats(batch)
     if args.format == "json":
         print(json.dumps(stats))
-    elif args.format == "text":
+    else:
         for key, value in stats.items():
             if isinstance(value, float):
                 print(f"{key} = {format(value, f'.{args.digits}g')}")
             else:
                 print(f"{key} = {value}")
-    else:
-        raise ValueError("oracle-sample supports json and text formats")
     return 0
 
 
@@ -299,7 +294,7 @@ def cmd_oracle_lloyd(args) -> int:
     }
     if args.format == "json":
         print(json.dumps(payload))
-    elif args.format == "text":
+    else:
         g = f".{args.digits}g"
         print(f"k = {k}")
         print("lloyd centers: " + " ".join(format(c, g) for c in payload["lloyd_centers"]))
@@ -310,8 +305,6 @@ def cmd_oracle_lloyd(args) -> int:
         print("exact centroids: " + " ".join(payload["exact_centroids"]))
         print(f"lloyd max deviation = {format(payload['lloyd_max_deviation'], g)}")
         print(f"dp max deviation = {format(payload['dp_max_deviation'], g)}")
-    else:
-        raise ValueError("oracle-lloyd supports json and text formats")
     return 0
 
 
@@ -349,11 +342,9 @@ def cmd_oracle_check(args) -> int:
             "mc_stderr": stderr,
             "pass": ok,
         }))
-    elif args.format == "text":
+    else:
         for line in lines:
             print(line)
-    else:
-        raise ValueError("oracle-check supports json and text formats")
     return 0 if ok else 1
 
 

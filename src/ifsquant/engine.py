@@ -9,12 +9,16 @@ multiples of the parent error, so the induction is well founded and every
 error comparison is an exact rational comparison; the only freedom is which
 node to split when several tie for the maximum, and enumerating that freedom
 yields every optimal set of a given size.
+
+A node is one integer record (region, M, a, dn, c), split by one integer
+rule (``_lean_children``); its rational data are built from the integers
+only where they are read.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, islice
 from math import comb
@@ -23,37 +27,29 @@ from typing import Iterable, Iterator
 from . import measure
 from .exceptions import CapExceeded
 from .measure import CLOSED, TAIL, MEAN, VARIANCE, Region
-from .words import Word, render
-
-# Exact child/parent error quotients implied by the letter masses and
-# scales; all are < 1, so children always carry strictly less error.
-CLOSED_TO_CHILD = Fraction(1, 64)   # cylinder -> first child cylinder
-CLOSED_TO_TAIL = Fraction(43, 192)  # cylinder -> child tail region
-TAIL_TO_CHILD = Fraction(9, 344)    # tail -> successor cylinder
-TAIL_TO_TAIL = Fraction(1, 8)       # tail -> successor tail
-
-_CLOSED_MEAN = Fraction(1, 7)   # child-cylinder centroid offset, units of s_w
-_CLOSED_TMEAN = Fraction(5, 7)  # child-tail centroid offset
-_TAIL_MEAN = Fraction(16, 7)    # successor-cylinder centroid offset
-_TAIL_TMEAN = Fraction(24, 7)   # successor-tail centroid offset
+from .words import Word, count_non_ones, render
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Node:
-    """A frontier element: a region with its cached exact data.
+    """A frontier element: a region and the integers that fix its exact data.
 
-    ``prob``, ``scale`` and ``shift`` are the word's cylinder mass and the
-    affine data of the composed map (S_w(x) = scale*x + shift); children are
-    derived from them in O(1) exact operations.  Identity (equality and
-    hashing) is by region only: derived fields are a pure function of it.
+    For a word w with a = sum(w) + len(w), the composed map is
+    S_w(x) = (x + dn) / 2^a, the cylinder mass is 3^c / 2^a (c counts the
+    letters other than 1) and the region's error is V * M / (9 * 2^(3a)).
+    The rationals are built from these integers when they are read;
+    ``error`` and ``centroid``, which serialisation and the audit read
+    repeatedly, are cached in two slots.  Identity (equality and hashing)
+    is by region only: the integers are a pure function of it.
     """
 
     region: Region
-    prob: Fraction
-    scale: Fraction
-    shift: Fraction
-    error: Fraction
-    centroid: Fraction
+    m: int
+    a: int
+    dn: int
+    c: int
+    _error: Fraction | None = field(default=None, init=False, repr=False)
+    _centroid: Fraction | None = field(default=None, init=False, repr=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Node):
@@ -64,72 +60,105 @@ class Node:
         return hash(self.region)
 
     @property
+    def prob(self) -> Fraction:
+        """Mass of the word's cylinder."""
+        return Fraction(3**self.c, 1 << self.a)
+
+    @property
+    def scale(self) -> Fraction:
+        """Contraction ratio of S_w."""
+        return Fraction(1, 1 << self.a)
+
+    @property
+    def shift(self) -> Fraction:
+        """S_w(0)."""
+        return Fraction(self.dn, 1 << self.a)
+
+    @property
+    def error(self) -> Fraction:
+        """Exact squared-error contribution of the region."""
+        if self._error is None:
+            object.__setattr__(self, "_error", Fraction(
+                self.m * VARIANCE.numerator, 9 * VARIANCE.denominator << (3 * self.a)
+            ))
+        return self._error
+
+    @property
+    def centroid(self) -> Fraction:
+        """Mean of the region: S_w(4/7) for a cylinder, S_w(20/7) for a tail."""
+        if self._centroid is None:
+            offset = 4 if self.region.kind == CLOSED else 20
+            object.__setattr__(self, "_centroid",
+                               Fraction(7 * self.dn + offset, 7 << self.a))
+        return self._centroid
+
+    @property
     def left(self) -> Fraction:
-        """Left endpoint of the region interval."""
-        if self.region.kind == CLOSED:
-            return self.shift
-        return self.shift + 2 * self.scale
+        """Left endpoint of the region interval: S_w(0), or S_w(2) for a tail."""
+        offset = 0 if self.region.kind == CLOSED else 2
+        return Fraction(self.dn + offset, 1 << self.a)
 
     @property
     def right(self) -> Fraction:
-        """Right endpoint of the region interval."""
-        if self.region.kind == CLOSED:
-            return self.shift + self.scale
-        return self.shift + 4 * self.scale
+        """Right endpoint of the region interval: S_w(1), or S_w(4) for a tail."""
+        offset = 1 if self.region.kind == CLOSED else 4
+        return Fraction(self.dn + offset, 1 << self.a)
 
     @property
     def mass(self) -> Fraction:
-        """P-mass of the region."""
-        if self.region.kind == CLOSED:
-            return self.prob
-        return 3 * self.prob if self.region.word[-1] == 1 else self.prob
+        """P-mass of the region: a tail after letter 1 holds 3 times p_w."""
+        region = self.region
+        c = self.c + (region.kind == TAIL and region.word[-1] == 1)
+        return Fraction(3**c, 1 << self.a)
 
 
 def root_node() -> Node:
     """The whole-support node: one point at the global mean."""
-    return Node(
-        Region(CLOSED, ()), Fraction(1), Fraction(1), Fraction(0), VARIANCE, MEAN
-    )
+    return Node(Region(CLOSED, ()), 9, 0, 0, 0)
 
 
 def make_node(region: Region) -> Node:
-    """Build a node from scratch via the measure formulas (O(|word|))."""
-    scale, shift = measure.map_params(region.word)
-    return Node(
-        region,
-        measure.prob_word(region.word),
-        scale,
-        shift,
-        measure.node_error(region),
-        measure.centroid(region),
-    )
+    """Build a region's node, deriving its integers from the word (O(|word|))."""
+    word = region.word
+    a = dn = 0
+    for j in word:  # S_{w.j}(0) = S_w(1 - 2^(1-j))
+        a += j + 1
+        dn = ((dn + 1) << (j + 1)) - 4
+    c = count_non_ones(word)
+    if region.kind == CLOSED:
+        m = 9 * 3**c
+    else:
+        m = (129 if word[-1] == 1 else 43) * 3**c
+    return Node(region, m, a, dn, c)
+
+
+def _lean_children(kind: str, word: Word, m: int, a: int, dn: int, c: int):
+    """The split rule: the children's (word, a, dn, c, M_closed, M_tail).
+
+    The error quotients M'/(M * 2^(3(a'-a))) are 1/64 and 43/192 for a
+    cylinder, 9/344 and 1/8 for a tail.
+    """
+    if kind == CLOSED:
+        return word + (1,), a + 2, 4 * dn, c, m, 43 * (m // 3)
+    j = word[-1]
+    return (word[:-1] + (j + 1,), a + 1, 2 * dn + 4, c + 1 if j == 1 else c,
+            9 * (m // 43), m)
+
+
+def _node(kind: str, word: Word, m: int, a: int, dn: int, c: int) -> Node:
+    return Node(Region(kind, word), m, a, dn, c)
+
+
+def _child_nodes(kind: str, word: Word, m: int, a: int, dn: int, c: int):
+    """The two children, as nodes, of the record (kind, word, M, a, dn, c)."""
+    word, a, dn, c, m_closed, m_tail = _lean_children(kind, word, m, a, dn, c)
+    return _node(CLOSED, word, m_closed, a, dn, c), _node(TAIL, word, m_tail, a, dn, c)
 
 
 def children(node: Node) -> tuple[Node, Node]:
     """Split a node into its two children, cylinder first."""
     region = node.region
-    p, s, d, e = node.prob, node.scale, node.shift, node.error
-    if region.kind == CLOSED:
-        w = region.word + (1,)
-        cp = p / 4
-        cs = s / 4
-        return (
-            Node(Region(CLOSED, w), cp, cs, d, e * CLOSED_TO_CHILD,
-                 d + s * _CLOSED_MEAN),
-            Node(Region(TAIL, w), cp, cs, d, e * CLOSED_TO_TAIL,
-                 d + s * _CLOSED_TMEAN),
-        )
-    j = region.word[-1]
-    w = region.word[:-1] + (j + 1,)
-    cp = p * 3 / 2 if j == 1 else p / 2
-    cs = s / 2
-    cd = d + 2 * s
-    return (
-        Node(Region(CLOSED, w), cp, cs, cd, e * TAIL_TO_CHILD,
-             d + s * _TAIL_MEAN),
-        Node(Region(TAIL, w), cp, cs, cd, e * TAIL_TO_TAIL,
-             d + s * _TAIL_TMEAN),
-    )
+    return _child_nodes(region.kind, region.word, node.m, node.a, node.dn, node.c)
 
 
 def _node_key(node: Node) -> tuple[Fraction, str, Word]:
@@ -159,31 +188,6 @@ class QuantizerSet:
         return tuple((node.region.kind, node.region.word) for node in self.nodes)
 
 
-def _lean_children(kind: int, word: Word, m: int, a: int, dn: int, c: int):
-    """Integer data of a node's two children: (word, a, dn, c, M_closed, M_tail)."""
-    if kind == 0:
-        return word + (1,), a + 2, 4 * dn, c, m, 43 * (m // 3)
-    j = word[-1]
-    return (word[:-1] + (j + 1,), a + 1, 2 * dn + 4, c + 1 if j == 1 else c,
-            9 * (m // 43), m)
-
-
-def _materialize(kind: int, word: Word, m: int, a: int, dn: int, c: int) -> Node:
-    """The ``Node`` of a lean entry's fields (everything after the keys)."""
-    region = Region(CLOSED if kind == 0 else TAIL, word)
-    den = 1 << a
-    error = Fraction(m * VARIANCE.numerator, 9 * VARIANCE.denominator << (3 * a))
-    offset = 4 if kind == 0 else 20
-    return Node(
-        region,
-        Fraction(3**c, den),
-        Fraction(1, den),
-        Fraction(dn, den),
-        error,
-        Fraction(7 * dn + offset, 7 << a),
-    )
-
-
 def _canonical(entry) -> tuple:
     return entry[1], entry[2], entry[3]
 
@@ -194,23 +198,22 @@ class GenerationState:
     Pop order is total and deterministic: largest error first, ties broken
     by smallest region left endpoint, then cylinder before tail, then word.
 
-    Every frontier error is V * M / (9 * 2^(3a)) for integers M, a, and the
-    region data is dyadic, so the heap stores exact integer keys (the error
-    and left endpoint scaled by a shared power of two) and plain integer
-    node data; comparisons stay exact while running at C speed, and rich
-    ``Node`` values materialize only on demand.  Heap entry layout:
+    The heap holds each node's integer record behind two exact integer
+    keys, the error and the left endpoint scaled by a shared power of two,
+    so comparisons stay exact while running at C speed; a ``Node`` is built
+    from an entry only when one is asked for.  Heap entry layout:
 
         (-error_key, left_key, kind, word, M, a, dn, c)
 
-    with prob = 3^c / 2^a, scale = 1 / 2^a, shift = dn / 2^a, and keys
-    normalized to the shared exponent A: error_key = M << 3*(A - a),
-    left_key = (dn, or dn + 2 for tails) << (A - a).  A starts at
-    ``scale_exp`` and at least doubles whenever a node gets deeper than it.
+    with the record fields of ``Node`` and keys normalized to the shared
+    exponent A: error_key = M << 3*(A - a), left_key = (dn, or dn + 2 for
+    tails) << (A - a).  A starts at ``scale_exp`` and at least doubles
+    whenever a node gets deeper than it.
     """
 
     def __init__(self, scale_exp: int = 64) -> None:
         self._scale_exp = scale_exp
-        self._heap = [self._lean_entry(0, (), 9, 0, 0, 0)]
+        self._heap = [self._lean_entry(CLOSED, (), 9, 0, 0, 0)]
         self._acc = 9 << (3 * self._scale_exp)  # running error sum, in keys
         self.n = 1
 
@@ -222,9 +225,9 @@ class GenerationState:
             9 * VARIANCE.denominator << (3 * self._scale_exp),
         )
 
-    def _lean_entry(self, kind: int, word: Word, m: int, a: int, dn: int, c: int):
+    def _lean_entry(self, kind: str, word: Word, m: int, a: int, dn: int, c: int):
         shift = self._scale_exp - a
-        left = dn if kind == 0 else dn + 2
+        left = dn if kind == CLOSED else dn + 2
         return (-(m << (3 * shift)), left << shift, kind, word, m, a, dn, c)
 
     def _rescale(self, a_needed: int) -> None:
@@ -238,7 +241,7 @@ class GenerationState:
             for neg, left, kind, word, m, a, dn, c in self._heap
         ]
 
-    def _push_children(self, entry):
+    def _push_children(self, entry) -> None:
         """Add the children of ``entry``, already taken off the heap."""
         _, _, kind, word, m, a, dn, c = entry
         child_word, ca, cdn, cc, m_closed, m_tail = _lean_children(
@@ -246,35 +249,35 @@ class GenerationState:
         )
         if ca > self._scale_exp:
             self._rescale(ca)
-        first = self._lean_entry(0, child_word, m_closed, ca, cdn, cc)
-        second = self._lean_entry(1, child_word, m_tail, ca, cdn, cc)
+        first = self._lean_entry(CLOSED, child_word, m_closed, ca, cdn, cc)
+        second = self._lean_entry(TAIL, child_word, m_tail, ca, cdn, cc)
         heapq.heappush(self._heap, first)
         heapq.heappush(self._heap, second)
         self._acc += -first[0] - second[0] - (m << 3 * (self._scale_exp - a))
         self.n += 1
-        return first, second
 
-    def _split_lean(self):
-        return self._push_children(heapq.heappop(self._heap))
+    def step(self) -> None:
+        """Replace the maximal-error node by its children, building no ``Node``."""
+        self._push_children(heapq.heappop(self._heap))
 
     def peek(self) -> Node:
         """The node the next split will replace."""
-        return _materialize(*self._heap[0][2:])
+        return _node(*self._heap[0][2:])
 
     def split(self) -> tuple[Node, Node, Node]:
-        """Replace the maximal-error node by its children."""
-        parent = _materialize(*self._heap[0][2:])
-        first, second = self._split_lean()
-        return parent, _materialize(*first[2:]), _materialize(*second[2:])
+        """Replace the maximal-error node by its children; returns all three."""
+        parent = _node(*self._heap[0][2:])
+        self.step()
+        return (parent, *children(parent))
 
     def nodes(self) -> list[Node]:
         """Current frontier nodes, in no particular order."""
-        return [_materialize(*entry[2:]) for entry in self._heap]
+        return [_node(*entry[2:]) for entry in self._heap]
 
     def quantizer(self) -> QuantizerSet:
         ordered = sorted(self._heap, key=_canonical)
         return QuantizerSet(
-            tuple(_materialize(*entry[2:]) for entry in ordered), self.n, self.v
+            tuple(_node(*entry[2:]) for entry in ordered), self.n, self.v
         )
 
 
@@ -283,7 +286,7 @@ def _advance(n: int) -> GenerationState:
         raise ValueError(f"n must be >= 1, got {n}")
     state = GenerationState()
     for _ in range(n - 1):
-        state._split_lean()
+        state.step()
     return state
 
 
@@ -304,7 +307,7 @@ def iter_quantizers(n_max: int) -> Iterator[QuantizerSet]:
     state = GenerationState()
     yield state.quantizer()
     for _ in range(n_max - 1):
-        state._split_lean()
+        state.step()
         yield state.quantizer()
 
 
@@ -316,7 +319,7 @@ def _layers(n_lo: int) -> Iterator[tuple]:
     optimal n-set makes the q forced splits, of error above the threshold
     t of its last split, plus any r of the m nodes tied at t: there are
     binomial(m, r) of them.  Yields ``(n, frontier, tied, r, V_n)`` for
-    each n, where ``frontier`` holds the lean entries left after the forced
+    each n, where ``frontier`` holds the heap entries left after the forced
     splits apart from the tied ones, and ``tied`` the tied entries in
     canonical order.
     """
@@ -348,14 +351,10 @@ def _layer_sets(n: int, frontier, tied, r: int, v: Fraction) -> list:
     Pairs come sorted by set signature.
     """
     base = sorted([*frontier, *tied], key=_canonical)
-    pieces = [(_materialize(*entry[2:]),) for entry in base]
+    pieces = [(_node(*entry[2:]),) for entry in base]
     lefts = {entry[1] for entry in tied}
     slots = [i for i, entry in enumerate(base) if entry[1] in lefts]
-    split = []
-    for entry in tied:
-        word, a, dn, c, m_closed, m_tail = _lean_children(*entry[2:])
-        split.append((_materialize(0, word, m_closed, a, dn, c),
-                      _materialize(1, word, m_tail, a, dn, c)))
+    split = [_child_nodes(*entry[2:]) for entry in tied]
     pairs = []
     for chosen in combinations(range(len(tied)), r):
         parts = pieces.copy()
@@ -515,30 +514,29 @@ def validate_structure(q: QuantizerSet) -> StructureReport:
     """
     failures: list[str] = []
     nodes = q.nodes
+    lefts = [node.left for node in nodes]
+    rights = [node.right for node in nodes]
+    points = [node.centroid for node in nodes]
+    masses = [node.mass for node in nodes]
     if q.n != len(nodes) or q.n < 1:
         failures.append("node count mismatch")
-    for left_node, right_node in zip(nodes, nodes[1:]):
-        if not (left_node.left < right_node.left and left_node.right <= right_node.left):
-            failures.append("regions out of order or overlapping")
-            break
-    for left_node, right_node in zip(nodes, nodes[1:]):
-        if not left_node.centroid < right_node.centroid:
-            failures.append("centroids not strictly increasing")
-            break
-    for node in nodes:
-        if not node.left <= node.centroid <= node.right:
+    if any(not (lo < next_lo and hi <= next_lo)
+           for lo, hi, next_lo in zip(lefts, rights, lefts[1:])):
+        failures.append("regions out of order or overlapping")
+    if any(not x < y for x, y in zip(points, points[1:])):
+        failures.append("centroids not strictly increasing")
+    for node, lo, hi, x in zip(nodes, lefts, rights, points):
+        if not lo <= x <= hi:
             failures.append(
                 f"centroid outside region ({node.region.kind} {render(node.region.word)!r})"
             )
             break
-    for left_node, right_node in zip(nodes, nodes[1:]):
-        midpoint = (left_node.centroid + right_node.centroid) / 2
-        if not left_node.right <= midpoint <= right_node.left:
-            failures.append("voronoi midpoint outside the region gap")
-            break
-    if sum((node.mass for node in nodes), Fraction(0)) != 1:
+    if any(not hi <= (x + y) / 2 <= next_lo
+           for hi, next_lo, x, y in zip(rights, lefts[1:], points, points[1:])):
+        failures.append("voronoi midpoint outside the region gap")
+    if sum(masses, Fraction(0)) != 1:
         failures.append("masses do not sum to 1")
-    if sum((node.mass * node.centroid for node in nodes), Fraction(0)) != MEAN:
+    if sum((mass * x for mass, x in zip(masses, points)), Fraction(0)) != MEAN:
         failures.append("mass-weighted centroid differs from the global mean")
     if sum((node.error for node in nodes), Fraction(0)) != q.v:
         failures.append("total error differs from the node error sum")

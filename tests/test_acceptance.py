@@ -14,10 +14,6 @@ from fractions import Fraction as F
 from bfs_reference import reference_sets
 from ifsquant import golden, measure
 from ifsquant.engine import (
-    CLOSED_TO_CHILD,
-    CLOSED_TO_TAIL,
-    TAIL_TO_CHILD,
-    TAIL_TO_TAIL,
     GenerationState,
     children,
     count_optimal_sets,
@@ -205,11 +201,11 @@ def test_criterion_7():
         )
         first, second = children(node)
         if kind == CLOSED:
-            assert first.error == node.error * CLOSED_TO_CHILD
-            assert second.error == node.error * CLOSED_TO_TAIL
+            assert first.error == node.error * F(1, 64)
+            assert second.error == node.error * F(43, 192)
         else:
-            assert first.error == node.error * TAIL_TO_CHILD
-            assert second.error == node.error * TAIL_TO_TAIL
+            assert first.error == node.error * F(9, 344)
+            assert second.error == node.error * F(1, 8)
 
     # split-exchange biconditionals on 10^4 random same-length word pairs
     def err_c(w):

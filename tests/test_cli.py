@@ -110,6 +110,17 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "exceeds" in err
 
 
+def test_unread_flags_are_rejected(capsys):
+    # Each subcommand takes only the shared flags it reads.
+    assert run(capsys, "count", "--n", "3", "--format", "json")[0] == 2
+    assert run(capsys, "verify", "--n", "4", "--format", "json")[0] == 2
+    assert run(capsys, "verify", "--n", "4", "--seed", "1")[0] == 2
+    assert run(capsys, "optimal", "--n", "3", "--threads", "2")[0] == 2
+    assert run(capsys, "table", "--from", "1", "--to", "2", "--cap", "5")[0] == 2
+    assert run(capsys, "tree", "--from", "2", "--to", "3", "--format", "csv")[0] == 2
+    assert run(capsys, "oracle-sample", "--format", "csv")[0] == 2
+
+
 def test_cap_overflow_exits_1(capsys):
     code, _, err = run(capsys, "enumerate", "--n", "16", "--cap", "2")
     assert code == 1

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import random
 from fractions import Fraction as F
@@ -8,11 +7,8 @@ import pytest
 from bfs_reference import REFERENCE_N, reference_graph, reference_sets
 from ifsquant import engine, golden, measure
 from ifsquant.engine import (
-    CLOSED_TO_CHILD,
-    CLOSED_TO_TAIL,
-    TAIL_TO_CHILD,
-    TAIL_TO_TAIL,
     GenerationState,
+    Node,
     QuantizerSet,
     children,
     count_optimal_sets,
@@ -63,17 +59,26 @@ def test_children_of_tail():
     assert (first.region, second.region) == (closed(2, 2), tail(2, 2))
 
 
+def _assert_matches_measure(node):
+    region = node.region
+    assert node.prob == measure.prob_word(region.word)
+    assert (node.scale, node.shift) == measure.map_params(region.word)
+    assert node.error == measure.node_error(region)
+    assert node.centroid == measure.centroid(region)
+    assert (node.left, node.right) == measure.region_interval(region)
+    assert node.mass == measure.region_mass(region)
+
+
 def test_children_match_measure_formulas():
+    # make_node and children() share the engine's integer record, so both
+    # are checked against the from-scratch formulas of ``measure``.
+    _assert_matches_measure(root_node())
     rng = random.Random(5)
     for _ in range(300):
         node = make_node(random_region(rng))
+        _assert_matches_measure(node)
         for child in children(node):
-            fresh = make_node(child.region)
-            assert child.prob == fresh.prob
-            assert child.scale == fresh.scale
-            assert child.shift == fresh.shift
-            assert child.error == fresh.error
-            assert child.centroid == fresh.centroid
+            _assert_matches_measure(child)
             assert child.error < node.error
 
 
@@ -83,27 +88,24 @@ def test_child_error_ratios_exact():
         node = make_node(random_region(rng))
         first, second = children(node)
         if node.region.kind == CLOSED:
-            assert first.error == node.error * CLOSED_TO_CHILD
-            assert second.error == node.error * CLOSED_TO_TAIL
+            assert first.error == node.error * F(1, 64)
+            assert second.error == node.error * F(43, 192)
         else:
-            assert first.error == node.error * TAIL_TO_CHILD
-            assert second.error == node.error * TAIL_TO_TAIL
+            assert first.error == node.error * F(9, 344)
+            assert second.error == node.error * F(1, 8)
 
 
 def test_lean_state_matches_rich_children():
-    # The generation state derives children with integer arithmetic; the
-    # public children() uses Fractions.  They must agree field by field.
+    # The generation state keeps its frontier as integer heap entries and
+    # split() returns children(parent).  The frontier the split leaves must
+    # hold exactly those two children in place of the parent, field by field.
     state = GenerationState()
     for _ in range(150):
         parent, first, second = state.split()
-        rich_first, rich_second = children(parent)
-        for got, expect in [(first, rich_first), (second, rich_second)]:
-            assert got.region == expect.region
-            assert got.prob == expect.prob
-            assert got.scale == expect.scale
-            assert got.shift == expect.shift
-            assert got.error == expect.error
-            assert got.centroid == expect.centroid
+        frontier = {node: node for node in state.nodes()}
+        assert parent not in frontier
+        for child in (first, second):
+            assert _fields(frontier[child]) == _fields(child)
 
 
 @pytest.mark.parametrize("n", sorted(golden.GOLDEN_V))
@@ -240,10 +242,10 @@ def test_validate_structure_passes_for_optimal_sets():
         assert report.ok, report.failures
 
 
-def test_validate_structure_catches_forced_centroid():
+def test_validate_structure_catches_forced_centroid(monkeypatch):
     node = make_node(closed(1))
-    forced = dataclasses.replace(node, centroid=F(9, 10))
-    broken = QuantizerSet((forced,), 1, node.error)
+    monkeypatch.setattr(Node, "centroid", property(lambda self: F(9, 10)))
+    broken = QuantizerSet((node,), 1, node.error)
     report = validate_structure(broken)
     assert not report.ok
     assert any("centroid outside region" in f for f in report.failures)
@@ -300,7 +302,7 @@ def test_small_key_exponent_matches_default_for_blocks(monkeypatch):
 def test_state_mass_and_mean_invariants():
     state = GenerationState()
     for _ in range(120):
-        state._split_lean()
+        state.step()
     nodes = state.nodes()
     assert sum((n.mass for n in nodes), F(0)) == 1
     assert sum((n.mass * n.centroid for n in nodes), F(0)) == measure.MEAN
