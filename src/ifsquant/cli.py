@@ -143,7 +143,7 @@ def _node_rows(q, digits):
             render(node.region.word),
             node.region.kind,
             frac_str(node.centroid),
-            float(float_str(node.centroid, digits)),
+            measure.float_val(node.centroid, digits),
             frac_str(node.error),
         )
 
@@ -180,7 +180,7 @@ def cmd_table(args) -> int:
         ]))
     elif args.format == "csv":
         out = [("n", "V", "V_float")]
-        out.extend((n, frac_str(v), float(float_str(v, args.digits)))
+        out.extend((n, frac_str(v), measure.float_val(v, args.digits))
                    for n, v in rows)
         sys.stdout.write(_csv_text(out))
     else:
@@ -248,7 +248,10 @@ def _summary_stats(batch):
 def cmd_oracle_sample(args) -> int:
     batch = oracle.sample(args.samples, args.depth, args.seed, args.threads)
     if args.out:
-        oracle.write_batch(batch, args.out)
+        try:
+            oracle.write_batch(batch, args.out)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from exc
     stats = _summary_stats(batch)
     if args.format == "json":
         print(json.dumps(stats))
@@ -325,7 +328,7 @@ def cmd_oracle_check(args) -> int:
         f"(stderr {format(stderr, '.3g')})",
         f"deviation = {format(gap, '.3g')} ({format(bands, '.3g')} stderr)",
     ]
-    if n <= 12:
+    if 2 <= n <= 12:
         best_v, _ = oracle.exhaustive_min(n)
         agree = best_v == exact
         ok = ok and agree

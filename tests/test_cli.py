@@ -187,6 +187,17 @@ def test_oracle_sample_out_file(tmp_path, capsys):
     assert "mean = " in out
 
 
+def test_oracle_sample_unwritable_out_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.bin"
+    code, out, err = run(capsys, "oracle-sample", "--samples", "100",
+                         "--threads", "1", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: ") and str(target) in err
+    assert len(err.splitlines()) == 1
+    assert not target.exists()
+
+
 def test_oracle_sample_json(capsys):
     code, out, _ = run(capsys, "oracle-sample", "--samples", "20000",
                        "--depth", "12", "--format", "json")
@@ -210,6 +221,15 @@ def test_oracle_check_passes(capsys):
     assert code == 0
     assert "result: PASS" in out
     assert "exhaustive minimum = 69/3577" in out
+
+
+def test_oracle_check_one_point_skips_exhaustive(capsys):
+    # A one-point set has nothing to search, so only the Monte Carlo band runs.
+    code, out, err = run(capsys, "oracle-check", "--n", "1",
+                         "--samples", "20000", "--threads", "1")
+    assert code == 0, err
+    assert "result: PASS" in out
+    assert "exhaustive minimum" not in out
 
 
 def test_verify_small(capsys):

@@ -1,10 +1,12 @@
+import ast
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ifsquant import golden
+from ifsquant import golden, measure, oracle
 from ifsquant.engine import enumerate_optimal_sets, optimal_set, quantization_error
 from ifsquant.exceptions import CapExceeded
 from ifsquant.measure import Region, closed, node_error, region_interval, tail
@@ -124,15 +126,25 @@ def _brute_min_cost(xs, k):
     return dp[n - 1]
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 12])
 def test_kmeans_matches_quadratic_dp(k):
     rng = np.random.default_rng(42 + k)
-    xs = rng.random(180)
-    batch = SampleBatch(xs, 0, 1, xs.size)
-    result = kmeans_1d_exact(batch, k)
-    expected = _brute_min_cost(xs, k) / xs.size
-    got = mc_distortion(batch, result.centers)
-    assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
+    inputs = [
+        rng.random(180),
+        # two decimals: many equal positions and many tied costs
+        np.round(rng.random(180), 2),
+        # k = n - 1 and k = n: intervals down to a single candidate start
+        rng.random(k + 1),
+        rng.random(k),
+    ]
+    for xs in inputs:
+        batch = SampleBatch(xs, 0, 1, xs.size)
+        result = kmeans_1d_exact(batch, k)
+        assert result.centers.size == k
+        assert np.all(np.diff(result.centers) > 0)
+        expected = _brute_min_cost(xs, k) / xs.size
+        got = mc_distortion(batch, result.centers)
+        assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
 def test_kmeans_one_mean_is_sample_mean():
@@ -247,6 +259,30 @@ def test_exhaustive_rejects_out_of_range():
         exhaustive_min(1)
     with pytest.raises(ValueError):
         exhaustive_min(14)
+
+
+def _ifsquant_imports(path):
+    """Names of the ifsquant modules a source file imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "ifsquant":
+                    names.update(parts[1:])
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level or parts[0] == "ifsquant":
+                names.update(parts)
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", [oracle, measure])
+def test_oracles_stay_independent_of_the_engine(module):
+    # The float oracles and the exact measure re-derive everything they check;
+    # importing the engine or the CLI would let them share its mistakes.
+    assert not _ifsquant_imports(Path(module.__file__)) & {"engine", "cli"}
 
 
 def test_batch_io_roundtrip(tmp_path):
