@@ -328,6 +328,12 @@ def cmd_oracle_check(args) -> int:
         f"(stderr {format(stderr, '.3g')})",
         f"deviation = {format(gap, '.3g')} ({format(bands, '.3g')} stderr)",
     ]
+    report = {
+        "n": n,
+        "V": frac_str(exact),
+        "mc_estimate": estimate,
+        "mc_stderr": stderr,
+    }
     if 2 <= n <= 12:
         best_v, _ = oracle.exhaustive_min(n)
         agree = best_v == exact
@@ -336,15 +342,12 @@ def cmd_oracle_check(args) -> int:
             f"exhaustive minimum = {frac_str(best_v)} "
             f"({'agrees' if agree else 'DISAGREES'})"
         )
+        report["exhaustive_min"] = frac_str(best_v)
+        report["exhaustive_agrees"] = agree
     lines.append("result: " + ("PASS" if ok else "FAIL"))
     if args.format == "json":
-        print(json.dumps({
-            "n": n,
-            "V": frac_str(exact),
-            "mc_estimate": estimate,
-            "mc_stderr": stderr,
-            "pass": ok,
-        }))
+        report["pass"] = ok
+        print(json.dumps(report))
     else:
         for line in lines:
             print(line)

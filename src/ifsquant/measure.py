@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .words import Word, last, parent, successor
+from .words import Word, count_non_ones, last, parent, successor
 
 CLOSED = "closed"
 TAIL = "tail"
@@ -83,11 +83,11 @@ def scale_letter(j: int) -> Fraction:
 
 
 def prob_word(w: Word) -> Fraction:
-    """Mass of the cylinder J_w: the product of letter masses (1 for ())."""
-    out = Fraction(1)
-    for letter in w:
-        out *= prob_letter(letter)
-    return out
+    """Mass of the cylinder J_w: the product of letter masses (1 for ()),
+    which is 3^(letters other than 1) / 2^(sum(w) + len(w))."""
+    if w and min(w) < 1:
+        raise ValueError(f"letter must be >= 1, got {min(w)}")
+    return Fraction(3 ** count_non_ones(w), 1 << (sum(w) + len(w)))
 
 
 def scale_word(w: Word) -> Fraction:

@@ -41,21 +41,31 @@ class SampleBatch:
     count: int
 
 
-def _letters(u: np.ndarray) -> np.ndarray:
-    # Invert the letter CDF: mass of letters <= j is 1 - 3/2^(j+1), so a
-    # uniform u lands on letter floor(log2(3/(1-u))).
-    j = np.floor(np.log2(3.0 / (1.0 - u))).astype(np.int64)
-    return np.maximum(j, 1)
+# Letter j maps x to 2^-(j+1) x + 1 - 2^-(j-1); both powers of two are
+# exact table entries.  No float64 uniform yields a letter above 54, since
+# u <= 1 - 2^-53 gives log2(3/(1-u)) <= log2(3 * 2^53) < 55.
+_LETTER_SCALE = np.array([math.ldexp(1.0, -(j + 1)) for j in range(64)])
+_LETTER_DROP = np.array([math.ldexp(1.0, -(j - 1)) for j in range(64)])
 
 
 def _chunk_values(seed: int, index: int, size: int, depth: int) -> np.ndarray:
-    rng = np.random.default_rng([seed, index])
-    uniforms = rng.random((depth, size))
+    # Level l reads doubles l*size .. (l+1)*size - 1 of the chunk's stream
+    # (one 64-bit output per double), the values row l of
+    # default_rng([seed, index]).random((depth, size)) would hold; levels
+    # apply innermost first, so each one advances a fresh generator to its run.
+    seq = np.random.SeedSequence([seed, index])
     x = np.full(size, 4.0 / 7.0)
     for level in range(depth - 1, -1, -1):
-        letters = _letters(uniforms[level])
-        scale = np.ldexp(1.0, -(letters + 1))
-        x = scale * x + 1.0 - np.ldexp(1.0, -(letters - 1))
+        bits = np.random.PCG64(seq)
+        bits.advance(level * size)
+        u = np.random.Generator(bits).random(size)
+        # Invert the letter CDF: mass of letters <= j is 1 - 3/2^(j+1), so u
+        # lands on letter floor(log2(3/(1-u))); the log is >= log2 3 > 0, so
+        # truncation is that floor and the letter is at least 1.
+        letters = np.log2(3.0 / (1.0 - u)).astype(np.intp)
+        x *= _LETTER_SCALE[letters]
+        x += 1.0
+        x -= _LETTER_DROP[letters]
     return x
 
 
@@ -72,7 +82,10 @@ def sample(
     no truncation; at the default depth the truncation displacement is below
     2^-80.  Values are produced in fixed 65536-wide chunks seeded by
     (seed, chunk index) and concatenated in chunk order, which makes the
-    result identical for any thread count.
+    result identical for any thread count.  Each level of a chunk reads its
+    own run of the chunk's PCG64 stream, reached with `PCG64.advance`, so a
+    chunk holds one level of uniforms at a time; the values are those of
+    drawing the chunk's whole (depth, size) block of uniforms at once.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -238,7 +251,8 @@ def kmeans_1d_exact(batch: SampleBatch, k: int) -> ClusterResult:
     opts: list[np.ndarray] = []
     for row in range(2, k + 1):
         dp_new = np.full(n, np.inf)
-        opt = np.zeros(n, dtype=np.int64)
+        # Starts fit int32 (n is far below 2^31): half the backtrack memory.
+        opt = np.zeros(n, dtype=np.int32)
         _fill_row(dp, dp_new, opt, row - 1, prefix, prefix_sq)
         opts.append(opt)
         dp = dp_new

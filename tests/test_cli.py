@@ -223,6 +223,21 @@ def test_oracle_check_passes(capsys):
     assert "exhaustive minimum = 69/3577" in out
 
 
+def test_oracle_check_json_reports_exhaustive(capsys):
+    args = ("oracle-check", "--samples", "60000", "--depth", "20",
+            "--threads", "1", "--format", "json")
+    code, out, _ = run(capsys, *args, "--n", "2")
+    assert code == 0
+    report = json.loads(out)
+    assert report["exhaustive_min"] == "69/3577"
+    assert report["exhaustive_agrees"] is True
+    assert report["pass"] is True
+    # a one-point set has no exhaustive search, so the keys are absent
+    code, out, _ = run(capsys, *args, "--n", "1")
+    assert code == 0
+    assert "exhaustive_min" not in json.loads(out)
+
+
 def test_oracle_check_one_point_skips_exhaustive(capsys):
     # A one-point set has nothing to search, so only the Monte Carlo band runs.
     code, out, err = run(capsys, "oracle-check", "--n", "1",

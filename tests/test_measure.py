@@ -77,6 +77,22 @@ def test_prob_word_closed_form():
         )
 
 
+def test_prob_word_matches_letter_product():
+    rng = random.Random(13)
+    for _ in range(300):
+        w = random_word(rng)
+        product = F(1)
+        for letter in w:
+            product *= prob_letter(letter)
+        assert prob_word(w) == product
+
+
+@pytest.mark.parametrize("w", [(0,), (2, -1), (1, 3, 0)])
+def test_prob_word_rejects_bad_letters(w):
+    with pytest.raises(ValueError):
+        prob_word(w)
+
+
 def test_equal_prob_implies_equal_scale():
     rng = random.Random(11)
     for _ in range(300):

@@ -35,6 +35,47 @@ def test_sample_determinism():
     assert not np.array_equal(other_seed.values, sample(10_000, seed=2).values)
 
 
+def _reference_chunk(seed, index, size, depth):
+    # Reference sampler: the chunk's whole (depth, size) block of uniforms
+    # at once, letters by floor, powers of two by np.ldexp.
+    uniforms = np.random.default_rng([seed, index]).random((depth, size))
+    x = np.full(size, 4.0 / 7.0)
+    for level in range(depth - 1, -1, -1):
+        letters = np.floor(np.log2(3.0 / (1.0 - uniforms[level]))).astype(np.int64)
+        letters = np.maximum(letters, 1)
+        scale = np.ldexp(1.0, -(letters + 1))
+        x = scale * x + 1.0 - np.ldexp(1.0, -(letters - 1))
+    return x
+
+
+@pytest.mark.parametrize("depth", [1, 7, 40])
+@pytest.mark.parametrize("seed", [0, 1, 20240317])
+def test_sample_matches_reference_kernel(seed, depth):
+    for count in (1, 3392, 65536, 65537, 200_000):
+        sizes = [
+            min(oracle.CHUNK_SIZE, count - start)
+            for start in range(0, count, oracle.CHUNK_SIZE)
+        ]
+        expected = b"".join(
+            _reference_chunk(seed, index, size, depth).tobytes()
+            for index, size in enumerate(sizes)
+        )
+        for threads in (1, 2):
+            got = sample(count, depth, seed, threads).values.tobytes()
+            assert got == expected, (count, threads)
+
+
+def test_letter_tables_cover_every_letter():
+    assert oracle._LETTER_SCALE.size > 54
+    assert oracle._LETTER_DROP.size > 54
+    j = np.arange(1, 55)
+    assert np.array_equal(oracle._LETTER_SCALE[j], np.ldexp(1.0, -(j + 1)))
+    assert np.array_equal(oracle._LETTER_DROP[j], np.ldexp(1.0, -(j - 1)))
+    # The letter expression of _chunk_values at both ends of [0, 1).
+    u = np.array([0.0, np.nextafter(1.0, 0.0)])
+    assert np.log2(3.0 / (1.0 - u)).astype(np.intp).tolist() == [1, 54]
+
+
 def test_sample_values_in_unit_interval():
     assert BATCH.values.min() >= 0.0
     assert BATCH.values.max() <= 1.0
