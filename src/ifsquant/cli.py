@@ -166,13 +166,7 @@ def cmd_optimal(args) -> int:
 def cmd_table(args) -> int:
     if args.n_lo > args.n_hi:
         raise ValueError(f"--from {args.n_lo} exceeds --to {args.n_hi}")
-    rows = []
-    state = engine.GenerationState()
-    for n in range(1, args.n_hi + 1):
-        if n >= args.n_lo:
-            rows.append((n, state.v))
-        if n < args.n_hi:
-            state.step()
+    rows = [(n, v) for n, _, _, v in engine._layers(args.n_lo, args.n_hi)]
     if args.format == "json":
         print(json.dumps([
             {"n": n, "V": frac_str(v), "V_float": measure.float_val(v, args.digits)}
@@ -212,7 +206,13 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_count(args) -> int:
-    print(engine.count_optimal_sets(args.n))
+    count = engine.count_optimal_sets(args.n)
+    limit = sys.get_int_max_str_digits()  # counts pass it above n = 2*10^5
+    sys.set_int_max_str_digits(0)
+    try:
+        print(count)
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0
 
 
@@ -480,10 +480,10 @@ def run_verify(n_max: int, cap: int = DEFAULT_CAP, out=None) -> bool:
             report(label, False, f"{type(exc).__name__}: {exc}")
 
     bad = []
-    for q in engine.iter_quantizers(n_max):
-        result = engine.validate_structure(q)
+    for n in range(1, n_max + 1):
+        result = engine.validate_structure(engine.optimal_set(n))
         if not result.ok:
-            bad.append(f"n={q.n}: {result.first_failure}")
+            bad.append(f"n={n}: {result.first_failure}")
     report(f"structure valid for n <= {n_max}", not bad,
            "; ".join(bad[:3]))
 

@@ -1,28 +1,34 @@
-"""Greedy split engine for optimal quantizer sets.
+"""Exact optimal quantizer sets of the fixed measure.
 
-Optimal n-point sets are built by induction: start from the one-point set
+Optimal n-point sets come from an induction: start from the one-point set
 (the global mean, i.e. the whole-support cylinder) and repeatedly replace a
 node of maximal squared-error contribution by its two children.  A cylinder
 w splits into (cylinder w.1, tail of w.1); a tail region splits into the
 successor cylinder plus the successor tail.  Child errors are exact fixed
-multiples of the parent error, so the induction is well founded and every
-error comparison is an exact rational comparison; the only freedom is which
-node to split when several tie for the maximum, and enumerating that freedom
-yields every optimal set of a given size.
+fractions of the parent error, below it, so an optimal n-set splits every
+tree node of error above a threshold t and any r of the m nodes tied at t.
 
-A node is one integer record (region, M, a, dn, c), split by one integer
-rule (``_lean_children``); its rational data are built from the integers
-only where they are read.
+Nothing replays the induction.  The tree nodes of one error form a block,
+sized by a count of words (``_block_table``); V_n and the binomial(m, r)
+optimal sets of each size follow from the blocks (``_layers``), and one
+depth-first walk builds a set in canonical order (``_walk``).
+``GenerationState`` runs the induction step by step, as the tests'
+reference.  A node is one integer record (region, M, a, dn, c), split by
+one integer rule (``_lean_children``); its rational data are built from
+the integers only where they are read.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations, islice
+from itertools import chain, combinations
 from math import comb
-from typing import Iterable, Iterator
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple
 
 from . import measure
 from .exceptions import CapExceeded
@@ -145,24 +151,14 @@ def _lean_children(kind: str, word: Word, m: int, a: int, dn: int, c: int):
             9 * (m // 43), m)
 
 
-def _node(kind: str, word: Word, m: int, a: int, dn: int, c: int) -> Node:
-    return Node(Region(kind, word), m, a, dn, c)
-
-
-def _child_nodes(kind: str, word: Word, m: int, a: int, dn: int, c: int):
-    """The two children, as nodes, of the record (kind, word, M, a, dn, c)."""
-    word, a, dn, c, m_closed, m_tail = _lean_children(kind, word, m, a, dn, c)
-    return _node(CLOSED, word, m_closed, a, dn, c), _node(TAIL, word, m_tail, a, dn, c)
-
-
 def children(node: Node) -> tuple[Node, Node]:
     """Split a node into its two children, cylinder first."""
     region = node.region
-    return _child_nodes(region.kind, region.word, node.m, node.a, node.dn, node.c)
-
-
-def _node_key(node: Node) -> tuple[Fraction, str, Word]:
-    return (node.left, node.region.kind, node.region.word)
+    word, a, dn, c, m_closed, m_tail = _lean_children(
+        region.kind, region.word, node.m, node.a, node.dn, node.c
+    )
+    return (Node(Region(CLOSED, word), m_closed, a, dn, c),
+            Node(Region(TAIL, word), m_tail, a, dn, c))
 
 
 @dataclass(frozen=True)
@@ -175,7 +171,8 @@ class QuantizerSet:
 
     @classmethod
     def from_nodes(cls, nodes: Iterable[Node]) -> "QuantizerSet":
-        ordered = tuple(sorted(nodes, key=_node_key))
+        ordered = tuple(sorted(nodes, key=lambda node: (
+            node.left, node.region.kind, node.region.word)))
         total = sum((node.error for node in ordered), Fraction(0))
         return cls(ordered, len(ordered), total)
 
@@ -188,175 +185,183 @@ class QuantizerSet:
         return tuple((node.region.kind, node.region.word) for node in self.nodes)
 
 
-def _canonical(entry) -> tuple:
-    return entry[1], entry[2], entry[3]
-
-
 class GenerationState:
-    """Mutable frontier of the split induction, keyed by exact error.
+    """The split induction, one exact step at a time.
 
-    Pop order is total and deterministic: largest error first, ties broken
-    by smallest region left endpoint, then cylinder before tail, then word.
-
-    The heap holds each node's integer record behind two exact integer
-    keys, the error and the left endpoint scaled by a shared power of two,
-    so comparisons stay exact while running at C speed; a ``Node`` is built
-    from an entry only when one is asked for.  Heap entry layout:
-
-        (-error_key, left_key, kind, word, M, a, dn, c)
-
-    with the record fields of ``Node`` and keys normalized to the shared
-    exponent A: error_key = M << 3*(A - a), left_key = (dn, or dn + 2 for
-    tails) << (A - a).  A starts at ``scale_exp`` and at least doubles
-    whenever a node gets deeper than it.
+    A heap of ``(-error, left, kind, word, node)`` entries keyed by exact
+    ``Fraction`` errors: each ``split()`` replaces a node of maximal error,
+    the leftmost among ties, by its two ``children()``.  Nothing in the
+    program uses it; it is the reference the threshold blocks are tested
+    against.
     """
 
-    def __init__(self, scale_exp: int = 64) -> None:
-        self._scale_exp = scale_exp
-        self._heap = [self._lean_entry(CLOSED, (), 9, 0, 0, 0)]
-        self._acc = 9 << (3 * self._scale_exp)  # running error sum, in keys
+    def __init__(self) -> None:
+        root = root_node()
+        self._heap = [self._entry(root)]
+        self.v = root.error  # exact total error of the frontier
         self.n = 1
 
-    @property
-    def v(self) -> Fraction:
-        """Exact total error of the current frontier."""
-        return Fraction(
-            self._acc * VARIANCE.numerator,
-            9 * VARIANCE.denominator << (3 * self._scale_exp),
-        )
-
-    def _lean_entry(self, kind: str, word: Word, m: int, a: int, dn: int, c: int):
-        shift = self._scale_exp - a
-        left = dn if kind == CLOSED else dn + 2
-        return (-(m << (3 * shift)), left << shift, kind, word, m, a, dn, c)
-
-    def _rescale(self, a_needed: int) -> None:
-        old = self._scale_exp
-        self._scale_exp = max(2 * old, a_needed + 16)
-        delta = self._scale_exp - old
-        self._acc <<= 3 * delta
-        # Shifting every key by the same amount preserves the heap order.
-        self._heap = [
-            (neg << (3 * delta), left << delta, kind, word, m, a, dn, c)
-            for neg, left, kind, word, m, a, dn, c in self._heap
-        ]
-
-    def _push_children(self, entry) -> None:
-        """Add the children of ``entry``, already taken off the heap."""
-        _, _, kind, word, m, a, dn, c = entry
-        child_word, ca, cdn, cc, m_closed, m_tail = _lean_children(
-            kind, word, m, a, dn, c
-        )
-        if ca > self._scale_exp:
-            self._rescale(ca)
-        first = self._lean_entry(CLOSED, child_word, m_closed, ca, cdn, cc)
-        second = self._lean_entry(TAIL, child_word, m_tail, ca, cdn, cc)
-        heapq.heappush(self._heap, first)
-        heapq.heappush(self._heap, second)
-        self._acc += -first[0] - second[0] - (m << 3 * (self._scale_exp - a))
-        self.n += 1
-
-    def step(self) -> None:
-        """Replace the maximal-error node by its children, building no ``Node``."""
-        self._push_children(heapq.heappop(self._heap))
+    @staticmethod
+    def _entry(node: Node) -> tuple:
+        return (-node.error, node.left, node.region.kind, node.region.word, node)
 
     def peek(self) -> Node:
         """The node the next split will replace."""
-        return _node(*self._heap[0][2:])
+        return self._heap[0][-1]
 
     def split(self) -> tuple[Node, Node, Node]:
         """Replace the maximal-error node by its children; returns all three."""
-        parent = _node(*self._heap[0][2:])
-        self.step()
-        return (parent, *children(parent))
+        parent = heapq.heappop(self._heap)[-1]
+        first, second = children(parent)
+        heapq.heappush(self._heap, self._entry(first))
+        heapq.heappush(self._heap, self._entry(second))
+        self.v += first.error + second.error - parent.error
+        self.n += 1
+        return parent, first, second
 
     def nodes(self) -> list[Node]:
         """Current frontier nodes, in no particular order."""
-        return [_node(*entry[2:]) for entry in self._heap]
+        return [entry[-1] for entry in self._heap]
 
     def quantizer(self) -> QuantizerSet:
-        ordered = sorted(self._heap, key=_canonical)
-        return QuantizerSet(
-            tuple(_node(*entry[2:]) for entry in ordered), self.n, self.v
-        )
+        return QuantizerSet.from_nodes(self.nodes())
 
 
-def _advance(n: int) -> GenerationState:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    state = GenerationState()
-    for _ in range(n - 1):
-        state.step()
-    return state
+class Block(NamedTuple):
+    """The m tree nodes of error V * M / (9 * 8^a): all cylinders or all tails."""
+
+    kind: str
+    M: int
+    a: int
+    m: int
+
+
+# Error taken away by splitting a node of error e, in units of e / 4128:
+# 1 - (1/64 + 43/192) = 73/96 for a cylinder, 1 - (9/344 + 1/8) = 73/86 for a tail.
+_DROP = {CLOSED: 73 * 43, TAIL: 73 * 48}
+
+
+@functools.cache
+def _block_table(depth: int) -> list[tuple[int, int, int, Block]]:
+    """Every block above the error of all nodes deeper than ``depth``.
+
+    Words are counted by a and c: cyl[a][c] = cyl[a-2][c] + the sum of
+    cyl[b][c-1] over b <= a-3 (append 1, or a letter j >= 2 of weight
+    j + 1).  A cylinder block (a, c) has M = 9 * 3^c.  A tail block (a, c)
+    has M = 43 * 3^c and holds the tails whose last letter is 1 with c - 1
+    other letters and the other tails with c; 43 is not a power of 3, so
+    cylinders never tie tails.  Blocks are sorted on the key
+    M * 8^(depth - a), and only keys above 129 * 3^(depth//3 + 1) / 8 are
+    kept: no deeper node reaches it.  Rows are (splits to the end of the
+    block, error dropped before it, error dropped per split, block), the
+    errors in units of V / (37152 * 8^depth).
+    """
+    bound = 129 * 3 ** (depth // 3 + 1) // 8
+    width = depth // 3 + 2
+    cyl = [[1] + [0] * (width - 1)]  # the empty word
+    run = zero = [0] * width  # the sum of cyl[b] over b <= a - 3
+    keyed = []
+    for a in range(depth + 1):
+        if a >= 3:
+            run = [x + y for x, y in zip(run, cyl[a - 3])]
+        below = cyl[a - 2] if a >= 2 else zero
+        if a:
+            cyl.append([below[0]] + [x + y for x, y in zip(below[1:], run)])
+        shift = 3 * (depth - a)
+        for c in range(width):
+            keyed.append((9 * 3**c << shift, Block(CLOSED, 9 * 3**c, a, cyl[a][c])))
+            if c:
+                keyed.append((43 * 3**c << shift,
+                              Block(TAIL, 43 * 3**c, a, below[c - 1] + run[c - 1])))
+    rows, end, dropped = [], 0, 0
+    for key, block in sorted(keyed, reverse=True):
+        if key > bound and block.m:
+            step = key * _DROP[block.kind]
+            end += block.m
+            rows.append((end, dropped, step, block))
+            dropped += block.m * step
+    return rows
+
+
+def _layers(n_lo: int, n_hi: int) -> Iterator[tuple[int, Block, int, Fraction]]:
+    """Threshold-block description of the optimal sets of sizes n_lo .. n_hi.
+
+    Child errors are fixed fractions of their parent's, below it, so the
+    greedy splits run through the tree's nodes in descending error order.
+    Every optimal n-set splits the nodes of the blocks before its block and
+    any r of that block's m nodes: there are binomial(m, r) of them, and
+    r = 0 only at n = 1.  Yields ``(n, block, r, V_n)``, with
+    V_n = V * (1 - sum of m*e*g over the earlier blocks - r*e*g) for error
+    fraction e = M / (9 * 8^a) and g = 73/96 (cylinder) or 73/86 (tail).
+    """
+    if n_lo < 1:
+        raise ValueError(f"n must be >= 1, got {n_lo}")
+    depth = 8
+    while (rows := _block_table(depth))[-1][0] < n_hi - 1:
+        depth *= 2
+    scale = 37152 << 3 * depth  # 9 * 4128 * 8^depth
+    i = bisect_left(rows, n_lo - 1, key=itemgetter(0))
+    for n in range(n_lo, n_hi + 1):
+        if rows[i][0] < n - 1:
+            i += 1
+        end, dropped, step, block = rows[i]
+        r = n - 1 - end + block.m
+        yield n, block, r, Fraction(VARIANCE.numerator * (scale - dropped - r * step),
+                                    VARIANCE.denominator * scale)
+
+
+def _walk(block: Block, r: int) -> tuple[list[Node], list[int]]:
+    """The frontier that splits every node above ``block`` and its first r.
+
+    A depth-first walk from the root, cylinder child first, so the nodes
+    come out in canonical left-to-right order with no sort.  A node is
+    split when its error is above the block's, or equal to it while fewer
+    than r tied nodes have been split.  Returns the frontier and the
+    positions in it of the tied nodes left unsplit.
+    """
+    m_t, a_t = block.M, block.a
+    nodes, tied = [], []
+    stack = [(CLOSED, (), 9, 0, 0, 0)]  # the record of root_node()
+    while stack:
+        record = stack.pop()
+        kind, word, m, a, dn, c = record
+        above = (m << 3 * a_t) - (m_t << 3 * a)
+        if above > 0 or (above == 0 and r):
+            r -= above == 0
+            word, a, dn, c, m_closed, m_tail = _lean_children(*record)
+            stack.append((TAIL, word, m_tail, a, dn, c))
+            stack.append((CLOSED, word, m_closed, a, dn, c))
+        else:
+            if above == 0:
+                tied.append(len(nodes))
+            nodes.append(Node(Region(kind, word), m, a, dn, c))
+    return nodes, tied
 
 
 def optimal_set(n: int) -> QuantizerSet:
     """One canonical optimal n-point set (ties split at the leftmost region)."""
-    return _advance(n).quantizer()
+    _, block, r, v = next(_layers(n, n))
+    return QuantizerSet(tuple(_walk(block, r)[0]), n, v)
 
 
 def quantization_error(n: int) -> Fraction:
     """Exact minimal mean squared error over n-point sets."""
-    return _advance(n).v
+    return next(_layers(n, n))[3]
 
 
-def iter_quantizers(n_max: int) -> Iterator[QuantizerSet]:
-    """Yield the canonical optimal set for every n = 1 .. n_max."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    state = GenerationState()
-    yield state.quantizer()
-    for _ in range(n_max - 1):
-        state.step()
-        yield state.quantizer()
-
-
-def _layers(n_lo: int) -> Iterator[tuple]:
-    """Threshold-block description of the optimal sets of sizes n_lo, n_lo + 1, ...
-
-    Greedy split errors never increase and children carry less error than
-    their parent, so the splits come in blocks of equal error.  Every
-    optimal n-set makes the q forced splits, of error above the threshold
-    t of its last split, plus any r of the m nodes tied at t: there are
-    binomial(m, r) of them.  Yields ``(n, frontier, tied, r, V_n)`` for
-    each n, where ``frontier`` holds the heap entries left after the forced
-    splits apart from the tied ones, and ``tied`` the tied entries in
-    canonical order.
-    """
-    state = GenerationState()
-    n = n_lo
-    while True:
-        heap = state._heap
-        top = heap[0][0]
-        tied = []
-        while heap and heap[0][0] == top:
-            tied.append(heapq.heappop(heap))
-        # copying is O(frontier): only blocks that hold layer n need it
-        frontier = heap.copy() if n - state.n <= len(tied) else None
-        for r in range(len(tied) + 1):
-            if r:
-                state._push_children(tied[r - 1])
-            if state.n == n:
-                yield n, frontier, tied, r, state.v
-                n += 1
-
-
-def _layer_sets(n: int, frontier, tied, r: int, v: Fraction) -> list:
+def _layer_sets(n: int, block: Block, r: int, v: Fraction) -> list:
     """The optimal sets of one ``_layers`` item as (chosen, set) pairs.
 
-    ``chosen`` holds the indices of the split tied entries.  A node's two
-    children cover its own region, closed child first, so a split node's
-    children take its place in the canonical order: the integer left keys,
-    distinct because the regions are disjoint, are sorted once per layer.
-    Pairs come sorted by set signature.
+    ``chosen`` holds the indices, in left-to-right order, of the split tied
+    nodes.  A node's two children cover its own region, closed child first,
+    so they take its place in the canonical order.  Pairs come sorted by
+    set signature.
     """
-    base = sorted([*frontier, *tied], key=_canonical)
-    pieces = [(_node(*entry[2:]),) for entry in base]
-    lefts = {entry[1] for entry in tied}
-    slots = [i for i, entry in enumerate(base) if entry[1] in lefts]
-    split = [_child_nodes(*entry[2:]) for entry in tied]
+    nodes, slots = _walk(block, 0)
+    pieces = [(node,) for node in nodes]
+    split = [children(nodes[slot]) for slot in slots]
     pairs = []
-    for chosen in combinations(range(len(tied)), r):
+    for chosen in combinations(range(len(slots)), r):
         parts = pieces.copy()
         for i in chosen:
             parts[slots[i]] = split[i]
@@ -372,22 +377,18 @@ def enumerate_optimal_sets(n: int, cap: int = 10000) -> list[QuantizerSet]:
     number of sets in layer n alone.  Raises CapExceeded naming n when
     that number, known before any set is built, exceeds ``cap``.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    _, frontier, tied, r, v = next(_layers(n))
-    if comb(len(tied), r) > cap:
+    _, block, r, v = next(_layers(n, n))
+    if comb(block.m, r) > cap:
         raise CapExceeded(f"number of optimal sets exceeds cap {cap} at n={n}")
-    return [q for _, q in _layer_sets(n, frontier, tied, r, v)]
+    return [q for _, q in _layer_sets(n, block, r, v)]
 
 
 def count_optimal_sets(n: int) -> int:
     """Number of distinct optimal n-point sets: binomial(m, r) of its block."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    _, _, tied, r, _ = next(_layers(n))
-    return comb(len(tied), r)
+    _, block, r, _ = next(_layers(n, n))
+    return comb(block.m, r)
 
 
 @dataclass(frozen=True)
@@ -427,10 +428,9 @@ def transition_graph(n_lo: int, n_hi: int, cap: int = 1000) -> TransitionGraph:
         raise ValueError(f"need 1 <= n_lo <= n_hi, got {n_lo}, {n_hi}")
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    width = n_hi - n_lo + 1
     total = 0
-    for k, _, tied, r, _ in islice(_layers(n_lo), width):
-        size = comb(len(tied), r)
+    for k, block, r, _ in _layers(n_lo, n_hi):
+        size = comb(block.m, r)
         if size > cap:
             raise CapExceeded(f"transition graph exceeds cap {cap} sets at n={k}")
         total += size
@@ -439,24 +439,22 @@ def transition_graph(n_lo: int, n_hi: int, cap: int = 1000) -> TransitionGraph:
 
     vertices: list[GraphVertex] = []
     edges: list[tuple[str, str]] = []
-    previous_tied, previous = None, {}
-    for k, frontier, tied, r, v in islice(_layers(n_lo), width):
+    previous_block, previous = None, {}
+    for k, block, r, v in _layers(n_lo, n_hi):
         order = {}
-        for index, (chosen, q) in enumerate(
-            _layer_sets(k, frontier, tied, r, v), start=1
-        ):
+        for index, (chosen, q) in enumerate(_layer_sets(k, block, r, v), start=1):
             order[chosen] = index
             vertices.append(GraphVertex(k, index, f"a_{{{k},{index}}}", v,
                                         q.signature()))
         for chosen, src in previous.items():
-            if tied is previous_tied:
+            if block == previous_block:
                 targets = sorted(order[tuple(sorted((*chosen, x)))]
-                                 for x in range(len(tied)) if x not in chosen)
+                                 for x in range(block.m) if x not in chosen)
             else:  # the closing set of the previous block feeds every set
                 targets = range(1, len(order) + 1)
             edges.extend((f"a_{{{k - 1},{src}}}", f"a_{{{k},{dst}}}")
                          for dst in targets)
-        previous_tied, previous = tied, order
+        previous_block, previous = block, order
     return TransitionGraph(n_lo, n_hi, tuple(vertices), tuple(edges))
 
 

@@ -1,4 +1,8 @@
 import json
+import sys
+from fractions import Fraction
+
+import pytest
 
 from ifsquant import engine
 from ifsquant.cli import main
@@ -140,6 +144,38 @@ def test_cap_limits_only_the_requested_layer(capsys):
     assert "layer 78: a_{78,1}" in out
     code, _, err = run(capsys, "tree", "--from", "77", "--to", "78", "--cap", "14")
     assert code == 1 and "vertices" in err
+
+
+def test_count_prints_past_the_digit_limit(capsys):
+    # 11 761 digits: past the interpreter's default int-to-str limit of 4300.
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "count", "--n", "1000000")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    (line,) = out.splitlines()
+    assert len(line) == 11761
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(line) == engine.count_optimal_sets(10**6)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_table_at_extreme_n(capsys):
+    code, out, _ = run(capsys, "table", "--from", "1000000000000",
+                       "--to", "1000000000002", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert [row["n"] for row in rows] == [10**12, 10**12 + 1, 10**12 + 2]
+    values = [Fraction(row["V"]) for row in rows]
+    assert values[0] > values[1] > values[2] > 0
+
+
+def test_enumerate_cap_at_extreme_n_builds_no_set(monkeypatch, capsys):
+    monkeypatch.setattr(engine, "_walk", lambda *args: pytest.fail("a set was built"))
+    code, out, err = run(capsys, "enumerate", "--n", "1000000", "--cap", "10")
+    assert code == 1 and out == ""
+    assert "n=1000000" in err
 
 
 def _tampered_verify(monkeypatch, capsys, tamper):

@@ -1,4 +1,4 @@
-import functools
+import math
 import random
 from fractions import Fraction as F
 
@@ -270,39 +270,84 @@ def test_recurrence_and_monotonicity():
         previous = state.v
 
 
-def test_small_key_exponent_matches_default():
-    # The shared key exponent starts at 64, and no node gets deeper than
-    # that before n ~ 2*10^6; starting at 4 makes _rescale fire early.
-    default, small = GenerationState(), GenerationState(scale_exp=4)
-    for n in range(2, 1001):
-        got, expected = small.split(), default.split()
-        assert list(map(_fields, got)) == list(map(_fields, expected))
-        assert small.v == default.v, n
-        if n % 97 == 0 or n == 1000:
-            q, ref = small.quantizer(), default.quantizer()
-            assert (q.n, q.v) == (ref.n, ref.v)
-            assert list(map(_fields, q.nodes)) == list(map(_fields, ref.nodes))
-    assert small._scale_exp > 4
+HEAP_N = 10**4
 
 
-def test_small_key_exponent_matches_default_for_blocks(monkeypatch):
-    def snapshot():
-        counts = [count_optimal_sets(n) for n in range(1, 1001)]
-        sets = [[(q.signature(), q.v, q.points()) for q in enumerate_optimal_sets(n)]
-                for n in range(1, 73)]
-        graphs = [transition_graph(60, 67), transition_graph(993, 995)]
-        return counts, sets, graphs
+@pytest.fixture(scope="module")
+def heap_run():
+    """The step-by-step induction to n = HEAP_N and past the block it ends in.
 
-    expected = snapshot()
-    monkeypatch.setattr(engine, "GenerationState",
-                        functools.partial(GenerationState, scale_exp=4))
-    assert snapshot() == expected
+    Returns V_n for n <= HEAP_N, the error of every split in order, and the
+    canonical set at the n that ``heap_sample_n`` picks.
+    """
+    picks = set(heap_sample_n())
+    state = GenerationState()
+    values, split_errors, sets = [None, state.v], [], {}
+    while True:
+        if state.n in picks:
+            sets[state.n] = state.quantizer()
+        if state.n >= HEAP_N and state.peek().error != split_errors[-1]:
+            return values, split_errors, sets
+        split_errors.append(state.split()[0].error)
+        values.append(state.v)
+
+
+def heap_sample_n():
+    """Seeded sizes up to HEAP_N, n = 1, 2, 60..77 and the ends of some blocks."""
+    ends = [n for n in range(2, HEAP_N) if count_optimal_sets(n) == 1]
+    edges = [n for end in ends[::len(ends) // 8] for n in (end, end + 1)]
+    rng = random.Random(20241018)
+    return sorted({1, 2, *range(60, 78), *edges, HEAP_N,
+                   *rng.sample(range(3, HEAP_N), 12)})
+
+
+def test_layers_match_heap_values(heap_run):
+    values = heap_run[0]
+    got = [v for _, _, _, v in engine._layers(1, HEAP_N)]
+    assert got == values[1:HEAP_N + 1]
+
+
+def test_counts_match_heap_runs(heap_run):
+    # Split n - 1 is at position r of a maximal run of m equal split
+    # errors; any r of those m nodes can be the ones split.
+    split_errors = heap_run[1]
+    assert count_optimal_sets(1) == 1
+    start = 0
+    for end in range(1, len(split_errors) + 1):
+        if end < len(split_errors) and split_errors[end] == split_errors[start]:
+            continue
+        m = end - start
+        for r in range(1, m + 1):
+            n = start + r + 1
+            if n <= HEAP_N:
+                assert count_optimal_sets(n) == math.comb(m, r), n
+        start = end
+
+
+def test_optimal_sets_match_heap(heap_run):
+    sets = heap_run[2]
+    assert sorted(sets) == heap_sample_n()
+    for n, ref in sets.items():
+        q = optimal_set(n)
+        assert (q.n, q.v) == (ref.n, ref.v)
+        assert [(*_fields(node), node.m, node.a, node.dn, node.c) for node in q.nodes] \
+            == [(*_fields(node), node.m, node.a, node.dn, node.c) for node in ref.nodes], n
+
+
+def test_block_tables_agree_across_depths():
+    # A table keeps only blocks that no deeper node can reach, so it must be
+    # a prefix of every deeper table; this reaches n of about 10^12.
+    for depth in (8, 16, 32, 64):
+        rows = engine._block_table(depth)
+        deeper = engine._block_table(2 * depth)[:len(rows)]
+        assert [(end, block) for end, _, _, block in rows] \
+            == [(end, block) for end, _, _, block in deeper]
 
 
 def test_state_mass_and_mean_invariants():
     state = GenerationState()
     for _ in range(120):
-        state.step()
+        state.split()
     nodes = state.nodes()
     assert sum((n.mass for n in nodes), F(0)) == 1
     assert sum((n.mass * n.centroid for n in nodes), F(0)) == measure.MEAN

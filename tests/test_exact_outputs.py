@@ -2,7 +2,8 @@
 
 Every exact operation of ``perfbench/workloads.py`` is run once and its own
 check applied: CLI operations must print, byte for byte, the stdout whose
-SHA-256 digest ``perfbench/expected.json`` records.
+SHA-256 digest ``perfbench/expected.json`` records.  The benchmark's tracer
+must still find every function it wraps.
 """
 
 import importlib.util
@@ -11,18 +12,21 @@ from pathlib import Path
 
 import pytest
 
-WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+from ifsquant import engine
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
-workloads = _load_workloads()
+workloads = _load("workloads")
 EXACT_OPS = [
     (name, op)
     for name in ("exact-scale", "exact-ties")
@@ -40,3 +44,16 @@ def test_every_digest_is_checked():
 def test_exact_operation_output(op):
     code, out = op.run()
     assert op.check(code, out) is None
+
+
+def test_tracer_installs_and_restores():
+    # Loading resolves every wrapped owner (engine.GenerationState, ...) and
+    # installing every wrapped name, so an engine change that drops one
+    # fails here rather than in a traced benchmark run.
+    tracing = _load("tracing")
+    originals = [getattr(owner, attr) for owner, attr, _, _ in tracing.TARGETS]
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        engine.optimal_set(3)
+    assert "engine.optimal_set" in [span.name for span in tracer.spans]
+    assert [getattr(owner, attr) for owner, attr, _, _ in tracing.TARGETS] == originals
