@@ -106,8 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive("n"), required=True)
 
     p = add("verify", "golden values, structure, counts and oracle agreement",
-            cmd_verify, cap_help="most optimal sets to build per layer when "
-                                 "checking counts against enumeration")
+            cmd_verify)
     p.add_argument("--n", type=_positive("n"), default=12,
                    help="largest n for the structural / counting checks")
     return parser
@@ -460,7 +459,7 @@ def _triangle_pattern(graph, n_mid) -> bool:
     return all(out[v.label] == {hi[0].label} for v in mid2)
 
 
-def run_verify(n_max: int, cap: int = DEFAULT_CAP, out=None) -> bool:
+def run_verify(n_max: int, out=None) -> bool:
     """Run the verification report; returns overall success."""
     if n_max < 2:
         raise ValueError(f"verify needs n >= 2, got {n_max}")
@@ -494,7 +493,7 @@ def run_verify(n_max: int, cap: int = DEFAULT_CAP, out=None) -> bool:
     node_error = functools.cache(measure.node_error)
     mismatch = []
     for n in range(1, upper + 1):
-        sets = engine.enumerate_optimal_sets(n, cap=cap)
+        sets = engine.enumerate_optimal_sets(n)
         v = engine.quantization_error(n)
         if (
             engine.count_optimal_sets(n) != len(sets)
@@ -518,7 +517,7 @@ def run_verify(n_max: int, cap: int = DEFAULT_CAP, out=None) -> bool:
 
 
 def cmd_verify(args) -> int:
-    ok = run_verify(args.n, cap=args.cap)
+    ok = run_verify(args.n)
     print("verification " + ("PASSED" if ok else "FAILED"))
     return 0 if ok else 1
 

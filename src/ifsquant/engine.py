@@ -370,17 +370,33 @@ def _layer_sets(n: int, block: Block, r: int, v: Fraction) -> list:
     return pairs
 
 
+def _exceeds(m: int, r: int, cap: int) -> bool:
+    """Whether binomial(m, r) > cap, without building a count above cap.
+
+    binomial(m, i) grows with i up to m/2, so it is multiplied up from
+    i = 0 to min(r, m - r) and the first value above cap settles it; that
+    takes at most about log2(cap) + 1 steps.
+    """
+    count = 1
+    for i in range(min(r, m - r)):
+        count = count * (m - i) // (i + 1)
+        if count > cap:
+            return True
+    return False
+
+
 def enumerate_optimal_sets(n: int, cap: int = 10000) -> list[QuantizerSet]:
     """All optimal n-point sets, sorted by signature.
 
     Built from the threshold-block description, so the cost follows the
     number of sets in layer n alone.  Raises CapExceeded naming n when
-    that number, known before any set is built, exceeds ``cap``.
+    that number exceeds ``cap``; this is known before any set, or any
+    count above ``cap``, is built.
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     _, block, r, v = next(_layers(n, n))
-    if comb(block.m, r) > cap:
+    if _exceeds(block.m, r, cap):
         raise CapExceeded(f"number of optimal sets exceeds cap {cap} at n={n}")
     return [q for _, q in _layer_sets(n, block, r, v)]
 
@@ -421,8 +437,8 @@ def transition_graph(n_lo: int, n_hi: int, cap: int = 1000) -> TransitionGraph:
     An r-set of a block leads to the (r+1)-sets of the same block that
     contain it; the one set that closes a block leads to every set of the
     next.  Raises CapExceeded when a window layer, or the window as a
-    whole, holds more than ``cap`` sets; both are known before any set is
-    built.
+    whole, holds more than ``cap`` sets; both are known before any set, or
+    any count above ``cap``, is built.
     """
     if not 1 <= n_lo <= n_hi:
         raise ValueError(f"need 1 <= n_lo <= n_hi, got {n_lo}, {n_hi}")
@@ -430,12 +446,11 @@ def transition_graph(n_lo: int, n_hi: int, cap: int = 1000) -> TransitionGraph:
         raise ValueError(f"cap must be >= 1, got {cap}")
     total = 0
     for k, block, r, _ in _layers(n_lo, n_hi):
-        size = comb(block.m, r)
-        if size > cap:
+        if _exceeds(block.m, r, cap):
             raise CapExceeded(f"transition graph exceeds cap {cap} sets at n={k}")
-        total += size
-    if total > cap:
-        raise CapExceeded(f"transition graph exceeds cap {cap} vertices")
+        total += comb(block.m, r)
+        if total > cap:
+            raise CapExceeded(f"transition graph exceeds cap {cap} vertices")
 
     vertices: list[GraphVertex] = []
     edges: list[tuple[str, str]] = []

@@ -2,8 +2,9 @@
 
 Sampling follows the measure's letter distribution directly (ancestral
 truncation), Lloyd iteration and the exact 1-D k-means DP see only float
-samples, and the exhaustive search walks every split frontier of a given
-size; none of them trust the greedy selection rule they are used to check.
+samples, and the exhaustive search minimises over every split frontier of
+a given size by a min-plus table over the two children of each region;
+none of them trust the greedy selection rule they are used to check.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from pathlib import Path
 
 import numpy as np
 
 from . import measure
-from .exceptions import CapExceeded
 from .measure import CLOSED, TAIL, Region
 
 CHUNK_SIZE = 65536
@@ -48,13 +49,15 @@ _LETTER_SCALE = np.array([math.ldexp(1.0, -(j + 1)) for j in range(64)])
 _LETTER_DROP = np.array([math.ldexp(1.0, -(j - 1)) for j in range(64)])
 
 
-def _chunk_values(seed: int, index: int, size: int, depth: int) -> np.ndarray:
-    # Level l reads doubles l*size .. (l+1)*size - 1 of the chunk's stream
-    # (one 64-bit output per double), the values row l of
+def _chunk_values(seed: int, index: int, depth: int, x: np.ndarray) -> None:
+    # Fills x, the chunk's slot of the result.  Level l reads doubles
+    # l*size .. (l+1)*size - 1 of the chunk's stream (one 64-bit output per
+    # double), the values row l of
     # default_rng([seed, index]).random((depth, size)) would hold; levels
     # apply innermost first, so each one advances a fresh generator to its run.
     seq = np.random.SeedSequence([seed, index])
-    x = np.full(size, 4.0 / 7.0)
+    size = x.size
+    x.fill(4.0 / 7.0)
     for level in range(depth - 1, -1, -1):
         bits = np.random.PCG64(seq)
         bits.advance(level * size)
@@ -66,7 +69,6 @@ def _chunk_values(seed: int, index: int, size: int, depth: int) -> np.ndarray:
         x *= _LETTER_SCALE[letters]
         x += 1.0
         x -= _LETTER_DROP[letters]
-    return x
 
 
 def sample(
@@ -81,11 +83,12 @@ def sample(
     Letters come from the exact inverse CDF, so the infinite alphabet needs
     no truncation; at the default depth the truncation displacement is below
     2^-80.  Values are produced in fixed 65536-wide chunks seeded by
-    (seed, chunk index) and concatenated in chunk order, which makes the
-    result identical for any thread count.  Each level of a chunk reads its
-    own run of the chunk's PCG64 stream, reached with `PCG64.advance`, so a
-    chunk holds one level of uniforms at a time; the values are those of
-    drawing the chunk's whole (depth, size) block of uniforms at once.
+    (seed, chunk index), each written straight into its slot of the result
+    by a pool of `threads` workers, which makes the result identical for
+    any thread count.  Each level of a chunk reads its own run of the
+    chunk's PCG64 stream, reached with `PCG64.advance`, so a chunk holds one
+    level of uniforms at a time; the values are those of drawing the
+    chunk's whole (depth, size) block of uniforms at once.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -93,23 +96,16 @@ def sample(
         raise ValueError(f"depth must be >= 1, got {depth}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    sizes = [
-        min(CHUNK_SIZE, count - start) for start in range(0, count, CHUNK_SIZE)
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(
-                    lambda pair: _chunk_values(seed, pair[0], pair[1], depth),
-                    enumerate(sizes),
-                )
-            )
-    else:
-        parts = [
-            _chunk_values(seed, index, size, depth)
-            for index, size in enumerate(sizes)
-        ]
-    values = np.concatenate(parts) if len(parts) > 1 else parts[0]
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    values = np.empty(count)
+
+    def fill(start: int) -> None:
+        chunk = values[start : start + CHUNK_SIZE]
+        _chunk_values(seed, start // CHUNK_SIZE, depth, chunk)
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(fill, range(0, count, CHUNK_SIZE)))
     values.setflags(write=False)
     return SampleBatch(values, seed, depth, count)
 
@@ -279,67 +275,67 @@ def _split_region(region: Region) -> tuple[Region, Region]:
     return Region(CLOSED, child), Region(TAIL, child)
 
 
-def exhaustive_min(
-    n: int, cap: int = 10_000_000
-) -> tuple[Fraction, tuple[Region, ...]]:
+# Error multiples of the two children of a cylinder and of a tail region.
+# Each child's kind is fixed by its place (cylinder first, tail second), and
+# the multiples depend only on the parent's kind; the tests check this
+# against the measure formulas on random regions.
+_CHILD_RATIOS = {
+    region.kind: tuple(
+        measure.node_error(child) / measure.node_error(region)
+        for child in _split_region(region)
+    )
+    for region in (Region(CLOSED, ()), Region(TAIL, (1,)))
+}
+
+
+def exhaustive_min(n: int) -> tuple[Fraction, tuple[Region, ...]]:
     """Exact minimum total error over ALL split frontiers of size n.
 
-    Depth-first over leaf/split decisions, always resolving the pending
-    region of maximal error next (so each frontier is reached exactly
-    once), pruning any branch whose committed leaf error already reaches
-    the best complete frontier.  Node errors come straight from the
-    measure formulas, independent of the greedy engine.
+    A region holding k >= 2 frontier regions is split, with i of them under
+    its cylinder child and k - i under its tail child.  Child errors are
+    fixed multiples of the parent's, one pair per region kind, so a
+    region's least k-frontier error over its own error, best(kind, k),
+    depends only on its kind and k: it is the minimum over i of the
+    cylinder child's multiple times best(CLOSED, i) plus the tail child's
+    multiple times best(TAIL, k - i), and cut[kind][k] keeps the smallest
+    such i.  The tables fill in O(n^2) steps, with no pruning.  Node errors
+    come straight from the measure formulas, independent of the greedy
+    engine.
 
-    Returns (best total error, best frontier's regions left to right).
+    Returns (least total error, a frontier attaining it, left to right).
     """
-    if not 2 <= n <= 13:
-        raise ValueError(f"exhaustive search supports 2 <= n <= 13, got {n}")
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    best_v: Fraction | None = None
-    best_regions: tuple[Region, ...] = ()
-    states = 0
-
-    def walk(pending, splits_left, committed, fixed):
-        nonlocal best_v, best_regions, states
-        states += 1
-        if states > cap:
-            raise CapExceeded(f"exhaustive search exceeded {cap} states")
-        if best_v is not None and committed >= best_v:
-            return
-        if splits_left == 0:
-            total = committed
-            for err, _ in pending:
-                total += err
-            if best_v is None or total < best_v:
-                best_v = total
-                best_regions = tuple(r for _, r in fixed) + tuple(
-                    r for _, r in pending
-                )
-            return
-        pick = max(range(len(pending)), key=lambda i: pending[i][0])
-        err, region = pending[pick]
-        rest = pending[:pick] + pending[pick + 1 :]
-        first, second = _split_region(region)
-        walk(
-            rest
-            + [
-                (measure.node_error(first), first),
-                (measure.node_error(second), second),
-            ],
-            splits_left - 1,
-            committed,
-            fixed,
-        )
-        walk(rest, splits_left, committed + err, fixed + [(err, region)])
-
+    if n < 2:
+        raise ValueError(f"exhaustive search needs n >= 2, got {n}")
+    # first[kind][i] is the cylinder child's multiple times best(CLOSED, i),
+    # second[kind][j] the tail child's multiple times best(TAIL, j).
+    first = {kind: [None, f] for kind, (f, _) in _CHILD_RATIOS.items()}
+    second = {kind: [None, s] for kind, (_, s) in _CHILD_RATIOS.items()}
+    cut = {CLOSED: [None, None], TAIL: [None, None]}
+    for k in range(2, n + 1):
+        best = {}
+        for kind in _CHILD_RATIOS:
+            totals = list(map(add, first[kind][1:k], second[kind][k - 1 : 0 : -1]))
+            best[kind] = min(totals)
+            cut[kind].append(totals.index(best[kind]) + 1)
+        for kind, (f, s) in _CHILD_RATIOS.items():
+            first[kind].append(f * best[CLOSED])
+            second[kind].append(s * best[TAIL])
+    # Read the frontier back depth first, cylinder child first: the
+    # cylinder child lies left of the tail child, so regions come out left
+    # to right.
     root = Region(CLOSED, ())
-    walk([(measure.VARIANCE, root)], n - 1, Fraction(0), [])
-    assert best_v is not None
-    ordered = tuple(
-        sorted(best_regions, key=lambda r: measure.region_interval(r)[0])
-    )
-    return best_v, ordered
+    frontier = []
+    stack = [(root, n)]
+    while stack:
+        region, k = stack.pop()
+        if k == 1:
+            frontier.append(region)
+            continue
+        i = cut[region.kind][k]
+        cylinder, tail_region = _split_region(region)
+        stack.append((tail_region, k - i))
+        stack.append((cylinder, i))
+    return measure.node_error(root) * best[CLOSED], tuple(frontier)
 
 
 def write_batch(batch: SampleBatch, path) -> None:

@@ -119,6 +119,7 @@ def test_unread_flags_are_rejected(capsys):
     assert run(capsys, "count", "--n", "3", "--format", "json")[0] == 2
     assert run(capsys, "verify", "--n", "4", "--format", "json")[0] == 2
     assert run(capsys, "verify", "--n", "4", "--seed", "1")[0] == 2
+    assert run(capsys, "verify", "--n", "4", "--cap", "5")[0] == 2
     assert run(capsys, "optimal", "--n", "3", "--threads", "2")[0] == 2
     assert run(capsys, "table", "--from", "1", "--to", "2", "--cap", "5")[0] == 2
     assert run(capsys, "tree", "--from", "2", "--to", "3", "--format", "csv")[0] == 2
@@ -176,12 +177,19 @@ def test_enumerate_cap_at_extreme_n_builds_no_set(monkeypatch, capsys):
     code, out, err = run(capsys, "enumerate", "--n", "1000000", "--cap", "10")
     assert code == 1 and out == ""
     assert "n=1000000" in err
+    # The tie block at n = 10^12 has m = 33 724 950 600 nodes: the cap check
+    # must not build C(m, r), which has about 10^10 digits.
+    n = "1000000000000"
+    for args in (("enumerate", "--n", n), ("tree", "--from", n, "--to", n)):
+        code, out, err = run(capsys, *args, "--cap", "10")
+        assert code == 1 and out == ""
+        assert f"n={n}" in err
 
 
 def _tampered_verify(monkeypatch, capsys, tamper):
     enumerate_sets = engine.enumerate_optimal_sets
     monkeypatch.setattr(engine, "enumerate_optimal_sets",
-                        lambda n, cap: tamper(enumerate_sets(n, cap)))
+                        lambda n: tamper(enumerate_sets(n)))
     code, out, _ = run(capsys, "verify", "--n", "16")
     assert code == 1
     return out

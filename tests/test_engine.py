@@ -165,6 +165,14 @@ def test_enumerate_cap_reports_layer():
     assert len(enumerate_optimal_sets(77, cap=1000)) == 14
 
 
+def test_cap_check_agrees_with_the_binomial():
+    for m in range(40):
+        for r in range(m + 1):
+            size = math.comb(m, r)
+            for cap in {1, 2, 7, 100, 10**4, 10**9, size - 1, size, size + 1} - {0}:
+                assert engine._exceeds(m, r, cap) == (size > cap), (m, r, cap)
+
+
 @pytest.mark.parametrize("n, expected", sorted(golden.GOLDEN_COUNTS.items()))
 def test_count_goldens(n, expected):
     assert count_optimal_sets(n) == expected

@@ -1,5 +1,6 @@
 import ast
 import math
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -8,7 +9,6 @@ import pytest
 
 from ifsquant import golden, measure, oracle
 from ifsquant.engine import enumerate_optimal_sets, optimal_set, quantization_error
-from ifsquant.exceptions import CapExceeded
 from ifsquant.measure import Region, closed, node_error, region_interval, tail
 from ifsquant.oracle import (
     SampleBatch,
@@ -89,6 +89,8 @@ def test_sample_rejects_bad_args():
         sample(10, depth=0)
     with pytest.raises(ValueError):
         sample(10, seed=-1)
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        sample(10, threads=0)
 
 
 def test_sample_moments():
@@ -248,14 +250,14 @@ def test_exhaustive_min_six_means():
 
 
 def test_exhaustive_matches_greedy_and_enumeration():
-    for n in range(2, 13):
+    # n = 60..77 is the first block with many tied optimal sets.
+    for n in range(2, 201):
         best, frontier = exhaustive_min(n)
-        assert best == quantization_error(n)
-        identities = frozenset((r.kind, r.word) for r in frontier)
-        members = {
-            frozenset(q.signature()) for q in enumerate_optimal_sets(n, cap=1000)
-        }
-        assert identities in members
+        assert best == quantization_error(n), n
+        if n <= 77:
+            identities = frozenset((r.kind, r.word) for r in frontier)
+            members = {frozenset(q.signature()) for q in enumerate_optimal_sets(n)}
+            assert identities in members, n
 
 
 def _all_frontier_values(n):
@@ -290,16 +292,26 @@ def test_exhaustive_against_unpruned_enumeration(n):
     assert best == min(_all_frontier_values(n).values())
 
 
-def test_exhaustive_cap():
-    with pytest.raises(CapExceeded):
-        exhaustive_min(10, cap=5)
-
-
 def test_exhaustive_rejects_out_of_range():
     with pytest.raises(ValueError):
         exhaustive_min(1)
-    with pytest.raises(ValueError):
-        exhaustive_min(14)
+
+
+def test_child_error_ratios_from_the_measure_formulas():
+    # The exhaustive search takes each child's error as a fixed multiple of
+    # its parent's, one pair per region kind; check that on random regions.
+    rng = random.Random(7)
+    expected = {"closed": (F(1, 64), F(43, 192)), "tail": (F(9, 344), F(1, 8))}
+    assert oracle._CHILD_RATIOS == expected
+    for _ in range(300):
+        kind = rng.choice(["closed", "tail"])
+        length = rng.randint(1 if kind == "tail" else 0, 8)
+        region = Region(kind, tuple(rng.randint(1, 9) for _ in range(length)))
+        parent_error = node_error(region)
+        ratios = tuple(
+            node_error(child) / parent_error for child in oracle._split_region(region)
+        )
+        assert ratios == expected[kind], region
 
 
 def _ifsquant_imports(path):
