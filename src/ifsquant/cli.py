@@ -23,10 +23,7 @@ from .exceptions import CapExceeded
 from .measure import closed, frac_str, float_str, tail
 from .words import render
 
-DEFAULT_SEED = oracle.DEFAULT_SEED
 DEFAULT_SAMPLES = 10**6
-DEFAULT_DEPTH = oracle.DEFAULT_DEPTH
-DEFAULT_CAP = 10000
 DEFAULT_DIGITS = 10
 
 
@@ -60,13 +57,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--digits", type=_positive("digits"),
                            default=DEFAULT_DIGITS)
         if cap_help:
-            p.add_argument("--cap", type=_positive("cap"), default=DEFAULT_CAP,
-                           help=cap_help)
+            p.add_argument("--cap", type=_positive("cap"),
+                           default=engine.DEFAULT_CAP, help=cap_help)
         if sampling:
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+            p.add_argument("--seed", type=int, default=oracle.DEFAULT_SEED)
             p.add_argument("--samples", type=_positive("samples"),
                            default=DEFAULT_SAMPLES)
-            p.add_argument("--depth", type=_positive("depth"), default=DEFAULT_DEPTH)
+            p.add_argument("--depth", type=_positive("depth"),
+                           default=oracle.DEFAULT_DEPTH)
             p.add_argument("--threads", type=_positive("threads"),
                            default=os.cpu_count() or 1)
         return p
@@ -136,29 +134,20 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
-def _node_rows(q, digits):
-    for node in q.nodes:
-        yield (
-            render(node.region.word),
-            node.region.kind,
-            frac_str(node.centroid),
-            measure.float_val(node.centroid, digits),
-            frac_str(node.error),
-        )
-
-
 def cmd_optimal(args) -> int:
     q = engine.optimal_set(args.n)
-    if args.format == "json":
-        print(json.dumps(engine.quantizer_set_to_dict(q, args.digits)))
-    elif args.format == "csv":
-        rows = [("word", "kind", "centroid", "centroid_float", "error")]
-        rows.extend(_node_rows(q, args.digits))
-        sys.stdout.write(_csv_text(rows))
-    else:
+    if args.format == "text":
         for node in q.nodes:
             print(frac_str(node.centroid))
         print(f"V_{q.n} = {frac_str(q.v)}")
+        return 0
+    data = engine.quantizer_set_to_dict(q, args.digits)
+    if args.format == "json":
+        print(json.dumps(data))
+    else:  # one row per node entry of the JSON form, its keys the header
+        nodes = data["nodes"]
+        sys.stdout.write(_csv_text([list(nodes[0]),
+                                    *(node.values() for node in nodes)]))
     return 0
 
 
@@ -185,29 +174,29 @@ def cmd_table(args) -> int:
 
 def cmd_enumerate(args) -> int:
     sets = engine.enumerate_optimal_sets(args.n, cap=args.cap)
-    if args.format == "json":
-        print(json.dumps([
-            engine.quantizer_set_to_dict(q, args.digits) for q in sets
-        ]))
-    elif args.format == "csv":
-        rows = [("set", "word", "kind", "centroid", "centroid_float", "error")]
-        for index, q in enumerate(sets, start=1):
-            rows.extend((index, *row) for row in _node_rows(q, args.digits))
-        sys.stdout.write(_csv_text(rows))
-    else:
+    if args.format == "text":
         print(f"n = {args.n}")
         print(f"count = {len(sets)}")
         print(f"V = {frac_str(sets[0].v)}")
         for index, q in enumerate(sets, start=1):
             names = " ".join(f"{kind}:{render(w)}" for kind, w in q.signature())
             print(f"set {index}: {names}")
+        return 0
+    data = [engine.quantizer_set_to_dict(q, args.digits) for q in sets]
+    if args.format == "json":
+        print(json.dumps(data))
+    else:  # as for optimal, each row led by the set's index
+        rows = [["set", *data[0]["nodes"][0]]]
+        for index, entry in enumerate(data, start=1):
+            rows.extend([index, *node.values()] for node in entry["nodes"])
+        sys.stdout.write(_csv_text(rows))
     return 0
 
 
 def cmd_count(args) -> int:
     count = engine.count_optimal_sets(args.n)
     limit = sys.get_int_max_str_digits()  # counts pass it above n = 2*10^5
-    sys.set_int_max_str_digits(0)
+    sys.set_int_max_str_digits(engine.COUNT_DIGITS)
     try:
         print(count)
     finally:

@@ -26,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
-from math import comb
+from math import comb, log, log1p, pi
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -35,8 +35,11 @@ from .exceptions import CapExceeded
 from .measure import CLOSED, TAIL, MEAN, VARIANCE, Region
 from .words import Word, count_non_ones, render
 
+DEFAULT_CAP = 10000  # most sets enumerate_optimal_sets and transition_graph build
+COUNT_DIGITS = 100_000  # most digits of a count that count_optimal_sets builds
 
-@dataclass(frozen=True, eq=False, slots=True)
+
+@dataclass(frozen=True, slots=True)
 class Node:
     """A frontier element: a region and the integers that fix its exact data.
 
@@ -45,8 +48,9 @@ class Node:
     letters other than 1) and the region's error is V * M / (9 * 2^(3a)).
     The rationals are built from these integers when they are read;
     ``error`` and ``centroid``, which serialisation and the audit read
-    repeatedly, are cached in two slots.  Identity (equality and hashing)
-    is by region only: the integers are a pure function of it.
+    repeatedly, are cached in two slots that identity ignores.  Equal
+    regions have equal integers, so equality and hashing amount to region
+    identity.
     """
 
     region: Region
@@ -54,31 +58,10 @@ class Node:
     a: int
     dn: int
     c: int
-    _error: Fraction | None = field(default=None, init=False, repr=False)
-    _centroid: Fraction | None = field(default=None, init=False, repr=False)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Node):
-            return NotImplemented
-        return self.region == other.region
-
-    def __hash__(self) -> int:
-        return hash(self.region)
-
-    @property
-    def prob(self) -> Fraction:
-        """Mass of the word's cylinder."""
-        return Fraction(3**self.c, 1 << self.a)
-
-    @property
-    def scale(self) -> Fraction:
-        """Contraction ratio of S_w."""
-        return Fraction(1, 1 << self.a)
-
-    @property
-    def shift(self) -> Fraction:
-        """S_w(0)."""
-        return Fraction(self.dn, 1 << self.a)
+    _error: Fraction | None = field(default=None, init=False, repr=False,
+                                    compare=False)
+    _centroid: Fraction | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     @property
     def error(self) -> Fraction:
@@ -349,25 +332,30 @@ def quantization_error(n: int) -> Fraction:
     return next(_layers(n, n))[3]
 
 
-def _layer_sets(n: int, block: Block, r: int, v: Fraction) -> list:
+def _layer_sets(n: int, block: Block, r: int,
+                v: Fraction) -> Iterator[tuple[tuple[int, ...], QuantizerSet]]:
     """The optimal sets of one ``_layers`` item as (chosen, set) pairs.
 
     ``chosen`` holds the indices, in left-to-right order, of the split tied
     nodes.  A node's two children cover its own region, closed child first,
-    so they take its place in the canonical order.  Pairs come sorted by
-    set signature.
+    so they take its place in the canonical order.  Pairs come in signature
+    order with no sort.  Two sets first differ at the first tied node one
+    splits and the other keeps.  A kept cylinder w sorts before its first
+    child, the cylinder w.1, whose word w prefixes; a kept tail sorts after
+    its first child, a cylinder, as "closed" < "tail".  So a tail block's
+    sets come in ``combinations`` order, and a cylinder block's in reverse.
     """
     nodes, slots = _walk(block, 0)
     pieces = [(node,) for node in nodes]
     split = [children(nodes[slot]) for slot in slots]
-    pairs = []
-    for chosen in combinations(range(len(slots)), r):
+    chosen_sets = combinations(range(len(slots)), r)
+    if block.kind == CLOSED:
+        chosen_sets = reversed(list(chosen_sets))
+    for chosen in chosen_sets:
         parts = pieces.copy()
         for i in chosen:
             parts[slots[i]] = split[i]
-        pairs.append((chosen, QuantizerSet(tuple(chain.from_iterable(parts)), n, v)))
-    pairs.sort(key=lambda pair: pair[1].signature())
-    return pairs
+        yield chosen, QuantizerSet(tuple(chain.from_iterable(parts)), n, v)
 
 
 def _exceeds(m: int, r: int, cap: int) -> bool:
@@ -385,8 +373,8 @@ def _exceeds(m: int, r: int, cap: int) -> bool:
     return False
 
 
-def enumerate_optimal_sets(n: int, cap: int = 10000) -> list[QuantizerSet]:
-    """All optimal n-point sets, sorted by signature.
+def enumerate_optimal_sets(n: int, cap: int = DEFAULT_CAP) -> list[QuantizerSet]:
+    """All optimal n-point sets, in signature order.
 
     Built from the threshold-block description, so the cost follows the
     number of sets in layer n alone.  Raises CapExceeded naming n when
@@ -402,9 +390,25 @@ def enumerate_optimal_sets(n: int, cap: int = 10000) -> list[QuantizerSet]:
 
 
 def count_optimal_sets(n: int) -> int:
-    """Number of distinct optimal n-point sets: binomial(m, r) of its block."""
+    """Number of distinct optimal n-point sets: binomial(m, r) of its block.
+
+    Raises CapExceeded naming n when the count has more than COUNT_DIGITS
+    digits.  With k = min(r, m - r) >= 1, Stirling's series puts
+    ln binomial(m, k) within 1/6 of k ln(m/k) + (m - k) ln(m/(m - k))
+    + ln(m / (2 pi k (m - k))) / 2, so that settles it unless the count
+    lies within a factor 1.3 of 10^COUNT_DIGITS; only then is it built
+    and compared.
+    """
     _, block, r, _ = next(_layers(n, n))
-    return comb(block.m, r)
+    m, k = block.m, min(r, block.m - r)
+    if k:
+        log10_count = (k * log(m / k) - (m - k) * log1p(-k / m)
+                       + log(m / (2 * pi * k * (m - k))) / 2) / log(10)
+        if log10_count > COUNT_DIGITS + 0.1 or (
+                log10_count > COUNT_DIGITS - 0.1 and comb(m, k) >= 10**COUNT_DIGITS):
+            raise CapExceeded(
+                f"number of optimal sets has more than {COUNT_DIGITS} digits at n={n}")
+    return comb(m, k)
 
 
 @dataclass(frozen=True)
@@ -431,7 +435,7 @@ class TransitionGraph:
         return tuple(v for v in self.vertices if v.n == n)
 
 
-def transition_graph(n_lo: int, n_hi: int, cap: int = 1000) -> TransitionGraph:
+def transition_graph(n_lo: int, n_hi: int, cap: int = DEFAULT_CAP) -> TransitionGraph:
     """Build the optimal-set transition DAG for sizes n_lo .. n_hi.
 
     An r-set of a block leads to the (r+1)-sets of the same block that
@@ -444,18 +448,20 @@ def transition_graph(n_lo: int, n_hi: int, cap: int = 1000) -> TransitionGraph:
         raise ValueError(f"need 1 <= n_lo <= n_hi, got {n_lo}, {n_hi}")
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    total = 0
-    for k, block, r, _ in _layers(n_lo, n_hi):
+    items, total = [], 0
+    for item in _layers(n_lo, n_hi):
+        k, block, r, _ = item
         if _exceeds(block.m, r, cap):
             raise CapExceeded(f"transition graph exceeds cap {cap} sets at n={k}")
         total += comb(block.m, r)
         if total > cap:
             raise CapExceeded(f"transition graph exceeds cap {cap} vertices")
+        items.append(item)
 
     vertices: list[GraphVertex] = []
     edges: list[tuple[str, str]] = []
     previous_block, previous = None, {}
-    for k, block, r, v in _layers(n_lo, n_hi):
+    for k, block, r, v in items:
         order = {}
         for index, (chosen, q) in enumerate(_layer_sets(k, block, r, v), start=1):
             order[chosen] = index

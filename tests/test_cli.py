@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -160,6 +161,17 @@ def test_count_prints_past_the_digit_limit(capsys):
         assert int(line) == engine.count_optimal_sets(10**6)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_count_past_the_digit_limit_exits_1(capsys):
+    # The counts have about 2.9*10^5, 1.1*10^7 and 10^10 digits: each is
+    # refused from an estimate, without being built.
+    for n in ("10000000", "1000000000", "1000000000000"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "count", "--n", n)
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert f"n={n}" in err
 
 
 def test_table_at_extreme_n(capsys):

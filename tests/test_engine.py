@@ -40,7 +40,7 @@ def identity_set(q: QuantizerSet) -> frozenset:
 
 
 def _fields(node):
-    return (node.region, node.prob, node.scale, node.shift, node.error,
+    return (node.region, node.m, node.a, node.dn, node.c, node.error,
             node.centroid)
 
 
@@ -61,8 +61,9 @@ def test_children_of_tail():
 
 def _assert_matches_measure(node):
     region = node.region
-    assert node.prob == measure.prob_word(region.word)
-    assert (node.scale, node.shift) == measure.map_params(region.word)
+    scale = F(1, 1 << node.a)
+    assert 3**node.c * scale == measure.prob_word(region.word)
+    assert (scale, node.dn * scale) == measure.map_params(region.word)
     assert node.error == measure.node_error(region)
     assert node.centroid == measure.centroid(region)
     assert (node.left, node.right) == measure.region_interval(region)
@@ -80,6 +81,19 @@ def test_children_match_measure_formulas():
         for child in children(node):
             _assert_matches_measure(child)
             assert child.error < node.error
+
+
+@pytest.mark.parametrize("n", [1, 2, 77, 1000])
+def test_node_identity_is_region_identity(n):
+    # Node compares and hashes its generated fields but not the two caches:
+    # a fresh node equals one whose caches are filled.
+    nodes = optimal_set(n).nodes
+    for node in nodes:
+        assert node.error > 0 and node.centroid >= 0  # fills the caches
+        twin = make_node(node.region)
+        assert twin == node and hash(twin) == hash(node)
+    assert len(set(nodes)) == n
+    assert all(x != y for x, y in zip(nodes, nodes[1:]))
 
 
 def test_child_error_ratios_exact():
@@ -173,6 +187,30 @@ def test_cap_check_agrees_with_the_binomial():
                 assert engine._exceeds(m, r, cap) == (size > cap), (m, r, cap)
 
 
+def test_count_refuses_past_the_digit_limit():
+    # C(m, r) has about 2.9*10^5, 1.1*10^7 and 10^10 digits here.
+    for n in (10**7, 10**9, 10**12):
+        with pytest.raises(CapExceeded, match=f"n={n}"):
+            count_optimal_sets(n)
+
+
+@pytest.mark.parametrize("limit", [2, 3, 5, 10, 20, 40])
+def test_count_digit_limit_is_exact(monkeypatch, limit):
+    # With a small limit, many counts of n <= 3000 lie within a factor 1.26
+    # of 10^limit, where Stirling's estimate leaves the decision to the count.
+    monkeypatch.setattr(engine, "COUNT_DIGITS", limit)
+    near = 0
+    for n, block, r, _ in engine._layers(1, 3000):
+        size = math.comb(block.m, r)
+        near += abs(math.log10(size) - limit) < 0.1
+        if len(str(size)) > limit:
+            with pytest.raises(CapExceeded, match=f"n={n}"):
+                count_optimal_sets(n)
+        else:
+            assert count_optimal_sets(n) == size, n
+    assert near
+
+
 @pytest.mark.parametrize("n, expected", sorted(golden.GOLDEN_COUNTS.items()))
 def test_count_goldens(n, expected):
     assert count_optimal_sets(n) == expected
@@ -195,6 +233,18 @@ def test_enumeration_matches_breadth_first_reference(n):
     for q, ref in zip(got, expected):
         assert (q.n, q.v) == (ref.n, ref.v)
         assert list(map(_fields, q.nodes)) == list(map(_fields, ref.nodes))
+
+
+def test_layer_sets_come_in_signature_order():
+    # The order is fixed by rule, with no sort: checked on every layer
+    # n <= 1000 of 2 to 500 sets, far past the reference's n <= 67.
+    layers = {CLOSED: 0, TAIL: 0}
+    for n, block, r, _ in engine._layers(1, 1000):
+        if 2 <= math.comb(block.m, r) <= 500:
+            layers[block.kind] += 1
+            signatures = [q.signature() for q in enumerate_optimal_sets(n)]
+            assert all(x < y for x, y in zip(signatures, signatures[1:])), n
+    assert layers == {CLOSED: 97, TAIL: 98}
 
 
 @pytest.mark.parametrize("n_lo, n_hi", [(2, 3), (15, 18), (18, 21), (60, 67)])
@@ -338,8 +388,7 @@ def test_optimal_sets_match_heap(heap_run):
     for n, ref in sets.items():
         q = optimal_set(n)
         assert (q.n, q.v) == (ref.n, ref.v)
-        assert [(*_fields(node), node.m, node.a, node.dn, node.c) for node in q.nodes] \
-            == [(*_fields(node), node.m, node.a, node.dn, node.c) for node in ref.nodes], n
+        assert list(map(_fields, q.nodes)) == list(map(_fields, ref.nodes)), n
 
 
 def test_block_tables_agree_across_depths():
