@@ -20,7 +20,7 @@ import numpy as np
 
 from . import engine, golden, measure, oracle
 from .exceptions import CapExceeded
-from .measure import closed, frac_str, float_str, tail
+from .measure import frac_str, float_str
 from .words import render
 
 DEFAULT_SAMPLES = 10**6
@@ -117,12 +117,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CapExceeded, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader left: send what is still buffered to devnull, so that
+        # the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 
@@ -345,125 +352,47 @@ def cmd_oracle_check(args) -> int:
 # --------------------------- verify ---------------------------------------
 
 def _golden_checks():
-    checks = []
-
-    def add(label, fn):
-        checks.append((label, fn))
-
-    add("measure constants identities", lambda: measure.validate_constants() or True)
-    for n, expect in sorted(golden.GOLDEN_V.items()):
-        add(f"V_{n} = {frac_str(expect)}",
-            lambda n=n, e=expect: engine.quantization_error(n) == e)
-    for n, expect in sorted(golden.GOLDEN_POINTS.items()):
-        add(f"optimal {n}-point set " + "{" + ", ".join(map(frac_str, expect)) + "}",
-            lambda n=n, e=expect: list(engine.optimal_set(n).points()) == e)
-    for n, expect in sorted(golden.GOLDEN_COUNTS.items()):
-        add(f"card C_{n} = {expect}",
-            lambda n=n, e=expect: engine.count_optimal_sets(n) == e)
-    add("centroid a(1) = 1/7",
-        lambda: measure.centroid(closed(1)) == Fraction(1, 7))
-    add("centroid a(1,inf) = 5/7",
-        lambda: measure.centroid(tail(1)) == Fraction(5, 7))
-    add("centroid a(2,inf) = 6/7",
-        lambda: measure.centroid(tail(2)) == Fraction(6, 7))
-    add("centroid a(1.1) = 1/28",
-        lambda: measure.centroid(closed(1, 1)) == Fraction(1, 28))
-    add("centroid a(1.1,inf) = 5/28",
-        lambda: measure.centroid(tail(1, 1)) == Fraction(5, 28))
-    add("tail conditional means 5/7, 6/7",
-        lambda: (measure.tail_conditional_mean(2), measure.tail_conditional_mean(3))
-        == (Fraction(5, 7), Fraction(6, 7)))
-    add("union centroid of 2.1 and 2.2 = 11/20",
-        lambda: measure.centroid_union([closed(2, 1), closed(2, 2)])
-        == Fraction(11, 20))
-    add("union centroid of 1 and 2.1.1 = 1363/7840",
-        lambda: measure.centroid_union([closed(1), closed(2, 1, 1)])
-        == Fraction(1363, 7840))
-    add("union centroid of tails of 2.1.1, 2.1, 2 = 5007/6944",
-        lambda: measure.centroid_union([tail(2, 1, 1), tail(2, 1), tail(2)])
-        == Fraction(5007, 6944))
-    add("node error of cylinder 1 = 9/7154",
-        lambda: measure.node_error(closed(1)) == Fraction(9, 7154))
-    add("node error of cylinder 2 = 27/57232",
-        lambda: measure.node_error(closed(2)) == Fraction(27, 57232))
-    add("node error of tail 1 = 129/7154",
-        lambda: measure.node_error(tail(1)) == Fraction(129, 7154))
-    add("distortion of cylinder 1 about 7/16 = 12015/523264",
-        lambda: measure.distortion(closed(1), Fraction(7, 16))
-        == Fraction(12015, 523264))
-    add("distortion of cylinder 2 about 5/8 = 405/261632",
-        lambda: measure.distortion(closed(2), Fraction(5, 8))
-        == Fraction(405, 261632))
-    add("split of cylinder 2 about 11/20, 5/8 = 2403/10465280",
-        lambda: measure.distortion_union(
-            [(closed(2, 1), Fraction(11, 20)), (closed(2, 2), Fraction(11, 20)),
-             (tail(2, 2), Fraction(5, 8))]) == Fraction(2403, 10465280))
-    add("two-point distortion identity V_2 = 69/3577",
-        lambda: measure.distortion_union(
-            [(closed(1), Fraction(1, 7)), (tail(1), Fraction(5, 7))])
-        == Fraction(69, 3577))
-    add("letter masses 1/4, 3/8 and cylinder interval [1/2, 5/8]",
-        lambda: (measure.prob_letter(1), measure.prob_letter(2),
-                 measure.region_interval(closed(2)))
-        == (Fraction(1, 4), Fraction(3, 8), (Fraction(1, 2), Fraction(5, 8))))
-    add("tail masses 3/4, 3/8, cylinder mass 3/32",
-        lambda: (measure.region_mass(tail(1)), measure.region_mass(tail(2)),
-                 measure.region_mass(closed(2, 1)))
-        == (Fraction(3, 4), Fraction(3, 8), Fraction(3, 32)))
-    add("enumerated 16-point listings (3 sets)",
-        lambda: {q.signature() for q in engine.enumerate_optimal_sets(16)}
-        == set(map(golden.as_signature, golden.LISTINGS_16)))
-    add("enumerated 18-point listing (1 set)",
-        lambda: [q.signature() for q in engine.enumerate_optimal_sets(18)]
-        == [golden.as_signature(golden.LISTING_18)])
-    add("canonical 15-point listing",
-        lambda: engine.optimal_set(15).signature()
-        == golden.as_signature(golden.LISTING_15))
-    add("transition pattern 18 -> 21",
-        lambda: _triangle_pattern(engine.transition_graph(18, 21, cap=100), 19))
-    return checks
+    """(label, value thunk, expected) rows, in the order verify prints them."""
+    rows = [("measure constants identities",
+             lambda: measure.validate_constants() or True, True)]
+    rows += [(f"V_{n} = {frac_str(v)}",
+              functools.partial(engine.quantization_error, n), v)
+             for n, v in sorted(golden.GOLDEN_V.items())]
+    rows += [(f"optimal {n}-point set {{{', '.join(map(frac_str, points))}}}",
+              lambda n=n: list(engine.optimal_set(n).points()), points)
+             for n, points in sorted(golden.GOLDEN_POINTS.items())]
+    rows += [(f"card C_{n} = {c}", functools.partial(engine.count_optimal_sets, n), c)
+             for n, c in sorted(golden.GOLDEN_COUNTS.items())]
+    return rows + [
+        *golden.MEASURE_ROWS,
+        ("enumerated 16-point listings (3 sets)",
+         lambda: {q.signature() for q in engine.enumerate_optimal_sets(16)},
+         set(map(golden.as_signature, golden.LISTINGS_16))),
+        ("enumerated 18-point listing (1 set)",
+         lambda: [q.signature() for q in engine.enumerate_optimal_sets(18)],
+         [golden.as_signature(golden.LISTING_18)]),
+        ("canonical 15-point listing", lambda: engine.optimal_set(15).signature(),
+         golden.as_signature(golden.LISTING_15)),
+        ("transition pattern 18 -> 21",
+         lambda: engine.transition_graph(18, 21).edges, golden.EDGES_18_21),
+    ]
 
 
-def _triangle_pattern(graph, n_mid) -> bool:
-    lo = graph.layer(n_mid - 1)
-    mid = graph.layer(n_mid)
-    mid2 = graph.layer(n_mid + 1)
-    hi = graph.layer(n_mid + 2)
-    if (len(lo), len(mid), len(mid2), len(hi)) != (1, 3, 3, 1):
-        return False
-    out = {v.label: set() for v in graph.vertices}
-    for src, dst in graph.edges:
-        out[src].add(dst)
-    if out[lo[0].label] != {v.label for v in mid}:
-        return False
-    targets = [out[v.label] for v in mid]
-    if any(len(t) != 2 for t in targets):
-        return False
-    if set.union(*targets) != {v.label for v in mid2}:
-        return False
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if len(targets[i] & targets[j]) != 1:
-                return False
-    return all(out[v.label] == {hi[0].label} for v in mid2)
-
-
-def run_verify(n_max: int, out=None) -> bool:
-    """Run the verification report; returns overall success."""
+def run_verify(n_max: int) -> bool:
+    """Print the verification report to stdout; returns overall success."""
     if n_max < 2:
         raise ValueError(f"verify needs n >= 2, got {n_max}")
-    out = out or sys.stdout
     ok_all = True
 
     def report(label: str, ok: bool, detail: str = "") -> None:
         nonlocal ok_all
         ok_all = ok_all and ok
         suffix = f" ({detail})" if detail and not ok else ""
-        print(f"{label} {'PASS' if ok else 'FAIL'}{suffix}", file=out)
+        print(f"{label} {'PASS' if ok else 'FAIL'}{suffix}")
 
-    for label, fn in _golden_checks():
+    for label, value, expected in _golden_checks():
         try:
-            report(label, bool(fn()))
+            report(label, value() == expected)
         except Exception as exc:  # a failing check must not stop the report
             report(label, False, f"{type(exc).__name__}: {exc}")
 

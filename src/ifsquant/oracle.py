@@ -26,6 +26,8 @@ CHUNK_SIZE = 65536
 BATCH_MAGIC = b"IFSQSMP1"
 DEFAULT_DEPTH = 40
 DEFAULT_SEED = 20240317
+LLOYD_MAX_ITERS = 200
+LLOYD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -148,15 +150,10 @@ class ClusterResult:
     iterations: int = 0
 
 
-def lloyd(
-    batch: SampleBatch,
-    k: int,
-    init,
-    max_iters: int = 200,
-    tol: float = 1e-10,
-) -> ClusterResult:
+def lloyd(batch: SampleBatch, k: int, init) -> ClusterResult:
     """Alternate nearest-center assignment and cluster means until the
-    largest center movement drops below `tol`.
+    largest center movement drops below LLOYD_TOL, for at most
+    LLOYD_MAX_ITERS sweeps.
 
     Empty-cluster policy: the center is reseeded at the sample point
     farthest from its assigned center, and iteration continues.
@@ -170,7 +167,7 @@ def lloyd(
     if k > xs.size:
         raise ValueError(f"k={k} exceeds sample count {xs.size}")
     iterations = 0
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, LLOYD_MAX_ITERS + 1):
         mids = (centers[1:] + centers[:-1]) / 2.0
         idx = np.searchsorted(mids, xs)
         counts = np.bincount(idx, minlength=k)
@@ -186,7 +183,7 @@ def lloyd(
         updated = np.sort(sums / counts)
         movement = float(np.max(np.abs(updated - centers)))
         centers = updated
-        if movement < tol:
+        if movement < LLOYD_TOL:
             break
     return ClusterResult(centers, mc_distortion(batch, centers), iterations)
 

@@ -1,11 +1,14 @@
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from ifsquant import engine
+from ifsquant import engine, golden, oracle
 from ifsquant.cli import main
 from ifsquant.measure import Region
 
@@ -221,6 +224,48 @@ def test_verify_rederives_set_totals(monkeypatch, capsys):
 
     out = _tampered_verify(monkeypatch, capsys, swap_first_node)
     assert "count matches enumeration for n <= 16 FAIL (n=1," in out
+
+
+def test_verify_catches_a_wrong_measure_row(monkeypatch, capsys):
+    label, value, expected = golden.MEASURE_ROWS[0]
+    monkeypatch.setattr(golden, "MEASURE_ROWS",
+                        ((label, value, expected + 1), *golden.MEASURE_ROWS[1:]))
+    code, out, _ = run(capsys, "verify", "--n", "2")
+    assert code == 1
+    assert f"{label} FAIL\n" in out
+
+
+def test_verify_catches_a_wrong_edge(monkeypatch, capsys):
+    (src, _), *rest = golden.EDGES_18_21
+    monkeypatch.setattr(golden, "EDGES_18_21", ((src, "a_{19,9}"), *rest))
+    code, out, _ = run(capsys, "verify", "--n", "2")
+    assert code == 1
+    assert "transition pattern 18 -> 21 FAIL\n" in out
+
+
+def test_memory_error_exits_1(monkeypatch, capsys):
+    def sample(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(oracle, "sample", sample)
+    code, out, err = run(capsys, "oracle-sample", "--samples", "1000000000000")
+    assert (code, out) == (1, "")
+    assert err == "error: Unable to allocate 7.28 TiB for an array\n"
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    # 150 kB of output outgrows the pipe and stdout buffers, so the writer
+    # is still printing when the reader closes its end.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "ifsquant.cli", "table", "--from", "1", "--to", "3000"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert proc.stdout.readline().startswith(b"1 ")
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert b"Traceback" not in proc.stderr.read()
 
 
 def test_byte_identical_reruns(capsys):

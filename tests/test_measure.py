@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ifsquant import measure
+from ifsquant import golden, measure
 from ifsquant.measure import (
     MEAN,
     VARIANCE,
@@ -37,8 +37,14 @@ def random_word(rng, max_len=10, max_letter=12, min_len=0):
 
 def test_constants_validate():
     validate_constants()
-    assert VARIANCE == F(288, 3577)
-    assert MEAN == F(4, 7)
+    assert VARIANCE == golden.GOLDEN_V[1]
+    assert [MEAN] == golden.GOLDEN_POINTS[1]
+
+
+@pytest.mark.parametrize("label, value, expected", golden.MEASURE_ROWS,
+                         ids=[label for label, _, _ in golden.MEASURE_ROWS])
+def test_golden_measure_row(label, value, expected):
+    assert value() == expected
 
 
 @pytest.mark.parametrize(
@@ -156,20 +162,6 @@ def test_partition_of_unity():
         assert total + region_mass(tail(k)) == 1
 
 
-@pytest.mark.parametrize(
-    "region, expected",
-    [
-        (closed(1), F(1, 7)),
-        (tail(1), F(5, 7)),
-        (tail(2), F(6, 7)),
-        (closed(1, 1), F(1, 28)),
-        (tail(1, 1), F(5, 28)),
-    ],
-)
-def test_centroid(region, expected):
-    assert centroid(region) == expected
-
-
 def test_total_expectation():
     parts = [closed(1), tail(1)]
     total = sum(region_mass(r) * centroid(r) for r in parts)
@@ -190,18 +182,6 @@ def test_tail_conditional_mean_matches_tail_centroid():
         tail_conditional_mean(1)
 
 
-@pytest.mark.parametrize(
-    "regions, expected",
-    [
-        ([closed(2, 1), closed(2, 2)], F(11, 20)),
-        ([closed(1), closed(2, 1, 1)], F(1363, 7840)),
-        ([tail(2, 1, 1), tail(2, 1), tail(2)], F(5007, 6944)),
-    ],
-)
-def test_centroid_union(regions, expected):
-    assert centroid_union(regions) == expected
-
-
 def test_centroid_union_rejects_bad_input():
     with pytest.raises(ValueError):
         centroid_union([])
@@ -209,21 +189,12 @@ def test_centroid_union_rejects_bad_input():
         centroid_union([closed(2), closed(2, 1)])
 
 
-@pytest.mark.parametrize(
-    "region, expected",
-    [
-        (closed(1), F(9, 7154)),
-        (closed(2), F(27, 57232)),
-        (tail(1), F(129, 7154)),
-        (closed(), VARIANCE),
-    ],
-)
-def test_node_error(region, expected):
-    assert node_error(region) == expected
+def test_node_error():
+    assert node_error(closed()) == VARIANCE
 
 
 def test_node_error_two_point_identity():
-    assert node_error(closed(1)) + node_error(tail(1)) == F(69, 3577)
+    assert node_error(closed(1)) + node_error(tail(1)) == golden.GOLDEN_V[2]
 
 
 def test_tail_error_series_converges():
@@ -269,18 +240,6 @@ def test_tail_error_series_matches_closed_form_factor():
     assert node_error(tail(3)) == rhs
 
 
-@pytest.mark.parametrize(
-    "region, x0, expected",
-    [
-        (closed(1), F(7, 16), F(12015, 523264)),
-        (closed(2), F(5, 8), F(405, 261632)),
-        (tail(1), F(5, 7), F(129, 7154)),
-    ],
-)
-def test_distortion(region, x0, expected):
-    assert distortion(region, x0) == expected
-
-
 def test_distortion_minimal_exactly_at_centroid():
     rng = random.Random(3)
     for _ in range(200):
@@ -293,17 +252,7 @@ def test_distortion_minimal_exactly_at_centroid():
         assert distortion(region, c - shift) > node_error(region)
 
 
-def test_distortion_union_goldens():
-    assert distortion_union(
-        [
-            (closed(2, 1), F(11, 20)),
-            (closed(2, 2), F(11, 20)),
-            (tail(2, 2), F(5, 8)),
-        ]
-    ) == F(2403, 10465280)
-    assert distortion_union(
-        [(closed(1), F(1, 7)), (tail(1), F(5, 7))]
-    ) == F(69, 3577)
+def test_distortion_union_empty_and_overlap():
     assert distortion_union([]) == 0
     with pytest.raises(ValueError, match="overlap"):
         distortion_union([(closed(2), F(1, 2)), (closed(2, 1), F(1, 2))])
