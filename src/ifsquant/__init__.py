@@ -1,98 +1,4 @@
 """Exact optimal quantization of an infinite nonhomogeneous self-similar
 measure on [0, 1], with independent numerical verification oracles."""
 
-from .exceptions import CapExceeded
-from .measure import (
-    CLOSED,
-    MEAN,
-    TAIL,
-    VARIANCE,
-    Region,
-    centroid,
-    centroid_union,
-    closed,
-    distortion,
-    distortion_union,
-    node_error,
-    prob_letter,
-    prob_word,
-    region_interval,
-    region_mass,
-    scale_word,
-    tail,
-    tail_conditional_mean,
-    tail_error_series,
-)
-from .engine import (
-    GenerationState,
-    Node,
-    QuantizerSet,
-    children,
-    count_optimal_sets,
-    enumerate_optimal_sets,
-    make_node,
-    optimal_set,
-    branch_decomposition,
-    quantization_error,
-    transition_graph,
-    validate_structure,
-)
-from .oracle import (
-    SampleBatch,
-    exhaustive_min,
-    kmeans_1d_exact,
-    lloyd,
-    mc_distortion,
-    sample,
-)
-from .words import Word, concat, count_non_ones, parent, parse, render, successor
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CLOSED",
-    "TAIL",
-    "MEAN",
-    "VARIANCE",
-    "CapExceeded",
-    "GenerationState",
-    "Node",
-    "QuantizerSet",
-    "Region",
-    "SampleBatch",
-    "Word",
-    "centroid",
-    "centroid_union",
-    "children",
-    "closed",
-    "concat",
-    "count_non_ones",
-    "count_optimal_sets",
-    "distortion",
-    "distortion_union",
-    "enumerate_optimal_sets",
-    "exhaustive_min",
-    "kmeans_1d_exact",
-    "lloyd",
-    "make_node",
-    "mc_distortion",
-    "node_error",
-    "optimal_set",
-    "parent",
-    "parse",
-    "prob_letter",
-    "prob_word",
-    "branch_decomposition",
-    "quantization_error",
-    "region_interval",
-    "region_mass",
-    "render",
-    "sample",
-    "scale_word",
-    "successor",
-    "tail",
-    "tail_conditional_mean",
-    "tail_error_series",
-    "transition_graph",
-    "validate_structure",
-]

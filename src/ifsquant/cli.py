@@ -16,10 +16,7 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import engine, golden, measure, oracle
-from .exceptions import CapExceeded
 from .measure import frac_str, float_str
 from .words import render
 
@@ -123,7 +120,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (CapExceeded, MemoryError) as exc:
+    except (engine.CapExceeded, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     except BrokenPipeError:
@@ -259,19 +256,10 @@ def cmd_oracle_sample(args) -> int:
     return 0
 
 
-def _default_init(batch, k):
-    # Deterministic data-driven initialization: mid-quantiles of the sample.
-    init = np.quantile(batch.values, (np.arange(k) + 0.5) / k)
-    for i in range(1, k):
-        if init[i] <= init[i - 1]:
-            init[i] = init[i - 1] + 1e-12
-    return init
-
-
 def cmd_oracle_lloyd(args) -> int:
     k = args.n
     batch = oracle.sample(args.samples, args.depth, args.seed, args.threads)
-    lloyd_result = oracle.lloyd(batch, k, _default_init(batch, k))
+    lloyd_result = oracle.lloyd(batch, k, oracle.quantile_init(batch, k))
     dp_result = oracle.kmeans_1d_exact(batch, k)
     points = engine.optimal_set(k).points()
     exact = [float(c) for c in points]

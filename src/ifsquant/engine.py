@@ -31,12 +31,15 @@ from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from . import measure
-from .exceptions import CapExceeded
 from .measure import CLOSED, TAIL, MEAN, VARIANCE, Region
 from .words import Word, count_non_ones, render
 
 DEFAULT_CAP = 10000  # most sets enumerate_optimal_sets and transition_graph build
 COUNT_DIGITS = 100_000  # most digits of a count that count_optimal_sets builds
+
+
+class CapExceeded(RuntimeError):
+    """An enumeration or search hit its configured cap before completing."""
 
 
 @dataclass(frozen=True, slots=True)

@@ -133,7 +133,12 @@ def mc_distortion(batch: SampleBatch, centers) -> float:
 
 
 def mc_distortion_stats(batch: SampleBatch, centers) -> tuple[float, float]:
-    """(estimate, standard error) of the Monte Carlo distortion."""
+    """(estimate, standard error) of the Monte Carlo distortion; the
+    standard error needs at least 2 samples."""
+    if batch.values.size < 2:
+        raise ValueError(
+            f"a standard error needs at least 2 samples, got {batch.values.size}"
+        )
     d = _min_sq(batch, centers)
     return float(d.mean()), float(d.std(ddof=1) / math.sqrt(d.size))
 
@@ -150,13 +155,25 @@ class ClusterResult:
     iterations: int = 0
 
 
+def quantile_init(batch: SampleBatch, k: int) -> np.ndarray:
+    """Lloyd's starting centers: the k mid-quantiles of the sample, ties
+    nudged apart by 1e-12 so that they increase strictly."""
+    init = np.quantile(batch.values, (np.arange(k) + 0.5) / k)
+    for i in range(1, k):
+        if init[i] <= init[i - 1]:
+            init[i] = init[i - 1] + 1e-12
+    return init
+
+
 def lloyd(batch: SampleBatch, k: int, init) -> ClusterResult:
     """Alternate nearest-center assignment and cluster means until the
     largest center movement drops below LLOYD_TOL, for at most
     LLOYD_MAX_ITERS sweeps.
 
     Empty-cluster policy: the center is reseeded at the sample point
-    farthest from its assigned center, and iteration continues.
+    farthest from its assigned center, and iteration continues.  When
+    every sample already sits on a center, the batch has fewer distinct
+    values than k and ValueError is raised.
     """
     centers = np.array(init, dtype=float)
     if centers.size != k:
@@ -175,6 +192,11 @@ def lloyd(batch: SampleBatch, k: int, init) -> ClusterResult:
             d2 = (xs - centers[idx]) ** 2
             for empty in np.nonzero(counts == 0)[0]:
                 farthest = int(np.argmax(d2))
+                if d2[farthest] <= 0.0:
+                    distinct = np.unique(xs).size
+                    raise ValueError(
+                        f"k={k} exceeds the {distinct} distinct sample values"
+                    )
                 centers[empty] = xs[farthest]
                 d2[farthest] = -1.0  # do not reuse the same point
             centers = np.sort(centers)

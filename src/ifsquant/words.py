@@ -10,22 +10,6 @@ from __future__ import annotations
 
 Word = tuple[int, ...]
 
-EMPTY: Word = ()
-
-
-def word(*letters: int) -> Word:
-    """Build a validated word from its letters."""
-    w = tuple(letters)
-    for letter in w:
-        if not isinstance(letter, int) or letter < 1:
-            raise ValueError(f"word letters must be integers >= 1, got {letter!r}")
-    return w
-
-
-def concat(a: Word, b: Word) -> Word:
-    """Concatenation of two words."""
-    return a + b
-
 
 def parent(w: Word) -> Word:
     """The word with its last letter dropped."""
@@ -61,7 +45,7 @@ def render(w: Word) -> str:
 def parse(s: str) -> Word:
     """Inverse of :func:`render`; accepts only canonical renderings."""
     if s == "":
-        return EMPTY
+        return ()
     letters = []
     for segment in s.split("."):
         if not segment.isdigit() or str(int(segment)) != segment:

@@ -316,6 +316,18 @@ def test_oracle_lloyd(capsys):
     assert "exact centroids: 1/7 5/7" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("oracle-check", "--n", "2", "--samples", "1"),
+    ("oracle-lloyd", "--n", "8", "--samples", "100", "--depth", "1"),
+])
+def test_oracle_too_few_samples_exits_2(capsys, argv):
+    # One sample has no standard error; 100 samples at depth 1 hold only 6
+    # distinct values, too few for 8 clusters.
+    code, out, err = run(capsys, *argv, "--threads", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ") and len(err.splitlines()) == 1
+
+
 def test_oracle_check_passes(capsys):
     code, out, _ = run(capsys, "oracle-check", "--n", "2",
                        "--samples", "60000", "--depth", "20")

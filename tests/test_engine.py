@@ -7,6 +7,7 @@ import pytest
 from bfs_reference import REFERENCE_N, reference_graph, reference_sets
 from ifsquant import engine, golden, measure
 from ifsquant.engine import (
+    CapExceeded,
     GenerationState,
     Node,
     QuantizerSet,
@@ -24,7 +25,6 @@ from ifsquant.engine import (
     transition_graph_dot,
     validate_structure,
 )
-from ifsquant.exceptions import CapExceeded
 from ifsquant.measure import CLOSED, TAIL, Region, closed, node_error, tail
 
 

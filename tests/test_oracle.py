@@ -1,6 +1,9 @@
 import ast
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -147,6 +150,15 @@ def test_lloyd_reseeds_empty_cluster():
     assert result.distortion < np.var(xs)
 
 
+def test_lloyd_rejects_k_above_distinct_values():
+    # Three distinct values cannot fill four clusters; reseeding onto samples
+    # already on a center would only run out the sweep limit.
+    xs = np.array([0.1, 0.1, 0.5, 0.5, 0.9, 0.9])
+    crafted = SampleBatch(xs, 0, 1, xs.size)
+    with pytest.raises(ValueError, match="k=4 exceeds the 3 distinct sample values"):
+        lloyd(crafted, 4, [0.1, 0.3, 0.5, 0.9])
+
+
 def _brute_min_cost(xs, k):
     xs = np.sort(xs)
     n = len(xs)
@@ -219,6 +231,13 @@ def test_kmeans_rejects_bad_k():
 def test_mc_distortion_two_means():
     estimate, stderr = mc_distortion_stats(BATCH, [1 / 7, 5 / 7])
     assert abs(estimate - 69 / 3577) < max(4 * stderr, 1e-3)
+
+
+def test_mc_distortion_stats_needs_two_samples():
+    # One sample has no standard error: refuse it instead of returning nan.
+    single = SampleBatch(np.array([0.3]), 0, 1, 1)
+    with pytest.raises(ValueError, match="at least 2 samples, got 1"):
+        mc_distortion_stats(single, [0.5])
 
 
 def test_mc_distortion_single_center():
@@ -336,6 +355,32 @@ def test_oracles_stay_independent_of_the_engine(module):
     # The float oracles and the exact measure re-derive everything they check;
     # importing the engine or the CLI would let them share its mistakes.
     assert not _ifsquant_imports(Path(module.__file__)) & {"engine", "cli"}
+
+
+def test_numpy_is_imported_only_by_the_oracles():
+    # The exact core needs only integers and Fraction.
+    package = Path(oracle.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "oracle.py":
+            continue
+        roots = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                roots.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                roots.add(node.module.split(".")[0])
+        assert "numpy" not in roots, path.name
+
+
+def test_exact_core_loads_without_numpy():
+    src = Path(oracle.__file__).resolve().parent.parent
+    code = ("import sys, ifsquant.engine, ifsquant.measure, ifsquant.words, "
+            "ifsquant.golden; print('numpy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
 
 
 def test_batch_io_roundtrip(tmp_path):

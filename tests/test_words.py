@@ -1,25 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ifsquant.words import (
-    concat,
-    count_non_ones,
-    parent,
-    parse,
-    render,
-    successor,
-    word,
-)
+from ifsquant.words import count_non_ones, parent, parse, render, successor
 
 words = st.lists(st.integers(min_value=1, max_value=40), max_size=12).map(tuple)
-
-
-@pytest.mark.parametrize(
-    "a, b, expected",
-    [((2,), (1, 1), (2, 1, 1)), ((), (3,), (3,)), ((1, 2), (), (1, 2))],
-)
-def test_concat(a, b, expected):
-    assert concat(a, b) == expected
 
 
 @pytest.mark.parametrize("w, expected", [((2, 1, 1), (2, 1)), ((5,), ())])
@@ -65,12 +49,6 @@ def test_parse_rejects(bad):
         parse(bad)
 
 
-def test_word_builder_validates():
-    assert word(2, 1) == (2, 1)
-    with pytest.raises(ValueError):
-        word(0)
-
-
 @given(words)
 def test_parse_render_roundtrip(w):
     assert parse(render(w)) == w
@@ -78,7 +56,7 @@ def test_parse_render_roundtrip(w):
 
 @given(words.filter(lambda w: len(w) > 0))
 def test_parent_concat_identity(w):
-    assert concat(parent(w), (w[-1],)) == w
+    assert parent(w) + (w[-1],) == w
 
 
 @given(words.filter(lambda w: len(w) > 0))
