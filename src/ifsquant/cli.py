@@ -142,7 +142,7 @@ def cmd_optimal(args) -> int:
     q = engine.optimal_set(args.n)
     if args.format == "text":
         for node in q.nodes:
-            print(frac_str(node.centroid))
+            print(engine.centroid_str(node))
         print(f"V_{q.n} = {frac_str(q.v)}")
         return 0
     data = engine.quantizer_set_to_dict(q, args.digits)
@@ -302,14 +302,23 @@ def cmd_oracle_check(args) -> int:
     centers = [float(c) for c in q.points()]
     estimate, stderr = oracle.mc_distortion_stats(batch, centers)
     gap = abs(estimate - float(exact))
-    bands = gap / stderr if stderr > 0 else float("inf")
-    ok = gap <= 4 * stderr
+    # Equal distortions on every sample give a zero standard error and an
+    # empty band: the Monte Carlo line then says nothing either way, and
+    # the verdict rests on the exhaustive line alone.
+    conclusive = stderr > 0
+    if not conclusive and not 2 <= n <= 12:
+        raise ValueError(
+            f"every sample has the same distortion (stderr 0) and n={n} has no "
+            "exhaustive check; draw more or deeper samples")
+    ok = not conclusive or gap <= 4 * stderr
+    bands = (f"{format(gap / stderr, '.3g')} stderr" if conclusive
+             else "inconclusive: stderr 0")
     lines = [
         f"n = {n}",
         f"V_{n} = {frac_str(exact)} = {float_str(exact, args.digits)}",
         f"mc estimate = {format(estimate, f'.{args.digits}g')} "
         f"(stderr {format(stderr, '.3g')})",
-        f"deviation = {format(gap, '.3g')} ({format(bands, '.3g')} stderr)",
+        f"deviation = {format(gap, '.3g')} ({bands})",
     ]
     report = {
         "n": n,
@@ -317,6 +326,8 @@ def cmd_oracle_check(args) -> int:
         "mc_estimate": estimate,
         "mc_stderr": stderr,
     }
+    if not conclusive:
+        report["mc_inconclusive"] = True
     if 2 <= n <= 12:
         best_v, _ = oracle.exhaustive_min(n)
         agree = best_v == exact

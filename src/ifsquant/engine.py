@@ -13,9 +13,12 @@ sized by a count of words (``_block_table``); V_n and the binomial(m, r)
 optimal sets of each size follow from the blocks (``_layers``), and one
 depth-first walk builds a set in canonical order (``_walk``).
 ``GenerationState`` runs the induction step by step, as the tests'
-reference.  A node is one integer record (region, M, a, dn, c), split by
-one integer rule (``_lean_children``); its rational data are built from
-the integers only where they are read.
+reference.  A node is a plain record of its region and four integers
+(M, a, dn, c), split by one integer rule (``_lean_children``).  Its
+endpoints, centroid and mass are integers over 2^a or 7 * 2^a, and its
+error is V times an integer over 9 * 8^a, so the structural audit and the
+serialisation work on integers over one power of two; a Fraction is built
+only where one is read.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import functools
 import heapq
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from math import comb, log, log1p, pi
@@ -42,6 +45,13 @@ class CapExceeded(RuntimeError):
     """An enumeration or search hit its configured cap before completing."""
 
 
+# Where each region kind sits in the unit interval of its map S_w: the
+# left endpoint, 7 times the centroid and the right endpoint.  A cylinder is
+# S_w([0, 1]) with mean S_w(4/7); a tail region is S_w([2, 4]) with mean
+# S_w(20/7).  Node's properties and the audit both read this table.
+_OFFSETS = {CLOSED: (0, 4, 1), TAIL: (2, 20, 4)}
+
+
 @dataclass(frozen=True, slots=True)
 class Node:
     """A frontier element: a region and the integers that fix its exact data.
@@ -49,11 +59,9 @@ class Node:
     For a word w with a = sum(w) + len(w), the composed map is
     S_w(x) = (x + dn) / 2^a, the cylinder mass is 3^c / 2^a (c counts the
     letters other than 1) and the region's error is V * M / (9 * 2^(3a)).
-    The rationals are built from these integers when they are read;
-    ``error`` and ``centroid``, which serialisation and the audit read
-    repeatedly, are cached in two slots that identity ignores.  Equal
-    regions have equal integers, so equality and hashing amount to region
-    identity.
+    The rationals are built from these integers each time they are read;
+    the audit and serialisation read the integers instead.  Equal regions
+    have equal integers, so equality and hashing amount to region identity.
     """
 
     region: Region
@@ -61,47 +69,38 @@ class Node:
     a: int
     dn: int
     c: int
-    _error: Fraction | None = field(default=None, init=False, repr=False,
-                                    compare=False)
-    _centroid: Fraction | None = field(default=None, init=False, repr=False,
-                                       compare=False)
 
     @property
     def error(self) -> Fraction:
         """Exact squared-error contribution of the region."""
-        if self._error is None:
-            object.__setattr__(self, "_error", Fraction(
-                self.m * VARIANCE.numerator, 9 * VARIANCE.denominator << (3 * self.a)
-            ))
-        return self._error
+        return Fraction(self.m * VARIANCE.numerator,
+                        9 * VARIANCE.denominator << (3 * self.a))
 
     @property
     def centroid(self) -> Fraction:
         """Mean of the region: S_w(4/7) for a cylinder, S_w(20/7) for a tail."""
-        if self._centroid is None:
-            offset = 4 if self.region.kind == CLOSED else 20
-            object.__setattr__(self, "_centroid",
-                               Fraction(7 * self.dn + offset, 7 << self.a))
-        return self._centroid
+        return Fraction(7 * self.dn + _OFFSETS[self.region.kind][1], 7 << self.a)
 
     @property
     def left(self) -> Fraction:
         """Left endpoint of the region interval: S_w(0), or S_w(2) for a tail."""
-        offset = 0 if self.region.kind == CLOSED else 2
-        return Fraction(self.dn + offset, 1 << self.a)
+        return Fraction(self.dn + _OFFSETS[self.region.kind][0], 1 << self.a)
 
     @property
     def right(self) -> Fraction:
         """Right endpoint of the region interval: S_w(1), or S_w(4) for a tail."""
-        offset = 1 if self.region.kind == CLOSED else 4
-        return Fraction(self.dn + offset, 1 << self.a)
+        return Fraction(self.dn + _OFFSETS[self.region.kind][2], 1 << self.a)
 
     @property
     def mass(self) -> Fraction:
         """P-mass of the region: a tail after letter 1 holds 3 times p_w."""
-        region = self.region
-        c = self.c + (region.kind == TAIL and region.word[-1] == 1)
-        return Fraction(3**c, 1 << self.a)
+        return Fraction(3**_mass_exponent(self), 1 << self.a)
+
+
+def _mass_exponent(node: Node) -> int:
+    """The c' of the region mass 3^c' / 2^a: c, plus 1 for a tail after letter 1."""
+    region = node.region
+    return node.c + (region.kind == TAIL and region.word[-1] == 1)
 
 
 def root_node() -> Node:
@@ -533,13 +532,29 @@ def validate_structure(q: QuantizerSet) -> StructureReport:
     node's centroid sits inside its own region, that adjacent centroid
     midpoints (the Voronoi boundaries) fall inside the gaps between
     consecutive regions, and the exact mass / mean / total-error bookkeeping.
+
+    All of it runs on integers over one power of two.  With A the largest
+    a in the set, endpoints and centroids are integers over 7 * 2^A,
+    masses over 2^A, mass-weighted centroids over 7 * 4^A and errors, in
+    units of V / 9, over 8^A.  The error total is the one Fraction built.
     """
     failures: list[str] = []
     nodes = q.nodes
-    lefts = [node.left for node in nodes]
-    rights = [node.right for node in nodes]
-    points = [node.centroid for node in nodes]
-    masses = [node.mass for node in nodes]
+    top = max((node.a for node in nodes), default=0)
+    lefts, rights, points = [], [], []
+    mass_sum = mean_sum = error_sum = 0
+    for node in nodes:
+        off_l, off_c, off_r = _OFFSETS[node.region.kind]
+        shift = top - node.a
+        dn = 7 * node.dn
+        x = (dn + off_c) << shift
+        mass = 3**_mass_exponent(node) << shift
+        lefts.append((dn + 7 * off_l) << shift)
+        rights.append((dn + 7 * off_r) << shift)
+        points.append(x)
+        mass_sum += mass
+        mean_sum += mass * x
+        error_sum += node.m << 3 * shift
     if q.n != len(nodes) or q.n < 1:
         failures.append("node count mismatch")
     if any(not (lo < next_lo and hi <= next_lo)
@@ -553,115 +568,66 @@ def validate_structure(q: QuantizerSet) -> StructureReport:
                 f"centroid outside region ({node.region.kind} {render(node.region.word)!r})"
             )
             break
-    if any(not hi <= (x + y) / 2 <= next_lo
+    if any(not 2 * hi <= x + y <= 2 * next_lo
            for hi, next_lo, x, y in zip(rights, lefts[1:], points, points[1:])):
         failures.append("voronoi midpoint outside the region gap")
-    if sum(masses, Fraction(0)) != 1:
+    if mass_sum != 1 << top:
         failures.append("masses do not sum to 1")
-    if sum((mass * x for mass, x in zip(masses, points)), Fraction(0)) != MEAN:
+    if mean_sum * MEAN.denominator != MEAN.numerator * 7 << 2 * top:
         failures.append("mass-weighted centroid differs from the global mean")
-    if sum((node.error for node in nodes), Fraction(0)) != q.v:
+    if Fraction(error_sum * VARIANCE.numerator,
+                9 * VARIANCE.denominator << 3 * top) != q.v:
         failures.append("total error differs from the node error sum")
     return StructureReport(not failures, tuple(failures))
 
 
-@dataclass(frozen=True)
-class BranchDecomposition:
-    """First-letter decomposition of a quantizer set: counts per cylinder."""
+def _centroid_terms(node: Node) -> tuple[int, int]:
+    """The centroid (7 * dn + offset) / (7 * 2^a) in lowest terms.
 
-    k: int
-    counts: tuple[int, ...]
-
-
-def _split_by_first_letter(
-    sig: tuple[tuple[str, Word], ...]
-) -> tuple[int, dict[int, list[tuple[str, Word]]]]:
-    depth_one_tails = [w for kind, w in sig if kind == TAIL and len(w) == 1]
-    if len(depth_one_tails) != 1:
-        raise ValueError(
-            "not in branch-decomposition form: expected exactly one depth-1 tail"
-        )
-    k = depth_one_tails[0][0]
-    branches: dict[int, list[tuple[str, Word]]] = {j: [] for j in range(1, k + 1)}
-    for kind, w in sig:
-        if kind == TAIL and w == (k,):
-            continue
-        if not w or w[0] > k:
-            raise ValueError("not in branch-decomposition form: node outside branches")
-        branches[w[0]].append((kind, w[1:]))
-    for j, members in branches.items():
-        if not members:
-            raise ValueError(f"not in branch-decomposition form: empty branch {j}")
-    return k, branches
-
-
-def _frontier_value(sig: tuple[tuple[str, Word], ...]) -> Fraction:
-    if len(sig) == 1 and sig[0] == (CLOSED, ()):
-        return VARIANCE
-    k, branches = _split_by_first_letter(sig)
-    total = measure.node_error(Region(TAIL, (k,)))
-    for j in range(1, k + 1):
-        p = measure.prob_letter(j)
-        s = measure.scale_letter(j)
-        total += p * s * s * _frontier_value(tuple(branches[j]))
-    return total
-
-
-def branch_decomposition(q: QuantizerSet) -> BranchDecomposition:
-    """Split a quantizer set by first letter and re-derive its total error.
-
-    A well-formed frontier has exactly one depth-one tail node, say at k,
-    and every other node lives in one of the cylinders J_1 .. J_k; the
-    branch counts satisfy n = n_1 + ... + n_k + 1.  The total error is
-    recomputed recursively from the per-branch frontiers (each a scaled
-    copy of a whole-interval frontier) plus the tail error, and any
-    mismatch with the cached total raises: that indicates an engine bug.
+    The offsets 4 and 20 are not multiples of 7, so only a power of two
+    cancels: the numerator's trailing zero bits, at most a of them.
     """
-    sig = q.signature()
-    k, branches = _split_by_first_letter(sig)
-    counts = tuple(len(branches[j]) for j in range(1, k + 1))
-    if q.n != sum(counts) + 1:
-        raise ValueError("branch counts do not add up to n - 1")
-    if _frontier_value(sig) != q.v:
-        raise ValueError("recursive error evaluation does not match the set total")
-    return BranchDecomposition(k, counts)
+    num = 7 * node.dn + _OFFSETS[node.region.kind][1]
+    shift = min(node.a, (num & -num).bit_length() - 1)
+    return num >> shift, 7 << (node.a - shift)
+
+
+def centroid_str(node: Node) -> str:
+    """The centroid as "num/den", the string ``frac_str(node.centroid)`` gives."""
+    return "%d/%d" % _centroid_terms(node)
+
+
+def _error_str(node: Node) -> str:
+    """The error V * M / (9 * 8^a) = 32 * M / (3577 * 8^a) as "num/den".
+
+    M is odd and prime to 3577 = 7^2 * 73, so only 2^min(5, 3a) cancels.
+    """
+    shift = min(5, 3 * node.a)
+    return f"{32 * node.m >> shift}/{3577 << (3 * node.a - shift)}"
 
 
 def quantizer_set_to_dict(q: QuantizerSet, digits: int = 10) -> dict:
-    """JSON-ready form of a quantizer set; exact strings plus float hints."""
-    return {
+    """JSON-ready form of a quantizer set; exact strings plus float hints.
+
+    Node strings are formatted from the integers with their common factor
+    known in advance, and equal the strings of the reduced Fractions; a
+    centroid's float is the same correctly rounded integer division that
+    ``float(Fraction)`` performs.
+    """
+    data = {
         "n": q.n,
         "V": measure.frac_str(q.v),
         "V_float": measure.float_val(q.v, digits),
-        "nodes": [
-            {
-                "word": render(node.region.word),
-                "kind": node.region.kind,
-                "centroid": measure.frac_str(node.centroid),
-                "centroid_float": measure.float_val(node.centroid, digits),
-                "error": measure.frac_str(node.error),
-            }
-            for node in q.nodes
-        ],
     }
-
-
-def quantizer_set_from_dict(data: dict) -> QuantizerSet:
-    """Rebuild a quantizer set from its JSON form, verifying exact fields."""
-    from .words import parse
-
-    nodes = []
-    for entry in data["nodes"]:
-        region = Region(entry["kind"], parse(entry["word"]))
-        node = make_node(region)
-        if "centroid" in entry and measure.parse_frac(entry["centroid"]) != node.centroid:
-            raise ValueError(f"centroid mismatch for node {entry['word']!r}")
-        if "error" in entry and measure.parse_frac(entry["error"]) != node.error:
-            raise ValueError(f"error mismatch for node {entry['word']!r}")
-        nodes.append(node)
-    q = QuantizerSet.from_nodes(nodes)
-    if "n" in data and data["n"] != q.n:
-        raise ValueError("node count does not match 'n'")
-    if "V" in data and measure.parse_frac(data["V"]) != q.v:
-        raise ValueError("total error does not match 'V'")
-    return q
+    spec = f".{digits}g"
+    nodes = data["nodes"] = []
+    for node in q.nodes:
+        num, den = _centroid_terms(node)
+        nodes.append({
+            "word": render(node.region.word),
+            "kind": node.region.kind,
+            "centroid": f"{num}/{den}",
+            "centroid_float": float(format(num / den, spec)),
+            "error": _error_str(node),
+        })
+    return data

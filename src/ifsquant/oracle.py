@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -307,6 +308,34 @@ _CHILD_RATIOS = {
 }
 
 
+# The min-plus tables of exhaustive_min, grown on demand: best(kind, k) and
+# cut[kind][k] do not depend on the frontier size asked for, so one fill up
+# to the largest size serves every smaller one.  first[kind][k] is the
+# cylinder child's multiple times best(CLOSED, k), second[kind][k] the tail
+# child's multiple times best(TAIL, k); index 0 is unused.
+_best = {CLOSED: [None, Fraction(1)], TAIL: [None, Fraction(1)]}
+_cut = {CLOSED: [None, None], TAIL: [None, None]}
+_first = {kind: [None, f] for kind, (f, _) in _CHILD_RATIOS.items()}
+_second = {kind: [None, s] for kind, (_, s) in _CHILD_RATIOS.items()}
+_fill_lock = threading.Lock()  # two threads growing at once would repeat rows
+
+
+def _fill(n: int) -> None:
+    """Grow the tables to k = n, one whole row of k at a time."""
+    with _fill_lock:
+        for k in range(len(_best[CLOSED]), n + 1):
+            best, cut = {}, {}
+            for kind in _CHILD_RATIOS:
+                totals = list(map(add, _first[kind][1:k], _second[kind][k - 1 : 0 : -1]))
+                best[kind] = min(totals)
+                cut[kind] = totals.index(best[kind]) + 1
+            for kind, (f, s) in _CHILD_RATIOS.items():
+                _best[kind].append(best[kind])
+                _cut[kind].append(cut[kind])
+                _first[kind].append(f * best[CLOSED])
+                _second[kind].append(s * best[TAIL])
+
+
 def exhaustive_min(n: int) -> tuple[Fraction, tuple[Region, ...]]:
     """Exact minimum total error over ALL split frontiers of size n.
 
@@ -317,7 +346,8 @@ def exhaustive_min(n: int) -> tuple[Fraction, tuple[Region, ...]]:
     depends only on its kind and k: it is the minimum over i of the
     cylinder child's multiple times best(CLOSED, i) plus the tail child's
     multiple times best(TAIL, k - i), and cut[kind][k] keeps the smallest
-    such i.  The tables fill in O(n^2) steps, with no pruning.  Node errors
+    such i.  The tables fill in O(n^2) steps, with no pruning, once for
+    the largest n asked for; a smaller n reads them back.  Node errors
     come straight from the measure formulas, independent of the greedy
     engine.
 
@@ -325,20 +355,7 @@ def exhaustive_min(n: int) -> tuple[Fraction, tuple[Region, ...]]:
     """
     if n < 2:
         raise ValueError(f"exhaustive search needs n >= 2, got {n}")
-    # first[kind][i] is the cylinder child's multiple times best(CLOSED, i),
-    # second[kind][j] the tail child's multiple times best(TAIL, j).
-    first = {kind: [None, f] for kind, (f, _) in _CHILD_RATIOS.items()}
-    second = {kind: [None, s] for kind, (_, s) in _CHILD_RATIOS.items()}
-    cut = {CLOSED: [None, None], TAIL: [None, None]}
-    for k in range(2, n + 1):
-        best = {}
-        for kind in _CHILD_RATIOS:
-            totals = list(map(add, first[kind][1:k], second[kind][k - 1 : 0 : -1]))
-            best[kind] = min(totals)
-            cut[kind].append(totals.index(best[kind]) + 1)
-        for kind, (f, s) in _CHILD_RATIOS.items():
-            first[kind].append(f * best[CLOSED])
-            second[kind].append(s * best[TAIL])
+    _fill(n)
     # Read the frontier back depth first, cylinder child first: the
     # cylinder child lies left of the tail child, so regions come out left
     # to right.
@@ -350,11 +367,11 @@ def exhaustive_min(n: int) -> tuple[Fraction, tuple[Region, ...]]:
         if k == 1:
             frontier.append(region)
             continue
-        i = cut[region.kind][k]
+        i = _cut[region.kind][k]
         cylinder, tail_region = _split_region(region)
         stack.append((tail_region, k - i))
         stack.append((cylinder, i))
-    return measure.node_error(root) * best[CLOSED], tuple(frontier)
+    return measure.node_error(root) * _best[CLOSED][n], tuple(frontier)
 
 
 def write_batch(batch: SampleBatch, path) -> None:

@@ -39,7 +39,7 @@ def count_non_ones(w: Word) -> int:
 
 def render(w: Word) -> str:
     """Canonical text form: letters joined with '.'; the empty word is ''."""
-    return ".".join(str(letter) for letter in w)
+    return ".".join(map(str, w))
 
 
 def parse(s: str) -> Word:

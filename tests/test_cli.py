@@ -328,6 +328,28 @@ def test_oracle_too_few_samples_exits_2(capsys, argv):
     assert err.startswith("usage error: ") and len(err.splitlines()) == 1
 
 
+def test_oracle_check_zero_stderr_rests_on_exhaustive(capsys):
+    # Two depth-1 samples at n = 3 both land on centers: every distortion is
+    # 0, so the standard error is 0 and the Monte Carlo band is empty.  That
+    # line is inconclusive, and the exhaustive minimum decides the verdict.
+    args = ("oracle-check", "--n", "3", "--samples", "2", "--depth", "1",
+            "--threads", "1")
+    code, out, err = run(capsys, *args)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[2] == "mc estimate = 0 (stderr 0)"
+    assert lines[3] == "deviation = 0.00398 (inconclusive: stderr 0)"
+    assert lines[4:] == ["exhaustive minimum = 57/14308 (agrees)", "result: PASS"]
+    code, out, _ = run(capsys, *args, "--format", "json")
+    report = json.loads(out)
+    assert code == 0
+    assert report["mc_inconclusive"] is True and report["pass"] is True
+    # Without an exhaustive line nothing is left to decide: too few samples.
+    code, out, err = run(capsys, *args[:2], "13", *args[3:])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: every sample has the same distortion")
+
+
 def test_oracle_check_passes(capsys):
     code, out, _ = run(capsys, "oracle-check", "--n", "2",
                        "--samples", "60000", "--depth", "20")

@@ -1,24 +1,25 @@
+import functools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bfs_reference import REFERENCE_N, reference_graph, reference_sets
+from exact_reference import branch_decomposition, fraction_audit, quantizer_set_from_dict
 from ifsquant import engine, golden, measure
 from ifsquant.engine import (
     CapExceeded,
     GenerationState,
-    Node,
     QuantizerSet,
     children,
     count_optimal_sets,
     enumerate_optimal_sets,
     make_node,
     optimal_set,
-    branch_decomposition,
     quantization_error,
-    quantizer_set_from_dict,
     quantizer_set_to_dict,
     root_node,
     transition_graph,
@@ -85,11 +86,10 @@ def test_children_match_measure_formulas():
 
 @pytest.mark.parametrize("n", [1, 2, 77, 1000])
 def test_node_identity_is_region_identity(n):
-    # Node compares and hashes its generated fields but not the two caches:
-    # a fresh node equals one whose caches are filled.
+    # A node built from its region alone equals the walk's node, field by
+    # field, and hashes alike.
     nodes = optimal_set(n).nodes
     for node in nodes:
-        assert node.error > 0 and node.centroid >= 0  # fills the caches
         twin = make_node(node.region)
         assert twin == node and hash(twin) == hash(node)
     assert len(set(nodes)) == n
@@ -285,12 +285,63 @@ def test_validate_structure_passes_for_optimal_sets():
 
 
 def test_validate_structure_catches_forced_centroid(monkeypatch):
-    node = make_node(closed(1))
-    monkeypatch.setattr(Node, "centroid", property(lambda self: F(9, 10)))
+    # The offset table places each region kind in its map's unit interval;
+    # moving the cylinder centroid to S_w(8/7) puts the root's outside [0, 1].
+    monkeypatch.setitem(engine._OFFSETS, CLOSED, (0, 8, 1))
+    node = root_node()
     broken = QuantizerSet((node,), 1, node.error)
     report = validate_structure(broken)
     assert not report.ok
     assert any("centroid outside region" in f for f in report.failures)
+    assert report == fraction_audit(broken)
+
+
+def _replaced(q, i, **fields):
+    nodes = list(q.nodes)
+    nodes[i] = replace(nodes[i], **fields)
+    return QuantizerSet(tuple(nodes), q.n, q.v)
+
+
+def _swapped(q, i, j):
+    nodes = list(q.nodes)
+    nodes[i], nodes[j] = nodes[j], nodes[i]
+    return QuantizerSet(tuple(nodes), q.n, q.v)
+
+
+_COUNT = "node count mismatch"
+_ORDER = "regions out of order or overlapping"
+_INCREASING = "centroids not strictly increasing"
+_VORONOI = "voronoi midpoint outside the region gap"
+_MASS = "masses do not sum to 1"
+_MEAN = "mass-weighted centroid differs from the global mean"
+_ERROR = "total error differs from the node error sum"
+
+
+@pytest.mark.parametrize("n, tamper, expected", [
+    (3, lambda q: QuantizerSet(q.nodes, q.n + 1, q.v), (_COUNT,)),
+    (3, lambda q: QuantizerSet(q.nodes[1:], q.n, q.v), (_COUNT, _MASS, _MEAN, _ERROR)),
+    (3, lambda q: QuantizerSet(q.nodes[::2], 2, q.v), (_MASS, _MEAN, _ERROR)),
+    (3, lambda q: _swapped(q, 0, 1), (_ORDER, _INCREASING, _VORONOI)),
+    # optimal_set(2) is cylinder 1 and the tail of 1; dn = 1 moves the
+    # cylinder onto [1/4, 1/2], so the regions stay in order, but the
+    # midpoint of its centroid 11/28 and the tail's 5/7 passes 1/2.
+    (2, lambda q: _replaced(q, 0, dn=1), (_VORONOI, _MEAN)),
+    # a = 4, dn = 2 shrinks the tail onto [1/4, 3/8] with centroid 17/56:
+    # the midpoint with the cylinder's 1/7 falls below the cylinder's 1/4.
+    (2, lambda q: _replaced(q, 1, a=4, dn=2), (_VORONOI, _MASS, _MEAN, _ERROR)),
+    (3, lambda q: _replaced(q, 1, c=2), (_MASS, _MEAN)),
+    (3, lambda q: _replaced(q, 1, dn=3), (_MEAN,)),
+    (3, lambda q: _replaced(q, 2, m=43), (_ERROR,)),
+    (3, lambda q: QuantizerSet(q.nodes, q.n, q.v / 2), (_ERROR,)),
+], ids=["n", "dropped", "dropped-n", "swapped", "moved-right", "moved-left", "c",
+        "dn", "m", "v"])
+def test_validate_structure_catches_each_tampering(n, tamper, expected):
+    # optimal_set(3) is cylinder 1, cylinder 2 and the tail of 2.
+    broken = tamper(optimal_set(n))
+    report = validate_structure(broken)
+    assert report.failures == expected
+    assert not report.ok
+    assert report == fraction_audit(broken)
 
 
 def test_validate_structure_catches_wrong_total():
@@ -299,6 +350,58 @@ def test_validate_structure_catches_wrong_total():
     report = validate_structure(broken)
     assert not report.ok
     assert any("total error" in f for f in report.failures)
+
+
+_optimal = functools.cache(optimal_set)
+
+
+@st.composite
+def _audited_sets(draw):
+    """An optimal n-set, n <= 2000, as it is or with one tampering."""
+    q = _optimal(draw(st.integers(1, 2000)))
+    nodes, n, v = list(q.nodes), q.n, q.v
+    i = draw(st.integers(0, n - 1))
+    tamper = draw(st.sampled_from(["none", "swap", "drop", "node", "n", "v"]))
+    if tamper == "swap":
+        j = draw(st.integers(0, n - 1))
+        nodes[i], nodes[j] = nodes[j], nodes[i]
+    elif tamper == "drop":
+        del nodes[i]
+    elif tamper == "node":
+        node = nodes[i]
+        fields = {"m": node.m + draw(st.integers(-2, 2)),
+                  "a": max(0, node.a + draw(st.integers(-2, 2))),
+                  "dn": node.dn + draw(st.integers(-3, 3)),
+                  "c": max(0, node.c + draw(st.integers(-1, 1)))}
+        if node.region.kind == TAIL and draw(st.booleans()):
+            fields["region"] = Region(CLOSED, node.region.word)
+        nodes[i] = replace(node, **draw(st.sampled_from(
+            [{key: value} for key, value in fields.items()])))
+    elif tamper == "n":
+        n += draw(st.sampled_from([-n, -1, 1]))
+    elif tamper == "v":
+        v += F(draw(st.integers(-1, 1)), 3577 << 3 * draw(st.integers(0, 40)))
+    return QuantizerSet(tuple(nodes), n, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_audited_sets())
+def test_integer_audit_matches_fraction_audit(q):
+    assert validate_structure(q) == fraction_audit(q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2000), st.integers(1, 20))
+def test_serialisation_matches_fraction_formatting(n, digits):
+    # The node strings come from the integers with the common factor known
+    # in advance; they must be the reduced Fractions' strings, and the
+    # float the Fraction's float rounded the same way.
+    q = _optimal(n)
+    data = quantizer_set_to_dict(q, digits)
+    for node, entry in zip(q.nodes, data["nodes"], strict=True):
+        assert entry["centroid"] == engine.centroid_str(node) == str(node.centroid)
+        assert entry["centroid_float"] == measure.float_val(node.centroid, digits)
+        assert entry["error"] == str(node.error)
 
 
 def test_recurrence_and_monotonicity():

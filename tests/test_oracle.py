@@ -279,6 +279,18 @@ def test_exhaustive_matches_greedy_and_enumeration():
             assert identities in members, n
 
 
+def test_exhaustive_table_fills_once():
+    # best(kind, k) and cut do not depend on n: the rows filled for the
+    # largest n serve every smaller one, and nothing is refilled.
+    best, frontier = exhaustive_min(150)
+    rows = [list(oracle._best[kind]) for kind in ("closed", "tail")]
+    assert len(rows[0]) >= 151
+    for n in (149, 77, 3, 2):
+        assert exhaustive_min(n)[0] == quantization_error(n), n
+    assert exhaustive_min(150) == (best, frontier)
+    assert [oracle._best[kind] for kind in ("closed", "tail")] == rows
+
+
 def _all_frontier_values(n):
     # Unpruned enumeration of every split frontier of size n (deduplicated
     # by frontier identity): the oracle's oracle.
