@@ -3,6 +3,8 @@
 Exact values print as "num/den" strings; float columns are decimal
 renderings controlled by --digits.  Output is byte-identical across runs
 for fixed flags; oracle commands are deterministic through --seed.
+The float oracles, and numpy with them, are imported only by the
+``oracle-*`` commands that run them, so the exact commands start without.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import engine, golden, measure, oracle
+from . import engine, exact_oracle, golden, measure
 from .measure import frac_str, float_str
 from .words import render
 
@@ -57,11 +59,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--cap", type=_positive("cap"),
                            default=engine.DEFAULT_CAP, help=cap_help)
         if sampling:
-            p.add_argument("--seed", type=int, default=oracle.DEFAULT_SEED)
+            p.add_argument("--seed", type=int, default=exact_oracle.DEFAULT_SEED)
             p.add_argument("--samples", type=_positive("samples"),
                            default=DEFAULT_SAMPLES)
             p.add_argument("--depth", type=_positive("depth"),
-                           default=oracle.DEFAULT_DEPTH)
+                           default=exact_oracle.DEFAULT_DEPTH)
             p.add_argument("--threads", type=_positive("threads"),
                            default=os.cpu_count() or 1)
         return p
@@ -96,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
             cmd_oracle_lloyd, ("json", "text"), sampling=True)
     p.add_argument("--n", type=_positive("n"), required=True)
 
-    p = add("oracle-check", "Monte Carlo (and small-n exhaustive) check of V_n",
+    p = add("oracle-check", "Monte Carlo and exhaustive check of V_n",
             cmd_oracle_check, ("json", "text"), sampling=True)
     p.add_argument("--n", type=_positive("n"), required=True)
 
@@ -225,6 +227,8 @@ def cmd_tree(args) -> int:
 
 
 def _summary_stats(batch):
+    from . import oracle
+
     values = batch.values
     return {
         "count": batch.count,
@@ -238,6 +242,8 @@ def _summary_stats(batch):
 
 
 def cmd_oracle_sample(args) -> int:
+    from . import oracle
+
     batch = oracle.sample(args.samples, args.depth, args.seed, args.threads)
     if args.out:
         try:
@@ -257,6 +263,8 @@ def cmd_oracle_sample(args) -> int:
 
 
 def cmd_oracle_lloyd(args) -> int:
+    from . import oracle
+
     k = args.n
     batch = oracle.sample(args.samples, args.depth, args.seed, args.threads)
     lloyd_result = oracle.lloyd(batch, k, oracle.quantile_init(batch, k))
@@ -295,6 +303,8 @@ def cmd_oracle_lloyd(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    from . import oracle
+
     n = args.n
     batch = oracle.sample(args.samples, args.depth, args.seed, args.threads)
     q = engine.optimal_set(n)
@@ -306,7 +316,7 @@ def cmd_oracle_check(args) -> int:
     # empty band: the Monte Carlo line then says nothing either way, and
     # the verdict rests on the exhaustive line alone.
     conclusive = stderr > 0
-    if not conclusive and not 2 <= n <= 12:
+    if not conclusive and n < 2:
         raise ValueError(
             f"every sample has the same distortion (stderr 0) and n={n} has no "
             "exhaustive check; draw more or deeper samples")
@@ -328,8 +338,8 @@ def cmd_oracle_check(args) -> int:
     }
     if not conclusive:
         report["mc_inconclusive"] = True
-    if 2 <= n <= 12:
-        best_v, _ = oracle.exhaustive_min(n)
+    if n >= 2:
+        best_v, _ = exact_oracle.exhaustive_min(n)
         agree = best_v == exact
         ok = ok and agree
         lines.append(
@@ -425,7 +435,7 @@ def run_verify(n_max: int) -> bool:
     upper = min(n_max, 12)
     mismatch = []
     for n in range(2, upper + 1):
-        best_v, _ = oracle.exhaustive_min(n)
+        best_v, _ = exact_oracle.exhaustive_min(n)
         if best_v != engine.quantization_error(n):
             mismatch.append(str(n))
     report(f"exhaustive search agrees for n <= {upper}", not mismatch,

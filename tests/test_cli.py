@@ -10,7 +10,11 @@ import pytest
 
 from ifsquant import engine, golden, oracle
 from ifsquant.cli import main
-from ifsquant.measure import Region
+from ifsquant.measure import Region, frac_str
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 
 
 def run(capsys, *argv):
@@ -256,12 +260,9 @@ def test_memory_error_exits_1(monkeypatch, capsys):
 def test_closed_pipe_exits_1_without_traceback():
     # 150 kB of output outgrows the pipe and stdout buffers, so the writer
     # is still printing when the reader closes its end.
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     argv = [sys.executable, "-m", "ifsquant.cli", "table", "--from", "1", "--to", "3000"]
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          env=env) as proc:
+                          env=ENV) as proc:
         assert proc.stdout.readline().startswith(b"1 ")
         proc.stdout.close()
         assert proc.wait(timeout=60) == 1
@@ -344,8 +345,13 @@ def test_oracle_check_zero_stderr_rests_on_exhaustive(capsys):
     report = json.loads(out)
     assert code == 0
     assert report["mc_inconclusive"] is True and report["pass"] is True
-    # Without an exhaustive line nothing is left to decide: too few samples.
+    # The exhaustive line runs for every n >= 2, so n = 13 passes on it too.
     code, out, err = run(capsys, *args[:2], "13", *args[3:])
+    assert (code, err) == (0, "")
+    assert out.endswith("(agrees)\nresult: PASS\n")
+    # Without an exhaustive line (n = 1) nothing is left to decide: too few
+    # samples.  Both samples sit at the mean, the one-point set's center.
+    code, out, err = run(capsys, *args[:2], "1", *args[3:])
     assert (code, out) == (2, "")
     assert err.startswith("usage error: every sample has the same distortion")
 
@@ -356,6 +362,16 @@ def test_oracle_check_passes(capsys):
     assert code == 0
     assert "result: PASS" in out
     assert "exhaustive minimum = 69/3577" in out
+
+
+@pytest.mark.parametrize("n", [13, 50])
+def test_oracle_check_exhaustive_past_12(capsys, n):
+    code, out, err = run(capsys, "oracle-check", "--n", str(n),
+                         "--samples", "20000", "--threads", "1")
+    assert (code, err) == (0, "")
+    v = frac_str(engine.quantization_error(n))
+    assert out.splitlines()[-2:] == [f"exhaustive minimum = {v} (agrees)",
+                                     "result: PASS"]
 
 
 def test_oracle_check_json_reports_exhaustive(capsys):
@@ -380,6 +396,27 @@ def test_oracle_check_one_point_skips_exhaustive(capsys):
     assert code == 0, err
     assert "result: PASS" in out
     assert "exhaustive minimum" not in out
+
+
+def test_exact_commands_run_without_numpy():
+    # Only the oracle-* commands import the float oracles, and numpy with them.
+    argvs = [["optimal", "--n", "5"], ["table", "--from", "1", "--to", "20"],
+             ["enumerate", "--n", "16"], ["count", "--n", "16"],
+             ["tree", "--from", "18", "--to", "21"], ["verify", "--n", "12"],
+             ["oracle-sample", "--samples", "10", "--threads", "1"]]
+    code = (
+        "import contextlib, io, sys\n"
+        "from ifsquant import cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    print(argv[0], code, 'numpy' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=ENV,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        *(f"{argv[0]} 0 False" for argv in argvs[:-1]), "oracle-sample 0 True"]
 
 
 def test_verify_small(capsys):

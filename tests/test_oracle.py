@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ifsquant import golden, measure, oracle
+from ifsquant import exact_oracle, golden, measure, oracle
 from ifsquant.engine import enumerate_optimal_sets, optimal_set, quantization_error
 from ifsquant.measure import Region, closed, node_error, region_interval, tail
 from ifsquant.oracle import (
@@ -283,12 +283,12 @@ def test_exhaustive_table_fills_once():
     # best(kind, k) and cut do not depend on n: the rows filled for the
     # largest n serve every smaller one, and nothing is refilled.
     best, frontier = exhaustive_min(150)
-    rows = [list(oracle._best[kind]) for kind in ("closed", "tail")]
+    rows = [list(exact_oracle._best[kind]) for kind in ("closed", "tail")]
     assert len(rows[0]) >= 151
     for n in (149, 77, 3, 2):
         assert exhaustive_min(n)[0] == quantization_error(n), n
     assert exhaustive_min(150) == (best, frontier)
-    assert [oracle._best[kind] for kind in ("closed", "tail")] == rows
+    assert [exact_oracle._best[kind] for kind in ("closed", "tail")] == rows
 
 
 def _all_frontier_values(n):
@@ -333,15 +333,14 @@ def test_child_error_ratios_from_the_measure_formulas():
     # its parent's, one pair per region kind; check that on random regions.
     rng = random.Random(7)
     expected = {"closed": (F(1, 64), F(43, 192)), "tail": (F(9, 344), F(1, 8))}
-    assert oracle._CHILD_RATIOS == expected
+    assert exact_oracle._CHILD_RATIOS == expected
     for _ in range(300):
         kind = rng.choice(["closed", "tail"])
         length = rng.randint(1 if kind == "tail" else 0, 8)
         region = Region(kind, tuple(rng.randint(1, 9) for _ in range(length)))
         parent_error = node_error(region)
-        ratios = tuple(
-            node_error(child) / parent_error for child in oracle._split_region(region)
-        )
+        ratios = tuple(node_error(child) / parent_error
+                       for child in exact_oracle._split_region(region))
         assert ratios == expected[kind], region
 
 
@@ -362,9 +361,9 @@ def _ifsquant_imports(path):
     return names
 
 
-@pytest.mark.parametrize("module", [oracle, measure])
+@pytest.mark.parametrize("module", [oracle, exact_oracle, measure])
 def test_oracles_stay_independent_of_the_engine(module):
-    # The float oracles and the exact measure re-derive everything they check;
+    # The oracles and the exact measure re-derive everything they check;
     # importing the engine or the CLI would let them share its mistakes.
     assert not _ifsquant_imports(Path(module.__file__)) & {"engine", "cli"}
 
@@ -387,7 +386,8 @@ def test_numpy_is_imported_only_by_the_oracles():
 def test_exact_core_loads_without_numpy():
     src = Path(oracle.__file__).resolve().parent.parent
     code = ("import sys, ifsquant.engine, ifsquant.measure, ifsquant.words, "
-            "ifsquant.golden; print('numpy' in sys.modules)")
+            "ifsquant.golden, ifsquant.exact_oracle, ifsquant.cli; "
+            "ifsquant.cli.build_parser(); print('numpy' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-c", code], env=env,
