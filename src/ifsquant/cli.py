@@ -16,7 +16,6 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import engine, exact_oracle, golden, measure
 from .measure import frac_str, float_str
@@ -417,7 +416,7 @@ def run_verify(n_max: int) -> bool:
     # granted: the sets are distinct, and each one's total, re-derived node
     # by node from the measure formulas, is the optimal error.
     upper = min(n_max, 40)
-    node_error = functools.cache(measure.node_error)
+    node_error = functools.cache(lambda *kw: measure.node_error(measure.Region(*kw)))
     mismatch = []
     for n in range(1, upper + 1):
         sets = engine.enumerate_optimal_sets(n)
@@ -425,7 +424,7 @@ def run_verify(n_max: int) -> bool:
         if (
             engine.count_optimal_sets(n) != len(sets)
             or len({q.signature() for q in sets}) != len(sets)
-            or any(sum((node_error(node.region) for node in q.nodes), Fraction(0)) != v
+            or any(sum(node_error(node.kind, node.word) for node in q.nodes) != v
                    for q in sets)
         ):
             mismatch.append(str(n))

@@ -13,8 +13,8 @@ sized by a count of words (``_block_table``); V_n and the binomial(m, r)
 optimal sets of each size follow from the blocks (``_layers``), and one
 depth-first walk builds a set in canonical order (``_walk``).
 ``GenerationState`` runs the induction step by step, as the tests'
-reference.  A node is a plain record of its region and four integers
-(M, a, dn, c), split by one integer rule (``_lean_children``).  Its
+reference.  A node is one integer record: its region's kind and word and
+four integers (M, a, dn, c), split by one rule (``children``).  Its
 endpoints, centroid and mass are integers over 2^a or 7 * 2^a, and its
 error is V times an integer over 9 * 8^a, so the structural audit and the
 serialisation work on integers over one power of two; a Fraction is built
@@ -52,19 +52,21 @@ class CapExceeded(RuntimeError):
 _OFFSETS = {CLOSED: (0, 4, 1), TAIL: (2, 20, 4)}
 
 
-@dataclass(frozen=True, slots=True)
-class Node:
-    """A frontier element: a region and the integers that fix its exact data.
+class Node(NamedTuple):
+    """A frontier element: a region's kind and word, and its exact integers.
 
     For a word w with a = sum(w) + len(w), the composed map is
     S_w(x) = (x + dn) / 2^a, the cylinder mass is 3^c / 2^a (c counts the
     letters other than 1) and the region's error is V * M / (9 * 2^(3a)).
     The rationals are built from these integers each time they are read;
     the audit and serialisation read the integers instead.  Equal regions
-    have equal integers, so equality and hashing amount to region identity.
+    have equal integers, so equality, hashing and order amount to region
+    identity, kind first.  Only ``children`` and ``make_node`` (from a
+    validated Region) build one, so nothing re-validates a record.
     """
 
-    region: Region
+    kind: str
+    word: Word
     m: int
     a: int
     dn: int
@@ -79,33 +81,32 @@ class Node:
     @property
     def centroid(self) -> Fraction:
         """Mean of the region: S_w(4/7) for a cylinder, S_w(20/7) for a tail."""
-        return Fraction(7 * self.dn + _OFFSETS[self.region.kind][1], 7 << self.a)
+        return Fraction(7 * self.dn + _OFFSETS[self.kind][1], 7 << self.a)
 
     @property
     def left(self) -> Fraction:
         """Left endpoint of the region interval: S_w(0), or S_w(2) for a tail."""
-        return Fraction(self.dn + _OFFSETS[self.region.kind][0], 1 << self.a)
+        return Fraction(self.dn + _OFFSETS[self.kind][0], 1 << self.a)
 
     @property
     def right(self) -> Fraction:
         """Right endpoint of the region interval: S_w(1), or S_w(4) for a tail."""
-        return Fraction(self.dn + _OFFSETS[self.region.kind][2], 1 << self.a)
+        return Fraction(self.dn + _OFFSETS[self.kind][2], 1 << self.a)
 
     @property
     def mass(self) -> Fraction:
         """P-mass of the region: a tail after letter 1 holds 3 times p_w."""
-        return Fraction(3**_mass_exponent(self), 1 << self.a)
+        return Fraction(3**_mass_exponent(self.kind, self.word, self.c), 1 << self.a)
 
 
-def _mass_exponent(node: Node) -> int:
+def _mass_exponent(kind: str, word: Word, c: int) -> int:
     """The c' of the region mass 3^c' / 2^a: c, plus 1 for a tail after letter 1."""
-    region = node.region
-    return node.c + (region.kind == TAIL and region.word[-1] == 1)
+    return c + (kind == TAIL and word[-1] == 1)
 
 
 def root_node() -> Node:
     """The whole-support node: one point at the global mean."""
-    return Node(Region(CLOSED, ()), 9, 0, 0, 0)
+    return Node(CLOSED, (), 9, 0, 0, 0)
 
 
 def make_node(region: Region) -> Node:
@@ -120,30 +121,30 @@ def make_node(region: Region) -> Node:
         m = 9 * 3**c
     else:
         m = (129 if word[-1] == 1 else 43) * 3**c
-    return Node(region, m, a, dn, c)
+    return Node(region.kind, word, m, a, dn, c)
 
 
-def _lean_children(kind: str, word: Word, m: int, a: int, dn: int, c: int):
-    """The split rule: the children's (word, a, dn, c, M_closed, M_tail).
+def children(node: Node) -> tuple[Node, Node]:
+    """The split rule: a node's two children, cylinder first.
 
     The error quotients M'/(M * 2^(3(a'-a))) are 1/64 and 43/192 for a
     cylinder, 9/344 and 1/8 for a tail.
     """
+    kind, word, m, a, dn, c = node
     if kind == CLOSED:
-        return word + (1,), a + 2, 4 * dn, c, m, 43 * (m // 3)
+        word += (1,)
+        return (Node(CLOSED, word, m, a + 2, 4 * dn, c),
+                Node(TAIL, word, 43 * (m // 3), a + 2, 4 * dn, c))
     j = word[-1]
-    return (word[:-1] + (j + 1,), a + 1, 2 * dn + 4, c + 1 if j == 1 else c,
-            9 * (m // 43), m)
+    word = word[:-1] + (j + 1,)
+    c += j == 1
+    return (Node(CLOSED, word, 9 * (m // 43), a + 1, 2 * dn + 4, c),
+            Node(TAIL, word, m, a + 1, 2 * dn + 4, c))
 
 
-def children(node: Node) -> tuple[Node, Node]:
-    """Split a node into its two children, cylinder first."""
-    region = node.region
-    word, a, dn, c, m_closed, m_tail = _lean_children(
-        region.kind, region.word, node.m, node.a, node.dn, node.c
-    )
-    return (Node(Region(CLOSED, word), m_closed, a, dn, c),
-            Node(Region(TAIL, word), m_tail, a, dn, c))
+# The walk's own name for the split rule: a tracer that wraps ``children``
+# then counts only the tie-block splits of ``_layer_sets``.
+_split = children
 
 
 @dataclass(frozen=True)
@@ -156,8 +157,7 @@ class QuantizerSet:
 
     @classmethod
     def from_nodes(cls, nodes: Iterable[Node]) -> "QuantizerSet":
-        ordered = tuple(sorted(nodes, key=lambda node: (
-            node.left, node.region.kind, node.region.word)))
+        ordered = tuple(sorted(nodes, key=lambda node: (node.left, node)))
         total = sum((node.error for node in ordered), Fraction(0))
         return cls(ordered, len(ordered), total)
 
@@ -167,13 +167,13 @@ class QuantizerSet:
 
     def signature(self) -> tuple[tuple[str, Word], ...]:
         """Node identities in canonical order; defines set equality."""
-        return tuple((node.region.kind, node.region.word) for node in self.nodes)
+        return tuple((node.kind, node.word) for node in self.nodes)
 
 
 class GenerationState:
     """The split induction, one exact step at a time.
 
-    A heap of ``(-error, left, kind, word, node)`` entries keyed by exact
+    A heap of ``(-error, left, node)`` entries keyed by exact
     ``Fraction`` errors: each ``split()`` replaces a node of maximal error,
     the leftmost among ties, by its two ``children()``.  Nothing in the
     program uses it; it is the reference the threshold blocks are tested
@@ -188,7 +188,7 @@ class GenerationState:
 
     @staticmethod
     def _entry(node: Node) -> tuple:
-        return (-node.error, node.left, node.region.kind, node.region.word, node)
+        return (-node.error, node.left, node)
 
     def peek(self) -> Node:
         """The node the next split will replace."""
@@ -306,20 +306,17 @@ def _walk(block: Block, r: int) -> tuple[list[Node], list[int]]:
     """
     m_t, a_t = block.M, block.a
     nodes, tied = [], []
-    stack = [(CLOSED, (), 9, 0, 0, 0)]  # the record of root_node()
+    stack = [root_node()]
     while stack:
-        record = stack.pop()
-        kind, word, m, a, dn, c = record
-        above = (m << 3 * a_t) - (m_t << 3 * a)
+        node = stack.pop()
+        above = (node.m << 3 * a_t) - (m_t << 3 * node.a)
         if above > 0 or (above == 0 and r):
             r -= above == 0
-            word, a, dn, c, m_closed, m_tail = _lean_children(*record)
-            stack.append((TAIL, word, m_tail, a, dn, c))
-            stack.append((CLOSED, word, m_closed, a, dn, c))
+            stack += reversed(_split(node))  # the cylinder child on top
         else:
             if above == 0:
                 tied.append(len(nodes))
-            nodes.append(Node(Region(kind, word), m, a, dn, c))
+            nodes.append(node)
     return nodes, tied
 
 
@@ -543,18 +540,18 @@ def validate_structure(q: QuantizerSet) -> StructureReport:
     top = max((node.a for node in nodes), default=0)
     lefts, rights, points = [], [], []
     mass_sum = mean_sum = error_sum = 0
-    for node in nodes:
-        off_l, off_c, off_r = _OFFSETS[node.region.kind]
-        shift = top - node.a
-        dn = 7 * node.dn
+    for kind, word, m, a, dn, c in nodes:
+        off_l, off_c, off_r = _OFFSETS[kind]
+        shift = top - a
+        dn *= 7
         x = (dn + off_c) << shift
-        mass = 3**_mass_exponent(node) << shift
+        mass = 3**_mass_exponent(kind, word, c) << shift
         lefts.append((dn + 7 * off_l) << shift)
         rights.append((dn + 7 * off_r) << shift)
         points.append(x)
         mass_sum += mass
         mean_sum += mass * x
-        error_sum += node.m << 3 * shift
+        error_sum += m << 3 * shift
     if q.n != len(nodes) or q.n < 1:
         failures.append("node count mismatch")
     if any(not (lo < next_lo and hi <= next_lo)
@@ -565,7 +562,7 @@ def validate_structure(q: QuantizerSet) -> StructureReport:
     for node, lo, hi, x in zip(nodes, lefts, rights, points):
         if not lo <= x <= hi:
             failures.append(
-                f"centroid outside region ({node.region.kind} {render(node.region.word)!r})"
+                f"centroid outside region ({node.kind} {render(node.word)!r})"
             )
             break
     if any(not 2 * hi <= x + y <= 2 * next_lo
@@ -581,29 +578,29 @@ def validate_structure(q: QuantizerSet) -> StructureReport:
     return StructureReport(not failures, tuple(failures))
 
 
-def _centroid_terms(node: Node) -> tuple[int, int]:
+def _centroid_terms(kind: str, a: int, dn: int) -> tuple[int, int]:
     """The centroid (7 * dn + offset) / (7 * 2^a) in lowest terms.
 
     The offsets 4 and 20 are not multiples of 7, so only a power of two
     cancels: the numerator's trailing zero bits, at most a of them.
     """
-    num = 7 * node.dn + _OFFSETS[node.region.kind][1]
-    shift = min(node.a, (num & -num).bit_length() - 1)
-    return num >> shift, 7 << (node.a - shift)
+    num = 7 * dn + _OFFSETS[kind][1]
+    shift = min(a, (num & -num).bit_length() - 1)
+    return num >> shift, 7 << (a - shift)
 
 
 def centroid_str(node: Node) -> str:
     """The centroid as "num/den", the string ``frac_str(node.centroid)`` gives."""
-    return "%d/%d" % _centroid_terms(node)
+    return "%d/%d" % _centroid_terms(node.kind, node.a, node.dn)
 
 
-def _error_str(node: Node) -> str:
+def _error_str(m: int, a: int) -> str:
     """The error V * M / (9 * 8^a) = 32 * M / (3577 * 8^a) as "num/den".
 
     M is odd and prime to 3577 = 7^2 * 73, so only 2^min(5, 3a) cancels.
     """
-    shift = min(5, 3 * node.a)
-    return f"{32 * node.m >> shift}/{3577 << (3 * node.a - shift)}"
+    shift = min(5, 3 * a)
+    return f"{32 * m >> shift}/{3577 << (3 * a - shift)}"
 
 
 def quantizer_set_to_dict(q: QuantizerSet, digits: int = 10) -> dict:
@@ -621,13 +618,13 @@ def quantizer_set_to_dict(q: QuantizerSet, digits: int = 10) -> dict:
     }
     spec = f".{digits}g"
     nodes = data["nodes"] = []
-    for node in q.nodes:
-        num, den = _centroid_terms(node)
+    for kind, word, m, a, dn, _ in q.nodes:
+        num, den = _centroid_terms(kind, a, dn)
         nodes.append({
-            "word": render(node.region.word),
-            "kind": node.region.kind,
+            "word": render(word),
+            "kind": kind,
             "centroid": f"{num}/{den}",
             "centroid_float": float(format(num / den, spec)),
-            "error": _error_str(node),
+            "error": _error_str(m, a),
         })
     return data

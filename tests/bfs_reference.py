@@ -25,9 +25,8 @@ REFERENCE_N = 67
 
 
 def _sig(nodes):
-    ordered = sorted(nodes, key=lambda node: (node.left, node.region.kind,
-                                              node.region.word))
-    return tuple((node.region.kind, node.region.word) for node in ordered)
+    ordered = sorted(nodes, key=lambda node: (node.left, node.kind, node.word))
+    return tuple((node.kind, node.word) for node in ordered)
 
 
 @functools.cache

@@ -43,7 +43,7 @@ def fraction_audit(q: QuantizerSet) -> StructureReport:
     for node, lo, hi, x in zip(nodes, lefts, rights, points):
         if not lo <= x <= hi:
             failures.append(
-                f"centroid outside region ({node.region.kind} {render(node.region.word)!r})"
+                f"centroid outside region ({node.kind} {render(node.word)!r})"
             )
             break
     if any(not hi <= (x + y) / 2 <= next_lo

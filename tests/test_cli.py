@@ -223,7 +223,7 @@ def test_verify_catches_duplicate_sets(monkeypatch, capsys):
 def test_verify_rederives_set_totals(monkeypatch, capsys):
     def swap_first_node(sets):
         q = sets[0]
-        wrong = engine.make_node(Region(q.nodes[0].region.kind, (9,)))
+        wrong = engine.make_node(Region(q.nodes[0].kind, (9,)))
         return [engine.QuantizerSet((wrong, *q.nodes[1:]), q.n, q.v), *sets[1:]]
 
     out = _tampered_verify(monkeypatch, capsys, swap_first_node)

@@ -1,7 +1,6 @@
 import functools
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -40,28 +39,32 @@ def identity_set(q: QuantizerSet) -> frozenset:
     return frozenset(q.signature())
 
 
+def _region(node):
+    return Region(node.kind, node.word)
+
+
 def _fields(node):
-    return (node.region, node.m, node.a, node.dn, node.c, node.error,
+    return (node.kind, node.word, node.m, node.a, node.dn, node.c, node.error,
             node.centroid)
 
 
 def test_children_of_root():
     first, second = children(root_node())
-    assert first.region == closed(1)
-    assert second.region == tail(1)
+    assert _region(first) == closed(1)
+    assert _region(second) == tail(1)
     assert (first.centroid, second.centroid) == (F(1, 7), F(5, 7))
 
 
 def test_children_of_tail():
     first, second = children(make_node(tail(1)))
-    assert (first.region, second.region) == (closed(2), tail(2))
+    assert (_region(first), _region(second)) == (closed(2), tail(2))
     assert (first.centroid, second.centroid) == (F(4, 7), F(6, 7))
     first, second = children(make_node(tail(2, 1)))
-    assert (first.region, second.region) == (closed(2, 2), tail(2, 2))
+    assert (_region(first), _region(second)) == (closed(2, 2), tail(2, 2))
 
 
 def _assert_matches_measure(node):
-    region = node.region
+    region = _region(node)
     scale = F(1, 1 << node.a)
     assert 3**node.c * scale == measure.prob_word(region.word)
     assert (scale, node.dn * scale) == measure.map_params(region.word)
@@ -90,7 +93,7 @@ def test_node_identity_is_region_identity(n):
     # field, and hashes alike.
     nodes = optimal_set(n).nodes
     for node in nodes:
-        twin = make_node(node.region)
+        twin = make_node(_region(node))
         assert twin == node and hash(twin) == hash(node)
     assert len(set(nodes)) == n
     assert all(x != y for x, y in zip(nodes, nodes[1:]))
@@ -101,7 +104,7 @@ def test_child_error_ratios_exact():
     for _ in range(300):
         node = make_node(random_region(rng))
         first, second = children(node)
-        if node.region.kind == CLOSED:
+        if node.kind == CLOSED:
             assert first.error == node.error * F(1, 64)
             assert second.error == node.error * F(43, 192)
         else:
@@ -298,7 +301,7 @@ def test_validate_structure_catches_forced_centroid(monkeypatch):
 
 def _replaced(q, i, **fields):
     nodes = list(q.nodes)
-    nodes[i] = replace(nodes[i], **fields)
+    nodes[i] = nodes[i]._replace(**fields)
     return QuantizerSet(tuple(nodes), q.n, q.v)
 
 
@@ -373,9 +376,9 @@ def _audited_sets(draw):
                   "a": max(0, node.a + draw(st.integers(-2, 2))),
                   "dn": node.dn + draw(st.integers(-3, 3)),
                   "c": max(0, node.c + draw(st.integers(-1, 1)))}
-        if node.region.kind == TAIL and draw(st.booleans()):
-            fields["region"] = Region(CLOSED, node.region.word)
-        nodes[i] = replace(node, **draw(st.sampled_from(
+        if node.kind == TAIL and draw(st.booleans()):
+            fields["kind"] = CLOSED
+        nodes[i] = node._replace(**draw(st.sampled_from(
             [{key: value} for key, value in fields.items()])))
     elif tamper == "n":
         n += draw(st.sampled_from([-n, -1, 1]))

@@ -55,5 +55,12 @@ def test_tracer_installs_and_restores():
     tracer = tracing.Tracer()
     with tracer.installed():
         engine.optimal_set(3)
-    assert "engine.optimal_set" in [span.name for span in tracer.spans]
+        engine.optimal_set(1000)
+        walked = [span.name for span in tracer.spans]
+        engine.enumerate_optimal_sets(16)
+    assert "engine.optimal_set" in walked
+    # The walk splits through its own binding, so ``engine.children`` spans
+    # count only the splits of a block's tied slots: three at n = 16.
+    assert "engine.children" not in walked
+    assert [span.name for span in tracer.spans].count("engine.children") == 3
     assert [getattr(owner, attr) for owner, attr, _, _ in tracing.TARGETS] == originals
