@@ -1,7 +1,7 @@
 """Command line interface: ``quantizer <command> [flags]``.
 
-Exact values print as "num/den" strings; float columns are decimal
-renderings controlled by --digits.  Output is byte-identical across runs
+Exact values print as "num/den" strings; a float beside one is only a
+hint, to 10 significant figures.  Output is byte-identical across runs
 for fixed flags; oracle commands are deterministic through --seed.
 The float oracles, and numpy with them, are imported only by the
 ``oracle-*`` commands that run them, so the exact commands start without.
@@ -18,11 +18,10 @@ import os
 import sys
 
 from . import engine, exact_oracle, golden, measure
-from .measure import frac_str, float_str
+from .measure import float_str
 from .words import render
 
 DEFAULT_SAMPLES = 10**6
-DEFAULT_DIGITS = 10
 
 
 def _positive(name):
@@ -52,8 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         if formats:
             p.add_argument("--format", choices=formats, default="text")
-            p.add_argument("--digits", type=_positive("digits"),
-                           default=DEFAULT_DIGITS)
         if cap_help:
             p.add_argument("--cap", type=_positive("cap"),
                            default=engine.DEFAULT_CAP, help=cap_help)
@@ -121,7 +118,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (engine.CapExceeded, MemoryError) as exc:
+    except (engine.CapExceeded, MemoryError, ModuleNotFoundError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     except BrokenPipeError:
@@ -144,9 +141,9 @@ def cmd_optimal(args) -> int:
     if args.format == "text":
         for node in q.nodes:
             print(engine.centroid_str(node))
-        print(f"V_{q.n} = {frac_str(q.v)}")
+        print(f"V_{q.n} = {q.v}")
         return 0
-    data = engine.quantizer_set_to_dict(q, args.digits)
+    data = engine.quantizer_set_to_dict(q)
     if args.format == "json":
         print(json.dumps(data))
     else:  # one row per node entry of the JSON form, its keys the header
@@ -162,18 +159,17 @@ def cmd_table(args) -> int:
     rows = [(n, v) for n, _, _, v in engine._layers(args.n_lo, args.n_hi)]
     if args.format == "json":
         print(json.dumps([
-            {"n": n, "V": frac_str(v), "V_float": measure.float_val(v, args.digits)}
+            {"n": n, "V": str(v), "V_float": measure.float_val(v)}
             for n, v in rows
         ]))
     elif args.format == "csv":
         out = [("n", "V", "V_float")]
-        out.extend((n, frac_str(v), measure.float_val(v, args.digits))
-                   for n, v in rows)
+        out.extend((n, str(v), measure.float_val(v)) for n, v in rows)
         sys.stdout.write(_csv_text(out))
     else:
-        width = max(len(frac_str(v)) for _, v in rows)
+        width = max(len(str(v)) for _, v in rows)
         for n, v in rows:
-            print(f"{n:<6d} {frac_str(v):<{width}} {float_str(v, args.digits)}")
+            print(f"{n:<6d} {str(v):<{width}} {float_str(v)}")
     return 0
 
 
@@ -182,12 +178,12 @@ def cmd_enumerate(args) -> int:
     if args.format == "text":
         print(f"n = {args.n}")
         print(f"count = {len(sets)}")
-        print(f"V = {frac_str(sets[0].v)}")
+        print(f"V = {sets[0].v}")
         for index, q in enumerate(sets, start=1):
             names = " ".join(f"{kind}:{render(w)}" for kind, w in q.signature())
             print(f"set {index}: {names}")
         return 0
-    data = [engine.quantizer_set_to_dict(q, args.digits) for q in sets]
+    data = [engine.quantizer_set_to_dict(q) for q in sets]
     if args.format == "json":
         print(json.dumps(data))
     else:  # as for optimal, each row led by the set's index
@@ -214,7 +210,7 @@ def cmd_tree(args) -> int:
     if args.format == "dot":
         sys.stdout.write(engine.transition_graph_dot(graph))
     elif args.format == "json":
-        print(json.dumps(engine.transition_graph_to_dict(graph, args.digits)))
+        print(json.dumps(engine.transition_graph_to_dict(graph)))
     else:
         for n in range(graph.n_lo, graph.n_hi + 1):
             names = " ".join(v.label for v in graph.layer(n))
@@ -255,7 +251,7 @@ def cmd_oracle_sample(args) -> int:
     else:
         for key, value in stats.items():
             if isinstance(value, float):
-                print(f"{key} = {format(value, f'.{args.digits}g')}")
+                print(f"{key} = {float_str(value)}")
             else:
                 print(f"{key} = {value}")
     return 0
@@ -277,7 +273,7 @@ def cmd_oracle_lloyd(args) -> int:
         "lloyd_iterations": lloyd_result.iterations,
         "dp_centers": [float(c) for c in dp_result.centers],
         "dp_distortion": dp_result.distortion,
-        "exact_centroids": [frac_str(c) for c in points],
+        "exact_centroids": [str(c) for c in points],
         "lloyd_max_deviation": max(
             abs(a - b) for a, b in zip(lloyd_result.centers, exact)
         ),
@@ -288,16 +284,15 @@ def cmd_oracle_lloyd(args) -> int:
     if args.format == "json":
         print(json.dumps(payload))
     else:
-        g = f".{args.digits}g"
         print(f"k = {k}")
-        print("lloyd centers: " + " ".join(format(c, g) for c in payload["lloyd_centers"]))
-        print(f"lloyd distortion = {format(payload['lloyd_distortion'], g)}")
+        print("lloyd centers: " + " ".join(map(float_str, payload["lloyd_centers"])))
+        print(f"lloyd distortion = {float_str(payload['lloyd_distortion'])}")
         print(f"lloyd iterations = {payload['lloyd_iterations']}")
-        print("dp centers: " + " ".join(format(c, g) for c in payload["dp_centers"]))
-        print(f"dp distortion = {format(payload['dp_distortion'], g)}")
+        print("dp centers: " + " ".join(map(float_str, payload["dp_centers"])))
+        print(f"dp distortion = {float_str(payload['dp_distortion'])}")
         print("exact centroids: " + " ".join(payload["exact_centroids"]))
-        print(f"lloyd max deviation = {format(payload['lloyd_max_deviation'], g)}")
-        print(f"dp max deviation = {format(payload['dp_max_deviation'], g)}")
+        print(f"lloyd max deviation = {float_str(payload['lloyd_max_deviation'])}")
+        print(f"dp max deviation = {float_str(payload['dp_max_deviation'])}")
     return 0
 
 
@@ -324,14 +319,14 @@ def cmd_oracle_check(args) -> int:
              else "inconclusive: stderr 0")
     lines = [
         f"n = {n}",
-        f"V_{n} = {frac_str(exact)} = {float_str(exact, args.digits)}",
-        f"mc estimate = {format(estimate, f'.{args.digits}g')} "
+        f"V_{n} = {exact} = {float_str(exact)}",
+        f"mc estimate = {float_str(estimate)} "
         f"(stderr {format(stderr, '.3g')})",
         f"deviation = {format(gap, '.3g')} ({bands})",
     ]
     report = {
         "n": n,
-        "V": frac_str(exact),
+        "V": str(exact),
         "mc_estimate": estimate,
         "mc_stderr": stderr,
     }
@@ -342,10 +337,10 @@ def cmd_oracle_check(args) -> int:
         agree = best_v == exact
         ok = ok and agree
         lines.append(
-            f"exhaustive minimum = {frac_str(best_v)} "
+            f"exhaustive minimum = {best_v} "
             f"({'agrees' if agree else 'DISAGREES'})"
         )
-        report["exhaustive_min"] = frac_str(best_v)
+        report["exhaustive_min"] = str(best_v)
         report["exhaustive_agrees"] = agree
     lines.append("result: " + ("PASS" if ok else "FAIL"))
     if args.format == "json":
@@ -363,10 +358,10 @@ def _golden_checks():
     """(label, value thunk, expected) rows, in the order verify prints them."""
     rows = [("measure constants identities",
              lambda: measure.validate_constants() or True, True)]
-    rows += [(f"V_{n} = {frac_str(v)}",
+    rows += [(f"V_{n} = {v}",
               functools.partial(engine.quantization_error, n), v)
              for n, v in sorted(golden.GOLDEN_V.items())]
-    rows += [(f"optimal {n}-point set {{{', '.join(map(frac_str, points))}}}",
+    rows += [(f"optimal {n}-point set {{{', '.join(map(str, points))}}}",
               lambda n=n: list(engine.optimal_set(n).points()), points)
              for n, points in sorted(golden.GOLDEN_POINTS.items())]
     rows += [(f"card C_{n} = {c}", functools.partial(engine.count_optimal_sets, n), c)

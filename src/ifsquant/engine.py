@@ -490,7 +490,7 @@ def transition_graph_dot(graph: TransitionGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def transition_graph_to_dict(graph: TransitionGraph, digits: int = 10) -> dict:
+def transition_graph_to_dict(graph: TransitionGraph) -> dict:
     """JSON-ready adjacency form of the graph."""
     return {
         "n_lo": graph.n_lo,
@@ -500,8 +500,8 @@ def transition_graph_to_dict(graph: TransitionGraph, digits: int = 10) -> dict:
                 "label": v.label,
                 "n": v.n,
                 "index": v.index,
-                "V": measure.frac_str(v.v),
-                "V_float": measure.float_val(v.v, digits),
+                "V": str(v.v),
+                "V_float": measure.float_val(v.v),
                 "nodes": [f"{kind}:{render(word)}" for kind, word in v.signature],
             }
             for v in graph.vertices
@@ -590,7 +590,7 @@ def _centroid_terms(kind: str, a: int, dn: int) -> tuple[int, int]:
 
 
 def centroid_str(node: Node) -> str:
-    """The centroid as "num/den", the string ``frac_str(node.centroid)`` gives."""
+    """The centroid as "num/den", the string ``str(node.centroid)`` gives."""
     return "%d/%d" % _centroid_terms(node.kind, node.a, node.dn)
 
 
@@ -603,7 +603,7 @@ def _error_str(m: int, a: int) -> str:
     return f"{32 * m >> shift}/{3577 << (3 * a - shift)}"
 
 
-def quantizer_set_to_dict(q: QuantizerSet, digits: int = 10) -> dict:
+def quantizer_set_to_dict(q: QuantizerSet) -> dict:
     """JSON-ready form of a quantizer set; exact strings plus float hints.
 
     Node strings are formatted from the integers with their common factor
@@ -613,10 +613,10 @@ def quantizer_set_to_dict(q: QuantizerSet, digits: int = 10) -> dict:
     """
     data = {
         "n": q.n,
-        "V": measure.frac_str(q.v),
-        "V_float": measure.float_val(q.v, digits),
+        "V": str(q.v),
+        "V_float": measure.float_val(q.v),
     }
-    spec = f".{digits}g"
+    spec = measure.FLOAT_SPEC
     nodes = data["nodes"] = []
     for kind, word, m, a, dn, _ in q.nodes:
         num, den = _centroid_terms(kind, a, dn)

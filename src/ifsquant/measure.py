@@ -10,9 +10,10 @@ by s_j = 1/2^(j+1).  A word w = (w_1, ..., w_k) names the cylinder
 J_w = S_w([0, 1]) of mass p_w = p_{w_1} * ... * p_{w_k}; the *tail region*
 of w collects all right siblings J_{w^-(last+i)}, i >= 1.
 
-Every function here takes and returns ``fractions.Fraction`` values; floats
-never enter.  The rendering helpers at the bottom are the one place where a
-decimal approximation is produced, and only for display.
+The measure's functions take and return ``fractions.Fraction`` values, and
+no float enters them.  The two rendering helpers at the bottom are the one
+place where a decimal approximation is produced: a hint, for display beside
+an exact value, of a Fraction or of an oracle's float.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ VARIANCE = Fraction(288, 3577)
 TAIL_FACTOR_LAST1 = Fraction(43, 3)
 TAIL_FACTOR_OTHER = Fraction(43, 9)
 TAIL_OFFSET = Fraction(8, 7)
+
+# Every float printed is a hint beside an exact value, to 10 significant
+# figures; past 17 the format would show the binary float, not the value.
+FLOAT_SPEC = ".10g"
 
 
 @dataclass(frozen=True)
@@ -281,26 +286,14 @@ def validate_constants() -> None:
             raise AssertionError("tail factor series identity failed")
 
 
-def frac_str(x: Fraction) -> str:
-    """Serialize a rational as "num/den" ("num" when the denominator is 1)."""
-    return str(x)
+def float_str(x: Fraction | float) -> str:
+    """The round-to-nearest decimal hint of x, to 10 significant figures."""
+    return format(float(x), FLOAT_SPEC)
 
 
-def parse_frac(s: str) -> Fraction:
-    """Parse a "num/den" (or plain integer) string."""
-    return Fraction(s)
-
-
-def float_str(x: Fraction, digits: int = 10) -> str:
-    """Round-to-nearest decimal rendering with `digits` significant digits."""
-    if digits < 1:
-        raise ValueError(f"digits must be >= 1, got {digits}")
-    return format(float(x), f".{digits}g")
-
-
-def float_val(x: Fraction, digits: int = 10) -> float:
-    """Float rounded to `digits` significant digits (for JSON fields)."""
-    return float(float_str(x, digits))
+def float_val(x: Fraction | float) -> float:
+    """The float of x's hint (for JSON fields)."""
+    return float(float_str(x))
 
 
 if __debug__:

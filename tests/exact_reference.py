@@ -63,15 +63,15 @@ def quantizer_set_from_dict(data: dict) -> QuantizerSet:
     nodes = []
     for entry in data["nodes"]:
         node = make_node(Region(entry["kind"], parse(entry["word"])))
-        if "centroid" in entry and measure.parse_frac(entry["centroid"]) != node.centroid:
+        if "centroid" in entry and Fraction(entry["centroid"]) != node.centroid:
             raise ValueError(f"centroid mismatch for node {entry['word']!r}")
-        if "error" in entry and measure.parse_frac(entry["error"]) != node.error:
+        if "error" in entry and Fraction(entry["error"]) != node.error:
             raise ValueError(f"error mismatch for node {entry['word']!r}")
         nodes.append(node)
     q = QuantizerSet.from_nodes(nodes)
     if "n" in data and data["n"] != q.n:
         raise ValueError("node count does not match 'n'")
-    if "V" in data and measure.parse_frac(data["V"]) != q.v:
+    if "V" in data and Fraction(data["V"]) != q.v:
         raise ValueError("total error does not match 'V'")
     return q
 

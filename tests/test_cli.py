@@ -10,7 +10,7 @@ import pytest
 
 from ifsquant import engine, golden, oracle
 from ifsquant.cli import main
-from ifsquant.measure import Region, frac_str
+from ifsquant.measure import Region
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -132,6 +132,12 @@ def test_unread_flags_are_rejected(capsys):
     assert run(capsys, "table", "--from", "1", "--to", "2", "--cap", "5")[0] == 2
     assert run(capsys, "tree", "--from", "2", "--to", "3", "--format", "csv")[0] == 2
     assert run(capsys, "oracle-sample", "--format", "csv")[0] == 2
+    # Float hints have one fixed precision: no subcommand takes --digits.
+    for argv in (["optimal", "--n", "3"], ["table", "--from", "1", "--to", "2"],
+                 ["enumerate", "--n", "3"], ["tree", "--from", "2", "--to", "3"],
+                 ["oracle-sample"], ["oracle-lloyd", "--n", "2"],
+                 ["oracle-check", "--n", "2"]):
+        assert run(capsys, *argv, "--digits", "10")[0] == 2
 
 
 def test_cap_overflow_exits_1(capsys):
@@ -369,7 +375,7 @@ def test_oracle_check_exhaustive_past_12(capsys, n):
     code, out, err = run(capsys, "oracle-check", "--n", str(n),
                          "--samples", "20000", "--threads", "1")
     assert (code, err) == (0, "")
-    v = frac_str(engine.quantization_error(n))
+    v = str(engine.quantization_error(n))
     assert out.splitlines()[-2:] == [f"exhaustive minimum = {v} (agrees)",
                                      "result: PASS"]
 
@@ -417,6 +423,22 @@ def test_exact_commands_run_without_numpy():
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == [
         *(f"{argv[0]} 0 False" for argv in argvs[:-1]), "oracle-sample 0 True"]
+
+
+def test_oracle_command_without_numpy_fails_cleanly():
+    # A None entry in sys.modules makes `import numpy` raise
+    # ModuleNotFoundError, as on an interpreter that lacks it.
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from ifsquant import cli\n"
+        "sys.exit(cli.main(['oracle-sample', '--samples', '10', '--threads', '1']))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=ENV,
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error: ")
 
 
 def test_verify_small(capsys):

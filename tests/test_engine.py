@@ -394,16 +394,16 @@ def test_integer_audit_matches_fraction_audit(q):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 2000), st.integers(1, 20))
-def test_serialisation_matches_fraction_formatting(n, digits):
+@given(st.integers(1, 2000))
+def test_serialisation_matches_fraction_formatting(n):
     # The node strings come from the integers with the common factor known
     # in advance; they must be the reduced Fractions' strings, and the
     # float the Fraction's float rounded the same way.
     q = _optimal(n)
-    data = quantizer_set_to_dict(q, digits)
+    data = quantizer_set_to_dict(q)
     for node, entry in zip(q.nodes, data["nodes"], strict=True):
         assert entry["centroid"] == engine.centroid_str(node) == str(node.centroid)
-        assert entry["centroid_float"] == measure.float_val(node.centroid, digits)
+        assert entry["centroid_float"] == measure.float_val(node.centroid)
         assert entry["error"] == str(node.error)
 
 
