@@ -221,21 +221,6 @@ def cmd_tree(args) -> int:
     return 0
 
 
-def _summary_stats(batch):
-    from . import oracle
-
-    values = batch.values
-    return {
-        "count": batch.count,
-        "depth": batch.depth,
-        "seed": batch.seed,
-        "mean": float(values.mean()),
-        "variance": float(values.var()),
-        "mass_first_cylinder": oracle.empirical_mass(batch, 0.0, 0.25),
-        "mass_second_cylinder": oracle.empirical_mass(batch, 0.5, 0.625),
-    }
-
-
 def cmd_oracle_sample(args) -> int:
     from . import oracle
 
@@ -245,7 +230,15 @@ def cmd_oracle_sample(args) -> int:
             oracle.write_batch(batch, args.out)
         except OSError as exc:
             raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from exc
-    stats = _summary_stats(batch)
+    stats = {
+        "count": batch.count,
+        "depth": batch.depth,
+        "seed": batch.seed,
+        "mean": float(batch.values.mean()),
+        "variance": float(batch.values.var()),
+        "mass_first_cylinder": oracle.empirical_mass(batch, 0.0, 0.25),
+        "mass_second_cylinder": oracle.empirical_mass(batch, 0.5, 0.625),
+    }
     if args.format == "json":
         print(json.dumps(stats))
     else:
@@ -403,7 +396,7 @@ def run_verify(n_max: int) -> bool:
     for n in range(1, n_max + 1):
         result = engine.validate_structure(engine.optimal_set(n))
         if not result.ok:
-            bad.append(f"n={n}: {result.first_failure}")
+            bad.append(f"n={n}: {result.failures[0]}")
     report(f"structure valid for n <= {n_max}", not bad,
            "; ".join(bad[:3]))
 

@@ -42,7 +42,7 @@ COUNT_DIGITS = 100_000  # most digits of a count that count_optimal_sets builds
 
 
 class CapExceeded(RuntimeError):
-    """An enumeration or search hit its configured cap before completing."""
+    """An enumeration, a transition graph or a count passed its limit."""
 
 
 # Where each region kind sits in the unit interval of its map S_w: the
@@ -369,7 +369,7 @@ def _exceeds(m: int, r: int, cap: int) -> bool:
         count = count * (m - i) // (i + 1)
         if count > cap:
             return True
-    return False
+    return count > cap
 
 
 def enumerate_optimal_sets(n: int, cap: int = DEFAULT_CAP) -> list[QuantizerSet]:
@@ -439,22 +439,21 @@ def transition_graph(n_lo: int, n_hi: int, cap: int = DEFAULT_CAP) -> Transition
 
     An r-set of a block leads to the (r+1)-sets of the same block that
     contain it; the one set that closes a block leads to every set of the
-    next.  Raises CapExceeded when a window layer, or the window as a
-    whole, holds more than ``cap`` sets; both are known before any set, or
+    next.  Raises CapExceeded, naming the first layer that passes it, when
+    the window holds more than ``cap`` sets in all.  Each layer is checked
+    against what is left of the cap, so this is known before any set, or
     any count above ``cap``, is built.
     """
     if not 1 <= n_lo <= n_hi:
         raise ValueError(f"need 1 <= n_lo <= n_hi, got {n_lo}, {n_hi}")
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    items, total = [], 0
+    items, left = [], cap
     for item in _layers(n_lo, n_hi):
         k, block, r, _ = item
-        if _exceeds(block.m, r, cap):
+        if _exceeds(block.m, r, left):
             raise CapExceeded(f"transition graph exceeds cap {cap} sets at n={k}")
-        total += comb(block.m, r)
-        if total > cap:
-            raise CapExceeded(f"transition graph exceeds cap {cap} vertices")
+        left -= comb(block.m, r)
         items.append(item)
 
     vertices: list[GraphVertex] = []
@@ -512,14 +511,14 @@ def transition_graph_to_dict(graph: TransitionGraph) -> dict:
 
 @dataclass(frozen=True)
 class StructureReport:
-    """Outcome of the structural audit of a quantizer set."""
+    """Outcome of the structural audit of a quantizer set: the failed
+    checks' messages, in the audit's order; it passed when there are none."""
 
-    ok: bool
     failures: tuple[str, ...]
 
     @property
-    def first_failure(self) -> str | None:
-        return self.failures[0] if self.failures else None
+    def ok(self) -> bool:
+        return not self.failures
 
 
 def validate_structure(q: QuantizerSet) -> StructureReport:
@@ -575,7 +574,7 @@ def validate_structure(q: QuantizerSet) -> StructureReport:
     if Fraction(error_sum * VARIANCE.numerator,
                 9 * VARIANCE.denominator << 3 * top) != q.v:
         failures.append("total error differs from the node error sum")
-    return StructureReport(not failures, tuple(failures))
+    return StructureReport(tuple(failures))
 
 
 def _centroid_terms(kind: str, a: int, dn: int) -> tuple[int, int]:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .measure import (CLOSED, TAIL, Region, centroid, centroid_union, closed,
                       distortion, distortion_union, node_error, prob_letter,
                       region_interval, region_mass, tail, tail_conditional_mean)
-from .words import Word
+from .words import Word, parse
 
 GOLDEN_V = {
     1: Fraction(288, 3577),
@@ -125,8 +125,7 @@ def as_identity_set(listing: str) -> frozenset[tuple[str, Word]]:
     out = set()
     for item in listing.split():
         kind, _, word = item.partition(":")
-        out.add((CLOSED if kind == "c" else TAIL,
-                 tuple(int(ch) for ch in word.split("."))))
+        out.add((CLOSED if kind == "c" else TAIL, parse(word)))
     return frozenset(out)
 
 

@@ -108,11 +108,6 @@ def apply_map(w: Word, x: Fraction) -> Fraction:
     return x
 
 
-def map_params(w: Word) -> tuple[Fraction, Fraction]:
-    """(scale, shift) of the affine map S_w, i.e. S_w(x) = scale*x + shift."""
-    return scale_word(w), apply_map(w, Fraction(0))
-
-
 def region_interval(r: Region) -> tuple[Fraction, Fraction]:
     """Exact endpoints of the region's interval hull.
 
@@ -220,7 +215,7 @@ def tail_error_series(w: Word, terms: int) -> Fraction:
         raise ValueError(f"terms must be >= 1, got {terms}")
     target = centroid(Region(TAIL, w))
     base = parent(w)
-    base_scale, base_shift = map_params(base)
+    base_scale, base_shift = scale_word(base), apply_map(base, Fraction(0))
     first = last(w) + 1
     # First-sibling quantities; successive siblings halve the mass and the
     # mean step and quarter the squared scale, exactly.

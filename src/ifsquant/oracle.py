@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-# exhaustive_min is bound here too: the tests and the benchmark's tracer
-# reach it as oracle.exhaustive_min.
+# exhaustive_min is bound here for the benchmark's tracer alone, which
+# wraps it as oracle.exhaustive_min.
 from .exact_oracle import DEFAULT_DEPTH, DEFAULT_SEED, exhaustive_min
 
 CHUNK_SIZE = 65536

@@ -55,7 +55,7 @@ def fraction_audit(q: QuantizerSet) -> StructureReport:
         failures.append("mass-weighted centroid differs from the global mean")
     if sum((node.error for node in nodes), Fraction(0)) != q.v:
         failures.append("total error differs from the node error sum")
-    return StructureReport(not failures, tuple(failures))
+    return StructureReport(tuple(failures))
 
 
 def quantizer_set_from_dict(data: dict) -> QuantizerSet:

@@ -24,9 +24,9 @@ from ifsquant.engine import (
     transition_graph,
     validate_structure,
 )
+from ifsquant.exact_oracle import exhaustive_min
 from ifsquant.measure import CLOSED, TAIL, Region, node_error, tail_error_series
 from ifsquant.oracle import (
-    exhaustive_min,
     kmeans_1d_exact,
     lloyd,
     mc_distortion_stats,

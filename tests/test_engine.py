@@ -67,7 +67,8 @@ def _assert_matches_measure(node):
     region = _region(node)
     scale = F(1, 1 << node.a)
     assert 3**node.c * scale == measure.prob_word(region.word)
-    assert (scale, node.dn * scale) == measure.map_params(region.word)
+    assert scale == measure.scale_word(region.word)
+    assert node.dn * scale == measure.apply_map(region.word, F(0))
     assert node.error == measure.node_error(region)
     assert node.centroid == measure.centroid(region)
     assert (node.left, node.right) == measure.region_interval(region)
@@ -186,7 +187,7 @@ def test_cap_check_agrees_with_the_binomial():
     for m in range(40):
         for r in range(m + 1):
             size = math.comb(m, r)
-            for cap in {1, 2, 7, 100, 10**4, 10**9, size - 1, size, size + 1} - {0}:
+            for cap in {1, 2, 7, 100, 10**4, 10**9, size - 1, size, size + 1}:
                 assert engine._exceeds(m, r, cap) == (size > cap), (m, r, cap)
 
 
@@ -271,8 +272,12 @@ def test_transition_graph_18_21_pattern():
 
 
 def test_transition_graph_cap():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="n=16"):
         transition_graph(15, 18, cap=3)
+    # 8 sets in all and at most 3 in a layer: the window total passes the
+    # cap at n=18.
+    with pytest.raises(CapExceeded, match="n=18"):
+        transition_graph(15, 18, cap=7)
 
 
 def test_transition_graph_dot_layout():

@@ -12,11 +12,11 @@ import pytest
 
 from ifsquant import exact_oracle, golden, measure, oracle
 from ifsquant.engine import enumerate_optimal_sets, optimal_set, quantization_error
+from ifsquant.exact_oracle import exhaustive_min
 from ifsquant.measure import Region, closed, node_error, region_interval, tail
 from ifsquant.oracle import (
     SampleBatch,
     empirical_mass,
-    exhaustive_min,
     kmeans_1d_exact,
     lloyd,
     mc_distortion,
