@@ -154,8 +154,6 @@ def cmd_optimal(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if args.n_lo > args.n_hi:
-        raise ValueError(f"--from {args.n_lo} exceeds --to {args.n_hi}")
     rows = [(n, v) for n, _, _, v in engine._layers(args.n_lo, args.n_hi)]
     if args.format == "json":
         print(json.dumps([
@@ -212,9 +210,9 @@ def cmd_tree(args) -> int:
     elif args.format == "json":
         print(json.dumps(engine.transition_graph_to_dict(graph)))
     else:
-        for n in range(graph.n_lo, graph.n_hi + 1):
-            names = " ".join(v.label for v in graph.layer(n))
-            print(f"layer {n}: {names}")
+        for n, layer in enumerate(graph.layers, start=graph.n_lo):
+            names = (engine.vertex_label(n, i) for i in range(1, len(layer) + 1))
+            print(f"layer {n}: {' '.join(names)}")
         print("edges:")
         for src, dst in graph.edges:
             print(f"{src} -> {dst}")

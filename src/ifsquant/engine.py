@@ -278,9 +278,12 @@ def _layers(n_lo: int, n_hi: int) -> Iterator[tuple[int, Block, int, Fraction]]:
     r = 0 only at n = 1.  Yields ``(n, block, r, V_n)``, with
     V_n = V * (1 - sum of m*e*g over the earlier blocks - r*e*g) for error
     fraction e = M / (9 * 8^a) and g = 73/96 (cylinder) or 73/86 (tail).
+    Every exact command iterates it, so it alone checks 1 <= n_lo <= n_hi.
     """
     if n_lo < 1:
         raise ValueError(f"n must be >= 1, got {n_lo}")
+    if n_lo > n_hi:
+        raise ValueError(f"first size {n_lo} exceeds last size {n_hi}")
     depth = 8
     while (rows := _block_table(depth))[-1][0] < n_hi - 1:
         depth *= 2
@@ -410,28 +413,23 @@ def count_optimal_sets(n: int) -> int:
     return comb(m, k)
 
 
-@dataclass(frozen=True)
-class GraphVertex:
-    """One optimal set in a transition graph layer."""
-
-    n: int
-    index: int  # 1-based, canonical order within the layer
-    label: str
-    v: Fraction
-    signature: tuple[tuple[str, Word], ...]
+def vertex_label(n: int, i: int) -> str:
+    """The name a_{n,i} of the i-th optimal n-set in canonical order."""
+    return f"a_{{{n},{i}}}"
 
 
 @dataclass(frozen=True)
 class TransitionGraph:
-    """Layered DAG of optimal sets: edges are single-split derivations."""
+    """Layered DAG of optimal sets: edges are single-split derivations.
+
+    ``layers[k]`` holds the optimal sets of size n_lo + k in canonical
+    order; ``vertex_label(n, i)`` names the i-th set of layer n, and the
+    edges are pairs of those names.
+    """
 
     n_lo: int
-    n_hi: int
-    vertices: tuple[GraphVertex, ...]
+    layers: tuple[tuple[QuantizerSet, ...], ...]
     edges: tuple[tuple[str, str], ...]
-
-    def layer(self, n: int) -> tuple[GraphVertex, ...]:
-        return tuple(v for v in self.vertices if v.n == n)
 
 
 def transition_graph(n_lo: int, n_hi: int, cap: int = DEFAULT_CAP) -> TransitionGraph:
@@ -444,8 +442,6 @@ def transition_graph(n_lo: int, n_hi: int, cap: int = DEFAULT_CAP) -> Transition
     against what is left of the cap, so this is known before any set, or
     any count above ``cap``, is built.
     """
-    if not 1 <= n_lo <= n_hi:
-        raise ValueError(f"need 1 <= n_lo <= n_hi, got {n_lo}, {n_hi}")
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     items, left = [], cap
@@ -456,32 +452,30 @@ def transition_graph(n_lo: int, n_hi: int, cap: int = DEFAULT_CAP) -> Transition
         left -= comb(block.m, r)
         items.append(item)
 
-    vertices: list[GraphVertex] = []
+    layers: list[tuple[QuantizerSet, ...]] = []
     edges: list[tuple[str, str]] = []
     previous_block, previous = None, {}
     for k, block, r, v in items:
-        order = {}
-        for index, (chosen, q) in enumerate(_layer_sets(k, block, r, v), start=1):
-            order[chosen] = index
-            vertices.append(GraphVertex(k, index, f"a_{{{k},{index}}}", v,
-                                        q.signature()))
+        pairs = list(_layer_sets(k, block, r, v))
+        order = {chosen: index for index, (chosen, _) in enumerate(pairs, start=1)}
+        layers.append(tuple(q for _, q in pairs))
         for chosen, src in previous.items():
             if block == previous_block:
                 targets = sorted(order[tuple(sorted((*chosen, x)))]
                                  for x in range(block.m) if x not in chosen)
             else:  # the closing set of the previous block feeds every set
                 targets = range(1, len(order) + 1)
-            edges.extend((f"a_{{{k - 1},{src}}}", f"a_{{{k},{dst}}}")
+            edges.extend((vertex_label(k - 1, src), vertex_label(k, dst))
                          for dst in targets)
         previous_block, previous = block, order
-    return TransitionGraph(n_lo, n_hi, tuple(vertices), tuple(edges))
+    return TransitionGraph(n_lo, tuple(layers), tuple(edges))
 
 
 def transition_graph_dot(graph: TransitionGraph) -> str:
     """Render the graph as DOT, layers flowing left to right."""
     lines = ["digraph optimal_sets {", "  rankdir=LR;", "  node [shape=box];"]
-    for n in range(graph.n_lo, graph.n_hi + 1):
-        names = " ".join(f'"{v.label}";' for v in graph.layer(n))
+    for n, layer in enumerate(graph.layers, start=graph.n_lo):
+        names = " ".join(f'"{vertex_label(n, i)}";' for i in range(1, len(layer) + 1))
         lines.append(f"  {{ rank=same; {names} }}")
     for src, dst in graph.edges:
         lines.append(f'  "{src}" -> "{dst}";')
@@ -493,17 +487,18 @@ def transition_graph_to_dict(graph: TransitionGraph) -> dict:
     """JSON-ready adjacency form of the graph."""
     return {
         "n_lo": graph.n_lo,
-        "n_hi": graph.n_hi,
+        "n_hi": graph.n_lo + len(graph.layers) - 1,
         "vertices": [
             {
-                "label": v.label,
-                "n": v.n,
-                "index": v.index,
-                "V": str(v.v),
-                "V_float": measure.float_val(v.v),
-                "nodes": [f"{kind}:{render(word)}" for kind, word in v.signature],
+                "label": vertex_label(q.n, index),
+                "n": q.n,
+                "index": index,
+                "V": str(q.v),
+                "V_float": measure.float_val(q.v),
+                "nodes": [f"{node.kind}:{render(node.word)}" for node in q.nodes],
             }
-            for v in graph.vertices
+            for layer in graph.layers
+            for index, q in enumerate(layer, start=1)
         ],
         "edges": [[src, dst] for src, dst in graph.edges],
     }

@@ -11,9 +11,11 @@ J_w = S_w([0, 1]) of mass p_w = p_{w_1} * ... * p_{w_k}; the *tail region*
 of w collects all right siblings J_{w^-(last+i)}, i >= 1.
 
 The measure's functions take and return ``fractions.Fraction`` values, and
-no float enters them.  The two rendering helpers at the bottom are the one
-place where a decimal approximation is produced: a hint, for display beside
-an exact value, of a Fraction or of an oracle's float.
+no float enters them.  The two rendering helpers at the bottom write a
+decimal hint, for display beside an exact value, of a Fraction or of an
+oracle's float.  They are not the only ones: ``engine.quantizer_set_to_dict``
+formats its centroid hints with ``FLOAT_SPEC`` itself, and ``oracle-check``
+prints its deviation and standard error to three significant figures.
 """
 
 from __future__ import annotations

@@ -4,21 +4,20 @@ Layer k+1 is built by splitting, in every optimal k-set, each node that
 ties for the maximal error; duplicates collapse by node identity.  This
 assumes nothing about the tie structure, so it checks the engine's
 threshold-block description independently: it uses only ``root_node``,
-``children`` and the set and graph containers.  One pass over layers
+``children``, the set and graph containers and the vertex names.  One pass over layers
 1 .. 67 takes a couple of seconds and is cached for the whole session.
 """
 
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
 from ifsquant.engine import (
-    GraphVertex,
     QuantizerSet,
     TransitionGraph,
     children,
     root_node,
+    vertex_label,
 )
 
 REFERENCE_N = 67
@@ -70,13 +69,12 @@ def reference_graph(n_lo: int, n_hi: int) -> TransitionGraph:
     """The transition graph of layers n_lo .. n_hi, without any cap."""
     layers, edges = _pass(n_hi)
     order = {}
-    vertices = []
+    sets = []
     for k in range(n_lo, n_hi + 1):
         layer = layers[k - 1]
-        for index, key in enumerate(sorted(layer), start=1):
-            order[(k, key)] = index
-            total = sum((node.error for node in layer[key]), Fraction(0))
-            vertices.append(GraphVertex(k, index, f"a_{{{k},{index}}}", total, key))
+        keys = sorted(layer)
+        order.update(((k, key), index) for index, key in enumerate(keys, start=1))
+        sets.append(tuple(QuantizerSet.from_nodes(layer[key]) for key in keys))
     pairs = sorted(
         (k, order[(k, src)], order[(k + 1, dst)])
         for k in range(n_lo, n_hi)
@@ -84,7 +82,6 @@ def reference_graph(n_lo: int, n_hi: int) -> TransitionGraph:
     )
     return TransitionGraph(
         n_lo,
-        n_hi,
-        tuple(vertices),
-        tuple((f"a_{{{k},{i}}}", f"a_{{{k + 1},{j}}}") for k, i, j in pairs),
+        tuple(sets),
+        tuple((vertex_label(k, i), vertex_label(k + 1, j)) for k, i, j in pairs),
     )

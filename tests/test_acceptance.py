@@ -23,6 +23,7 @@ from ifsquant.engine import (
     quantization_error,
     transition_graph,
     validate_structure,
+    vertex_label,
 )
 from ifsquant.exact_oracle import exhaustive_min
 from ifsquant.measure import CLOSED, TAIL, Region, node_error, tail_error_series
@@ -92,16 +93,14 @@ def test_criterion_3():
 @criterion(4, "transition graph 18..21 edge relations")
 def test_criterion_4():
     graph = transition_graph(18, 21, cap=100)
-    assert [len(graph.layer(n)) for n in range(18, 22)] == [1, 3, 3, 1]
+    assert [len(layer) for layer in graph.layers] == [1, 3, 3, 1]
     out = {}
     for src, dst in graph.edges:
         out.setdefault(src, set()).add(dst)
-    (v18,) = graph.layer(18)
-    (v21,) = graph.layer(21)
-    mid_labels = [v.label for v in graph.layer(19)]
-    late_labels = {v.label for v in graph.layer(20)}
+    mid_labels = [vertex_label(19, i) for i in (1, 2, 3)]
+    late_labels = {vertex_label(20, i) for i in (1, 2, 3)}
     # one 18-set feeding all three 19-sets
-    assert out[v18.label] == set(mid_labels)
+    assert out[vertex_label(18, 1)] == set(mid_labels)
     # each 19-set feeds exactly two 20-sets, pairwise sharing exactly one,
     # jointly covering all three; every 20-set feeds the single 21-set
     targets = [out[label] for label in mid_labels]
@@ -110,7 +109,7 @@ def test_criterion_4():
     for i in range(3):
         for j in range(i + 1, 3):
             assert len(targets[i] & targets[j]) == 1
-    assert all(out[label] == {v21.label} for label in late_labels)
+    assert all(out[label] == {vertex_label(21, 1)} for label in late_labels)
 
 
 @criterion(5, "exhaustive search equals greedy for n = 2..12")

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ifsquant import engine, golden, oracle
+from ifsquant import engine, exact_oracle, golden, oracle
 from ifsquant.cli import main
 from ifsquant.measure import Region
 
@@ -67,6 +68,21 @@ def test_table_text_contains_exact_values(capsys):
     assert "288/3577" in out and "69/3577" in out and "57/14308" in out
 
 
+def test_enumerate_csv_rows_are_the_json_values(capsys):
+    code, out, _ = run(capsys, "enumerate", "--n", "16", "--format", "csv")
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert header == '"set","word","kind","centroid","centroid_float","error"'
+    rows = list(csv.reader(rows, quoting=csv.QUOTE_NONNUMERIC))
+    code, out, _ = run(capsys, "enumerate", "--n", "16", "--format", "json")
+    assert code == 0
+    expected = [[index, *node.values()]
+                for index, entry in enumerate(json.loads(out), start=1)
+                for node in entry["nodes"]]
+    assert len(rows) == len(expected) == 3 * 16
+    assert rows == expected
+
+
 def test_count(capsys):
     code, out, _ = run(capsys, "count", "--n", "16")
     assert code == 0
@@ -118,8 +134,12 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "optimal", "--n", "0")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "optimal", "--n", "3", "--format", "dot")[0] == 2
-    code, _, err = run(capsys, "table", "--from", "5", "--to", "3")
-    assert code == 2 and "exceeds" in err
+    assert run(capsys, "verify", "--n", "1") == (
+        2, "", "usage error: verify needs n >= 2, got 1\n")
+    # table and tree iterate the same layers, so they share one range rule
+    for command in ("table", "tree"):
+        assert run(capsys, command, "--from", "5", "--to", "3") == (
+            2, "", "usage error: first size 5 exceeds last size 3\n")
 
 
 def test_unread_flags_are_rejected(capsys):
@@ -251,6 +271,46 @@ def test_verify_catches_a_wrong_edge(monkeypatch, capsys):
     code, out, _ = run(capsys, "verify", "--n", "2")
     assert code == 1
     assert "transition pattern 18 -> 21 FAIL\n" in out
+
+
+def test_verify_reports_a_structure_failure(monkeypatch, capsys):
+    audit = engine.validate_structure
+
+    def doubled_total(q):
+        return audit(q if q.n == 1 else engine.QuantizerSet(q.nodes, q.n, 2 * q.v))
+
+    monkeypatch.setattr(engine, "validate_structure", doubled_total)
+    code, out, _ = run(capsys, "verify", "--n", "5")
+    assert code == 1
+    failure = "total error differs from the node error sum"
+    assert (f"structure valid for n <= 5 FAIL (n=2: {failure}; n=3: {failure}; "
+            f"n=4: {failure})\n") in out
+    assert out.endswith("verification FAILED\n")
+
+
+def test_verify_reports_an_exhaustive_mismatch(monkeypatch, capsys):
+    search = exact_oracle.exhaustive_min
+
+    def doubled_minimum(n):
+        best_v, frontier = search(n)
+        return (2 * best_v if n in (3, 5) else best_v), frontier
+
+    monkeypatch.setattr(exact_oracle, "exhaustive_min", doubled_minimum)
+    code, out, _ = run(capsys, "verify", "--n", "6")
+    assert code == 1
+    assert "exhaustive search agrees for n <= 6 FAIL (n=3,5)\n" in out
+    assert out.endswith("verification FAILED\n")
+
+
+def test_verify_reports_a_check_that_raises(monkeypatch, capsys):
+    graph = engine.transition_graph
+    monkeypatch.setattr(engine, "transition_graph",
+                        lambda n_lo, n_hi: graph(n_lo, n_hi, cap=1))
+    code, out, _ = run(capsys, "verify", "--n", "2")
+    assert code == 1
+    assert ("transition pattern 18 -> 21 FAIL (CapExceeded: transition graph "
+            "exceeds cap 1 sets at n=19)\n") in out
+    assert out.endswith("verification FAILED\n")
 
 
 def test_memory_error_exits_1(monkeypatch, capsys):

@@ -258,13 +258,13 @@ def test_transition_graph_matches_breadth_first_reference(n_lo, n_hi):
 
 def test_transition_graph_chain():
     graph = transition_graph(2, 3, cap=10)
-    assert [len(graph.layer(n)) for n in (2, 3)] == [1, 1]
+    assert [len(graph.layers[n - graph.n_lo]) for n in (2, 3)] == [1, 1]
     assert graph.edges == (("a_{2,1}", "a_{3,1}"),)
 
 
 def test_transition_graph_layers_15_18():
     graph = transition_graph(15, 18, cap=100)
-    assert [len(graph.layer(n)) for n in range(15, 19)] == [1, 3, 3, 1]
+    assert [len(graph.layers[n - graph.n_lo]) for n in range(15, 19)] == [1, 3, 3, 1]
 
 
 def test_transition_graph_18_21_pattern():

@@ -3,9 +3,11 @@
 Every exact operation of ``perfbench/workloads.py`` is run once and its own
 check applied: CLI operations must print, byte for byte, the stdout whose
 SHA-256 digest ``perfbench/expected.json`` records.  The benchmark's tracer
-must still find every function it wraps.
+must still find every function it wraps.  Every form of ``tree`` prints,
+byte for byte, the stdout whose SHA-256 digest is recorded below.
 """
 
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from ifsquant import engine
+from ifsquant.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -64,3 +67,21 @@ def test_tracer_installs_and_restores():
     assert "engine.children" not in walked
     assert [span.name for span in tracer.spans].count("engine.children") == 3
     assert [getattr(owner, attr) for owner, attr, _, _ in tracing.TARGETS] == originals
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("--from 15 --to 21",
+     "4af173a41d0a37e450ebec31ab43b2f8fef05e5aa8f9579c4c2c50f077d19ec1"),
+    ("--from 15 --to 21 --format dot",
+     "bf8529709c1f2d295e9f80b9f38e373492fb6be1988c679f2f019be38d0cbca6"),
+    ("--from 15 --to 21 --format json",
+     "05c3f48823fadf7542918a7b0da97429489617197bc3c9b709e3ce696a17ef11"),
+    ("--from 60 --to 67",
+     "8261238567bd913e8768dd68e890abab6b44adfc4022e1d5a43bf2b85aca53c9"),
+    ("--from 60 --to 67 --format dot",
+     "bc05ec39b627db6247b1bd66595d763740bf5af8af6c12eb326da338a455ab34"),
+])
+def test_tree_output_digest(capsys, argv, digest):
+    assert main(["tree", *argv.split()]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
