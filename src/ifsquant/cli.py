@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import os
 import sys
@@ -128,12 +127,9 @@ def main(argv=None) -> int:
         return 1
 
 
-def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
+def _write_csv(rows) -> None:
+    csv.writer(sys.stdout, lineterminator="\n",
+               quoting=csv.QUOTE_NONNUMERIC).writerows(rows)
 
 
 def cmd_optimal(args) -> int:
@@ -148,8 +144,7 @@ def cmd_optimal(args) -> int:
         print(json.dumps(data))
     else:  # one row per node entry of the JSON form, its keys the header
         nodes = data["nodes"]
-        sys.stdout.write(_csv_text([list(nodes[0]),
-                                    *(node.values() for node in nodes)]))
+        _write_csv([list(nodes[0]), *(node.values() for node in nodes)])
     return 0
 
 
@@ -161,9 +156,8 @@ def cmd_table(args) -> int:
             for n, v in rows
         ]))
     elif args.format == "csv":
-        out = [("n", "V", "V_float")]
-        out.extend((n, str(v), measure.float_val(v)) for n, v in rows)
-        sys.stdout.write(_csv_text(out))
+        _write_csv([("n", "V", "V_float"),
+                    *((n, str(v), measure.float_val(v)) for n, v in rows)])
     else:
         width = max(len(str(v)) for _, v in rows)
         for n, v in rows:
@@ -188,7 +182,7 @@ def cmd_enumerate(args) -> int:
         rows = [["set", *data[0]["nodes"][0]]]
         for index, entry in enumerate(data, start=1):
             rows.extend([index, *node.values()] for node in entry["nodes"])
-        sys.stdout.write(_csv_text(rows))
+        _write_csv(rows)
     return 0
 
 

@@ -14,7 +14,7 @@ optimal sets of each size follow from the blocks (``_layers``), and one
 depth-first walk builds a set in canonical order (``_walk``).
 ``GenerationState`` runs the induction step by step, as the tests'
 reference.  A node is one integer record: its region's kind and word and
-four integers (M, a, dn, c), split by one rule (``children``).  Its
+three integers (M, a, dn), split by one rule (``children``).  Its
 endpoints, centroid and mass are integers over 2^a or 7 * 2^a, and its
 error is V times an integer over 9 * 8^a, so the structural audit and the
 serialisation work on integers over one power of two; a Fraction is built
@@ -51,13 +51,16 @@ class CapExceeded(RuntimeError):
 # S_w(20/7).  Node's properties and the audit both read this table.
 _OFFSETS = {CLOSED: (0, 4, 1), TAIL: (2, 20, 4)}
 
+# A region of mass 3^c' / 2^a has M = 9 * 3^c' (cylinder) or 43 * 3^c' (tail).
+_MASS_BASE = {CLOSED: 9, TAIL: 43}
+
 
 class Node(NamedTuple):
     """A frontier element: a region's kind and word, and its exact integers.
 
     For a word w with a = sum(w) + len(w), the composed map is
-    S_w(x) = (x + dn) / 2^a, the cylinder mass is 3^c / 2^a (c counts the
-    letters other than 1) and the region's error is V * M / (9 * 2^(3a)).
+    S_w(x) = (x + dn) / 2^a, the region's error is V * M / (9 * 2^(3a))
+    and its mass (M // 9) / 2^a for a cylinder, (M // 43) / 2^a for a tail.
     The rationals are built from these integers each time they are read;
     the audit and serialisation read the integers instead.  Equal regions
     have equal integers, so equality, hashing and order amount to region
@@ -70,7 +73,6 @@ class Node(NamedTuple):
     m: int
     a: int
     dn: int
-    c: int
 
     @property
     def error(self) -> Fraction:
@@ -96,17 +98,12 @@ class Node(NamedTuple):
     @property
     def mass(self) -> Fraction:
         """P-mass of the region: a tail after letter 1 holds 3 times p_w."""
-        return Fraction(3**_mass_exponent(self.kind, self.word, self.c), 1 << self.a)
-
-
-def _mass_exponent(kind: str, word: Word, c: int) -> int:
-    """The c' of the region mass 3^c' / 2^a: c, plus 1 for a tail after letter 1."""
-    return c + (kind == TAIL and word[-1] == 1)
+        return Fraction(self.m // _MASS_BASE[self.kind], 1 << self.a)
 
 
 def root_node() -> Node:
     """The whole-support node: one point at the global mean."""
-    return Node(CLOSED, (), 9, 0, 0, 0)
+    return Node(CLOSED, (), 9, 0, 0)
 
 
 def make_node(region: Region) -> Node:
@@ -116,12 +113,12 @@ def make_node(region: Region) -> Node:
     for j in word:  # S_{w.j}(0) = S_w(1 - 2^(1-j))
         a += j + 1
         dn = ((dn + 1) << (j + 1)) - 4
-    c = count_non_ones(word)
+    m = 3**count_non_ones(word)
     if region.kind == CLOSED:
-        m = 9 * 3**c
+        m *= 9
     else:
-        m = (129 if word[-1] == 1 else 43) * 3**c
-    return Node(region.kind, word, m, a, dn, c)
+        m *= 129 if word[-1] == 1 else 43
+    return Node(region.kind, word, m, a, dn)
 
 
 def children(node: Node) -> tuple[Node, Node]:
@@ -130,16 +127,14 @@ def children(node: Node) -> tuple[Node, Node]:
     The error quotients M'/(M * 2^(3(a'-a))) are 1/64 and 43/192 for a
     cylinder, 9/344 and 1/8 for a tail.
     """
-    kind, word, m, a, dn, c = node
+    kind, word, m, a, dn = node
     if kind == CLOSED:
         word += (1,)
-        return (Node(CLOSED, word, m, a + 2, 4 * dn, c),
-                Node(TAIL, word, 43 * (m // 3), a + 2, 4 * dn, c))
-    j = word[-1]
-    word = word[:-1] + (j + 1,)
-    c += j == 1
-    return (Node(CLOSED, word, 9 * (m // 43), a + 1, 2 * dn + 4, c),
-            Node(TAIL, word, m, a + 1, 2 * dn + 4, c))
+        return (Node(CLOSED, word, m, a + 2, 4 * dn),
+                Node(TAIL, word, 43 * (m // 3), a + 2, 4 * dn))
+    word = word[:-1] + (word[-1] + 1,)
+    return (Node(CLOSED, word, 9 * (m // 43), a + 1, 2 * dn + 4),
+            Node(TAIL, word, m, a + 1, 2 * dn + 4))
 
 
 # The walk's own name for the split rule: a tracer that wraps ``children``
@@ -395,21 +390,27 @@ def count_optimal_sets(n: int) -> int:
     """Number of distinct optimal n-point sets: binomial(m, r) of its block.
 
     Raises CapExceeded naming n when the count has more than COUNT_DIGITS
-    digits.  With k = min(r, m - r) >= 1, Stirling's series puts
+    digits, at any n.  With k = min(r, m - r), binomial(m, k) >= 2^k
+    settles k >= 4 * COUNT_DIGITS.  Below that, Stirling's series puts
     ln binomial(m, k) within 1/6 of k ln(m/k) + (m - k) ln(m/(m - k))
-    + ln(m / (2 pi k (m - k))) / 2, so that settles it unless the count
-    lies within a factor 1.3 of 10^COUNT_DIGITS; only then is it built
+    + ln(m / (2 pi k (m - k))) / 2, taken with logarithms of integers and
+    of 1 - k/m so that no float overflows; that settles it unless the count
+    lies within a factor 1.3 of 10^COUNT_DIGITS, and only then is it built
     and compared.
     """
     _, block, r, _ = next(_layers(n, n))
     m, k = block.m, min(r, block.m - r)
-    if k:
-        log10_count = (k * log(m / k) - (m - k) * log1p(-k / m)
-                       + log(m / (2 * pi * k * (m - k))) / 2) / log(10)
-        if log10_count > COUNT_DIGITS + 0.1 or (
-                log10_count > COUNT_DIGITS - 0.1 and comb(m, k) >= 10**COUNT_DIGITS):
-            raise CapExceeded(
-                f"number of optimal sets has more than {COUNT_DIGITS} digits at n={n}")
+    too_many = k >= 4 * COUNT_DIGITS
+    if k and not too_many:
+        x = k / m  # (m - k) ln(m/(m - k)) is k (1 - x) ln(1/(1 - x)) / x, or k at x = 0
+        other = k if x == 0 else -k * (1 - x) * log1p(-x) / x
+        log10_count = (k * (log(m) - log(k)) + other
+                       - (log(2 * pi * k) + log1p(-x)) / 2) / log(10)
+        too_many = log10_count > COUNT_DIGITS + 0.1 or (
+            log10_count > COUNT_DIGITS - 0.1 and comb(m, k) >= 10**COUNT_DIGITS)
+    if too_many:
+        raise CapExceeded(
+            f"number of optimal sets has more than {COUNT_DIGITS} digits at n={n}")
     return comb(m, k)
 
 
@@ -534,12 +535,12 @@ def validate_structure(q: QuantizerSet) -> StructureReport:
     top = max((node.a for node in nodes), default=0)
     lefts, rights, points = [], [], []
     mass_sum = mean_sum = error_sum = 0
-    for kind, word, m, a, dn, c in nodes:
+    for kind, _, m, a, dn in nodes:
         off_l, off_c, off_r = _OFFSETS[kind]
         shift = top - a
         dn *= 7
         x = (dn + off_c) << shift
-        mass = 3**_mass_exponent(kind, word, c) << shift
+        mass = m // _MASS_BASE[kind] << shift
         lefts.append((dn + 7 * off_l) << shift)
         rights.append((dn + 7 * off_r) << shift)
         points.append(x)
@@ -612,7 +613,7 @@ def quantizer_set_to_dict(q: QuantizerSet) -> dict:
     }
     spec = measure.FLOAT_SPEC
     nodes = data["nodes"] = []
-    for kind, word, m, a, dn, _ in q.nodes:
+    for kind, word, m, a, dn in q.nodes:
         num, den = _centroid_terms(kind, a, dn)
         nodes.append({
             "word": render(word),

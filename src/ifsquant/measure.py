@@ -210,44 +210,27 @@ def tail_error_series(w: Word, terms: int) -> Fraction:
     the tail centroid.  Nondecreasing in ``terms`` and converging to
     node_error of the tail region; kept as an independent cross-check of
     the closed-form factors.
+
+    Each sibling halves the mass, the scale and the step of its mean
+    towards S_parent(1).  With p and s the first sibling's mass and scale,
+    A = S_parent(1) - centroid and B = s_parent * (4 - 4/7) / 2^(last + 2),
+    term i is p * ((s^2 V + B^2) / 8^(i-1) + A^2 / 2^(i-1) - 2AB / 4^(i-1)),
+    so the partial sum is three finite geometric sums.
     """
     if not w:
         raise ValueError("tail series requires a nonempty word")
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
-    target = centroid(Region(TAIL, w))
-    base = parent(w)
-    base_scale, base_shift = scale_word(base), apply_map(base, Fraction(0))
-    first = last(w) + 1
-    # First-sibling quantities; successive siblings halve the mass and the
-    # mean step and quarter the squared scale, exactly.
-    prob = prob_word(base) * prob_letter(first)
-    scale = base_scale * scale_letter(first)
-    diff = base_scale * (
-        MEAN * scale_letter(first) + 1 - Fraction(1, 1 << (first - 1))
-    ) + base_shift - target
-    step = base_scale * Fraction(6, 7 << first)
-    # The loop runs on integers: with the first sibling's scale 1/2^b and
-    # k = b + terms, mean offsets are integers over 7*2^k, squared scales
-    # times VARIANCE integers over 3577*4^k (3577 = 7^2 * 73), and masses
-    # integers over 2^terms times the first mass's denominator.
-    k = scale.denominator.bit_length() - 1 + terms
-    p = prob.numerator << terms
-    var = VARIANCE.numerator << (2 * terms)
-    d = diff.numerator * (7 << k) // diff.denominator
-    st = step.numerator * (7 << k) // step.denominator
-    per_49 = VARIANCE.denominator // 49
-    total = 0
-    for i in range(terms):
-        if i:
-            p >>= 1
-            var >>= 2
-            d += st
-            st >>= 1
-        total += p * (var + per_49 * d * d)
-    return Fraction(
-        total, (prob.denominator << terms) * (VARIANCE.denominator << (2 * k))
-    )
+    first, base = successor(w), parent(w)
+    s = scale_word(first)
+    a = apply_map(base, Fraction(1)) - centroid(Region(TAIL, w))
+    b = scale_word(base) * Fraction(6, 7 << last(w))
+
+    def geometric(q: int) -> Fraction:  # the sum of q^-(i-1) over i <= terms
+        return Fraction(q**terms - 1, (q - 1) * q ** (terms - 1))
+
+    return prob_word(first) * ((s * s * VARIANCE + b * b) * geometric(8)
+                               + a * a * geometric(2) - 2 * a * b * geometric(4))
 
 
 def distortion(r: Region, x0: Fraction) -> Fraction:

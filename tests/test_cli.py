@@ -207,6 +207,16 @@ def test_count_past_the_digit_limit_exits_1(capsys):
         assert f"n={n}" in err
 
 
+def test_count_past_the_digit_limit_at_any_block_size(monkeypatch, capsys):
+    # A tie block of 10^400 nodes, past any float: one error line, exit 1.
+    m = 10**400
+    monkeypatch.setattr(engine, "_layers", lambda n_lo, n_hi: iter(
+        [(n_lo, engine.Block("tail", 43, 0, m), m // 3, Fraction(0))]))
+    code, out, err = run(capsys, "count", "--n", "7")
+    assert (code, out) == (1, "")
+    assert err == "error: number of optimal sets has more than 100000 digits at n=7\n"
+
+
 def test_table_at_extreme_n(capsys):
     code, out, _ = run(capsys, "table", "--from", "1000000000000",
                        "--to", "1000000000002", "--format", "json")
@@ -381,6 +391,27 @@ def test_oracle_lloyd(capsys):
     assert code == 0
     assert "lloyd centers:" in out
     assert "exact centroids: 1/7 5/7" in out
+
+
+def test_oracle_lloyd_json_matches_text(capsys):
+    argv = ("oracle-lloyd", "--n", "3", "--samples", "20000", "--depth", "16",
+            "--threads", "1")
+    code, text_out, _ = run(capsys, *argv)
+    assert code == 0
+    code, json_out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(json_out)
+    assert list(payload) == [
+        "k", "lloyd_centers", "lloyd_distortion", "lloyd_iterations",
+        "dp_centers", "dp_distortion", "exact_centroids",
+        "lloyd_max_deviation", "dp_max_deviation"]
+    assert payload["k"] == 3
+    assert len(payload["lloyd_centers"]) == len(payload["dp_centers"]) == 3
+    (line,) = [line for line in text_out.splitlines()
+               if line.startswith("exact centroids: ")]
+    assert payload["exact_centroids"] == line.split(": ")[1].split()
+    assert payload["exact_centroids"] == [
+        str(x) for x in engine.optimal_set(3).points()]
 
 
 @pytest.mark.parametrize("argv", [

@@ -44,8 +44,7 @@ def _region(node):
 
 
 def _fields(node):
-    return (node.kind, node.word, node.m, node.a, node.dn, node.c, node.error,
-            node.centroid)
+    return (node.kind, node.word, node.m, node.a, node.dn, node.error, node.centroid)
 
 
 def test_children_of_root():
@@ -66,7 +65,6 @@ def test_children_of_tail():
 def _assert_matches_measure(node):
     region = _region(node)
     scale = F(1, 1 << node.a)
-    assert 3**node.c * scale == measure.prob_word(region.word)
     assert scale == measure.scale_word(region.word)
     assert node.dn * scale == measure.apply_map(region.word, F(0))
     assert node.error == measure.node_error(region)
@@ -181,6 +179,8 @@ def test_enumerate_cap_reports_layer():
     with pytest.raises(CapExceeded, match="n=71"):
         enumerate_optimal_sets(71, cap=1000)
     assert len(enumerate_optimal_sets(77, cap=1000)) == 14
+    with pytest.raises(ValueError, match="cap must be >= 1, got 0"):
+        enumerate_optimal_sets(2, cap=0)
 
 
 def test_cap_check_agrees_with_the_binomial():
@@ -196,6 +196,26 @@ def test_count_refuses_past_the_digit_limit():
     for n in (10**7, 10**9, 10**12):
         with pytest.raises(CapExceeded, match=f"n={n}"):
             count_optimal_sets(n)
+
+
+@pytest.mark.parametrize("m, r, digits", [
+    (10**200, 10**200 // 3, None),
+    (10**400, 10**400 // 3, None),
+    (10**400, 300, None),  # Stirling's estimate: about 1.2*10^5 digits
+    (10**400, 250, 99_508),
+    (10**400, 1, 401),
+], ids=["10^200-third", "10^400-third", "10^400-300", "10^400-250", "10^400-1"])
+def test_count_digit_check_holds_at_any_block_size(monkeypatch, m, r, digits):
+    # 2*pi*k*(m - k) has no float past m = 10^154, nor m itself past 10^308;
+    # one fake block stands for a layer that no quick walk reaches.
+    monkeypatch.setattr(engine, "_layers", lambda n_lo, n_hi: iter(
+        [(n_lo, engine.Block(TAIL, 43, 0, m), r, F(0))]))
+    if digits is None:
+        with pytest.raises(CapExceeded, match="digits at n=7$"):
+            count_optimal_sets(7)
+    else:
+        count = count_optimal_sets(7)
+        assert count == math.comb(m, r) and 10**(digits - 1) <= count < 10**digits
 
 
 @pytest.mark.parametrize("limit", [2, 3, 5, 10, 20, 40])
@@ -278,6 +298,8 @@ def test_transition_graph_cap():
     # cap at n=18.
     with pytest.raises(CapExceeded, match="n=18"):
         transition_graph(15, 18, cap=7)
+    with pytest.raises(ValueError, match="cap must be >= 1, got 0"):
+        transition_graph(2, 3, cap=0)
 
 
 def test_transition_graph_dot_layout():
@@ -337,12 +359,12 @@ _ERROR = "total error differs from the node error sum"
     # a = 4, dn = 2 shrinks the tail onto [1/4, 3/8] with centroid 17/56:
     # the midpoint with the cylinder's 1/7 falls below the cylinder's 1/4.
     (2, lambda q: _replaced(q, 1, a=4, dn=2), (_VORONOI, _MASS, _MEAN, _ERROR)),
-    (3, lambda q: _replaced(q, 1, c=2), (_MASS, _MEAN)),
     (3, lambda q: _replaced(q, 1, dn=3), (_MEAN,)),
-    (3, lambda q: _replaced(q, 2, m=43), (_ERROR,)),
+    # The tail of 2 has M = 43 * 3: M = 43 also reads a third of its mass.
+    (3, lambda q: _replaced(q, 2, m=43), (_MASS, _MEAN, _ERROR)),
     (3, lambda q: QuantizerSet(q.nodes, q.n, q.v / 2), (_ERROR,)),
-], ids=["n", "dropped", "dropped-n", "swapped", "moved-right", "moved-left", "c",
-        "dn", "m", "v"])
+], ids=["n", "dropped", "dropped-n", "swapped", "moved-right", "moved-left", "dn",
+        "m", "v"])
 def test_validate_structure_catches_each_tampering(n, tamper, expected):
     # optimal_set(3) is cylinder 1, cylinder 2 and the tail of 2.
     broken = tamper(optimal_set(n))
@@ -379,8 +401,7 @@ def _audited_sets(draw):
         node = nodes[i]
         fields = {"m": node.m + draw(st.integers(-2, 2)),
                   "a": max(0, node.a + draw(st.integers(-2, 2))),
-                  "dn": node.dn + draw(st.integers(-3, 3)),
-                  "c": max(0, node.c + draw(st.integers(-1, 1)))}
+                  "dn": node.dn + draw(st.integers(-3, 3))}
         if node.kind == TAIL and draw(st.booleans()):
             fields["kind"] = CLOSED
         nodes[i] = node._replace(**draw(st.sampled_from(

@@ -224,6 +224,28 @@ def test_tail_error_series_is_the_sibling_sum():
         assert tail_error_series(w, terms) == expected, (w, terms)
 
 
+def test_tail_error_series_rejects_bad_input():
+    with pytest.raises(ValueError, match="nonempty word"):
+        tail_error_series((), 5)
+    with pytest.raises(ValueError, match="terms must be >= 1"):
+        tail_error_series((2,), 0)
+
+
+@pytest.mark.parametrize("name, shift, message", [
+    ("MEAN", F(1, 10**6), "mean fixed-point"),
+    ("SECOND_MOMENT", F(1, 10**6), "second-moment fixed-point"),
+    ("VARIANCE", F(1, 10**6), "variance identity"),
+    # The series must still tell a factor off by 10^-6 from the true one.
+    ("TAIL_FACTOR_OTHER", F(1, 10**6), "tail factor series"),
+    ("TAIL_FACTOR_LAST1", F(-1, 10**6), "tail factor series"),
+], ids=["mean", "second-moment", "variance", "factor-other", "factor-last1"])
+def test_validate_constants_catches_each_wrong_constant(monkeypatch, name, shift,
+                                                       message):
+    monkeypatch.setattr(measure, name, getattr(measure, name) + shift)
+    with pytest.raises(AssertionError, match=message):
+        validate_constants()
+
+
 def test_tail_error_series_monotone():
     w = (2, 1)
     previous = F(0)

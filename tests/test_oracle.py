@@ -414,3 +414,6 @@ def test_batch_io_rejects_garbage(tmp_path):
     path.write_bytes(b"IFSQSMP1" + (9).to_bytes(8, "little") + b"\x00" * 16)
     with pytest.raises(ValueError):
         read_batch_values(path)
+    path.write_bytes(b"IFSQSMP1" + b"\x00" * 7)
+    with pytest.raises(ValueError, match="too short"):
+        read_batch_values(path)
