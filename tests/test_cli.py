@@ -211,7 +211,7 @@ def test_count_past_the_digit_limit_at_any_block_size(monkeypatch, capsys):
     # A tie block of 10^400 nodes, past any float: one error line, exit 1.
     m = 10**400
     monkeypatch.setattr(engine, "_layers", lambda n_lo, n_hi: iter(
-        [(n_lo, engine.Block("tail", 43, 0, m), m // 3, Fraction(0))]))
+        [(n_lo, engine.Block(engine.TAIL, 43, 0, m), m // 3, Fraction(0))]))
     code, out, err = run(capsys, "count", "--n", "7")
     assert (code, out) == (1, "")
     assert err == "error: number of optimal sets has more than 100000 digits at n=7\n"
