@@ -18,7 +18,7 @@ import sys
 
 from . import engine, exact_oracle, golden, measure
 from .measure import float_str
-from .words import render
+from .words import render  # noqa: F401  (perfbench/tracing.py wraps cli.render)
 
 DEFAULT_SAMPLES = 10**6
 
@@ -127,9 +127,10 @@ def main(argv=None) -> int:
         return 1
 
 
-def _write_csv(rows) -> None:
-    csv.writer(sys.stdout, lineterminator="\n",
-               quoting=csv.QUOTE_NONNUMERIC).writerows(rows)
+def _write_csv(header, rows) -> None:
+    writer = csv.writer(sys.stdout, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def cmd_optimal(args) -> int:
@@ -144,7 +145,7 @@ def cmd_optimal(args) -> int:
         print(json.dumps(data))
     else:  # one row per node entry of the JSON form, its keys the header
         nodes = data["nodes"]
-        _write_csv([list(nodes[0]), *(node.values() for node in nodes)])
+        _write_csv(nodes[0], (node.values() for node in nodes))
     return 0
 
 
@@ -156,8 +157,8 @@ def cmd_table(args) -> int:
             for n, v in rows
         ]))
     elif args.format == "csv":
-        _write_csv([("n", "V", "V_float"),
-                    *((n, str(v), measure.float_val(v)) for n, v in rows)])
+        _write_csv(("n", "V", "V_float"),
+                   ((n, str(v), measure.float_val(v)) for n, v in rows))
     else:
         width = max(len(str(v)) for _, v in rows)
         for n, v in rows:
@@ -166,23 +167,24 @@ def cmd_table(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    # A layer's sets share their nodes, so every form looks each node's
+    # text up in a NodeMemo made for this call.
     sets = engine.enumerate_optimal_sets(args.n, cap=args.cap)
     if args.format == "text":
         print(f"n = {args.n}")
         print(f"count = {len(sets)}")
         print(f"V = {sets[0].v}")
+        names = engine.NodeMemo(engine.node_name)
         for index, q in enumerate(sets, start=1):
-            names = " ".join(f"{kind}:{render(w)}" for kind, w in q.signature())
-            print(f"set {index}: {names}")
-        return 0
-    data = [engine.quantizer_set_to_dict(q) for q in sets]
-    if args.format == "json":
-        print(json.dumps(data))
+            print(f"set {index}: {' '.join(map(names.__getitem__, q.nodes))}")
+    elif args.format == "json":
+        sys.stdout.writelines(engine.quantizer_sets_json(sets))
+        print()
     else:  # as for optimal, each row led by the set's index
-        rows = [["set", *data[0]["nodes"][0]]]
-        for index, entry in enumerate(data, start=1):
-            rows.extend([index, *node.values()] for node in entry["nodes"])
-        _write_csv(rows)
+        entries = engine.NodeMemo(engine.node_entry)
+        _write_csv(["set", *entries[sets[0].nodes[0]]],
+                   ([index, *entries[node].values()]
+                    for index, q in enumerate(sets, start=1) for node in q.nodes))
     return 0
 
 

@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import functools
 import heapq
+import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from math import comb, log, log1p, pi
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import measure
 from .measure import CLOSED, TAIL, MEAN, VARIANCE, Region
@@ -231,10 +232,11 @@ def _block_table(depth: int) -> list[tuple[int, int, int, Block]]:
     has M = 43 * 3^c and holds the tails whose last letter is 1 with c - 1
     other letters and the other tails with c; 43 is not a power of 3, so
     cylinders never tie tails.  Blocks are sorted on the key
-    M * 8^(depth - a), and only keys above 129 * 3^(depth//3 + 1) / 8 are
-    kept: no deeper node reaches it.  Rows are (splits to the end of the
-    block, error dropped before it, error dropped per split, block), the
-    errors in units of V / (37152 * 8^depth).
+    M * 8^(depth - a); only blocks that hold words and have keys above
+    129 * 3^(depth//3 + 1) / 8 are built, as no deeper node reaches that.
+    Rows are (splits to the end of the block, error dropped before it,
+    error dropped per split, block), the errors in units of
+    V / (37152 * 8^depth).
     """
     bound = 129 * 3 ** (depth // 3 + 1) // 8
     width = depth // 3 + 2
@@ -249,17 +251,19 @@ def _block_table(depth: int) -> list[tuple[int, int, int, Block]]:
             cyl.append([below[0]] + [x + y for x, y in zip(below[1:], run)])
         shift = 3 * (depth - a)
         for c in range(width):
-            keyed.append((9 * 3**c << shift, Block(CLOSED, 9 * 3**c, a, cyl[a][c])))
+            m, key = cyl[a][c], 9 * 3**c << shift
+            if key > bound and m:
+                keyed.append((key, Block(CLOSED, 9 * 3**c, a, m)))
             if c:
-                keyed.append((43 * 3**c << shift,
-                              Block(TAIL, 43 * 3**c, a, below[c - 1] + run[c - 1])))
+                m, key = below[c - 1] + run[c - 1], 43 * 3**c << shift
+                if key > bound and m:
+                    keyed.append((key, Block(TAIL, 43 * 3**c, a, m)))
     rows, end, dropped = [], 0, 0
     for key, block in sorted(keyed, reverse=True):
-        if key > bound and block.m:
-            step = key * _DROP[block.kind]
-            end += block.m
-            rows.append((end, dropped, step, block))
-            dropped += block.m * step
+        step = key * _DROP[block.kind]
+        end += block.m
+        rows.append((end, dropped, step, block))
+        dropped += block.m * step
     return rows
 
 
@@ -485,7 +489,9 @@ def transition_graph_dot(graph: TransitionGraph) -> str:
 
 
 def transition_graph_to_dict(graph: TransitionGraph) -> dict:
-    """JSON-ready adjacency form of the graph."""
+    """JSON-ready adjacency form of the graph; each distinct node is named
+    once, through a ``NodeMemo``."""
+    names = NodeMemo(node_name)
     return {
         "n_lo": graph.n_lo,
         "n_hi": graph.n_lo + len(graph.layers) - 1,
@@ -496,7 +502,7 @@ def transition_graph_to_dict(graph: TransitionGraph) -> dict:
                 "index": index,
                 "V": str(q.v),
                 "V_float": measure.float_val(q.v),
-                "nodes": [f"{node.kind}:{render(node.word)}" for node in q.nodes],
+                "nodes": list(map(names.__getitem__, q.nodes)),
             }
             for layer in graph.layers
             for index, q in enumerate(layer, start=1)
@@ -598,28 +604,81 @@ def _error_str(m: int, a: int) -> str:
     return f"{32 * m >> shift}/{3577 << (3 * a - shift)}"
 
 
-def quantizer_set_to_dict(q: QuantizerSet) -> dict:
-    """JSON-ready form of a quantizer set; exact strings plus float hints.
+def node_entry(node: Node) -> dict:
+    """The one formatting rule for a node: its JSON-ready entry.
 
-    Node strings are formatted from the integers with their common factor
-    known in advance, and equal the strings of the reduced Fractions; a
+    Strings are formatted from the integers with their common factor known
+    in advance, and equal the strings of the reduced Fractions; the
     centroid's float is the same correctly rounded integer division that
-    ``float(Fraction)`` performs.
+    ``float(Fraction)`` performs.  Every JSON and CSV form of a node is
+    this entry, built per node by ``quantizer_set_to_dict`` and once per
+    distinct node through a ``NodeMemo``.
     """
-    data = {
+    kind, word, m, a, dn = node
+    num, den = _centroid_terms(kind, a, dn)
+    return {
+        "word": render(word),
+        "kind": kind,
+        "centroid": f"{num}/{den}",
+        "centroid_float": float(format(num / den, measure.FLOAT_SPEC)),
+        "error": _error_str(m, a),
+    }
+
+
+def node_name(node: Node) -> str:
+    """A node's name "kind:word", as the text and tree forms print it."""
+    return f"{node.kind}:{render(node.word)}"
+
+
+class NodeMemo(dict):
+    """Each distinct node's form, made by ``format_node`` on first lookup.
+
+    The optimal sets of a layer share their nodes: the 3432 sets of layer
+    71 hold 243 672 node entries of 92 distinct nodes.  So a command that
+    prints many sets looks every node up here and formats each distinct
+    node once.  The memo formats nothing itself: ``format_node`` is the
+    one formatting rule ``node_entry`` (or its ``json.dumps`` text), or
+    ``node_name``.  Make one per command run and drop it with the run, as
+    it keeps every node it has seen.
+    """
+
+    def __init__(self, format_node: Callable[[Node], object]) -> None:
+        super().__init__()
+        self.format_node = format_node
+
+    def __missing__(self, node: Node) -> object:
+        form = self[node] = self.format_node(node)
+        return form
+
+
+def quantizer_set_to_dict(q: QuantizerSet) -> dict:
+    """JSON-ready form of a quantizer set: n, V, V's float hint and the
+    ``node_entry`` of each node."""
+    return {
         "n": q.n,
         "V": str(q.v),
         "V_float": measure.float_val(q.v),
+        "nodes": list(map(node_entry, q.nodes)),
     }
-    spec = measure.FLOAT_SPEC
-    nodes = data["nodes"] = []
-    for kind, word, m, a, dn in q.nodes:
-        num, den = _centroid_terms(kind, a, dn)
-        nodes.append({
-            "word": render(word),
-            "kind": kind,
-            "centroid": f"{num}/{den}",
-            "centroid_float": float(format(num / den, spec)),
-            "error": _error_str(m, a),
-        })
-    return data
+
+
+def quantizer_sets_json(sets: Iterable[QuantizerSet]) -> Iterator[str]:
+    """``json.dumps([quantizer_set_to_dict(q) for q in sets])``, in pieces.
+
+    ``json.dumps`` encodes each distinct node's entry once, and its text is
+    reused in every set that holds the node.  Only the set wrapper is
+    written here, with json's separators and its float by ``repr``, as
+    ``json`` writes it; the wrapper is rebuilt when n or V changes, so once
+    per layer.  One piece per set, to be written as it is made.
+    """
+    texts = NodeMemo(lambda node: json.dumps(node_entry(node)))
+    layer, head, sep = None, "", ""
+    yield "["
+    for q in sets:
+        if (q.n, q.v) != layer:
+            layer = q.n, q.v
+            head = (f'{{"n": {q.n}, "V": "{q.v}", '
+                    f'"V_float": {measure.float_val(q.v)!r}, "nodes": [')
+        yield f'{sep}{head}{", ".join(map(texts.__getitem__, q.nodes))}]}}'
+        sep = ", "
+    yield "]"

@@ -10,7 +10,9 @@ the integer forms against them:
 - ``quantizer_set_from_dict`` rebuilds a set from its JSON form and checks
   every exact string against the node's ``Fraction`` values;
 - ``branch_decomposition`` re-derives a set's total error recursively,
-  branch by branch from the first letter, with the measure's formulas.
+  branch by branch from the first letter, with the measure's formulas;
+- ``block_table_reference`` builds every block of a depth, sorts them all
+  and only then drops the ones ``engine._block_table`` never builds.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ifsquant import measure
-from ifsquant.engine import QuantizerSet, StructureReport, make_node
+from ifsquant.engine import _DROP, Block, QuantizerSet, StructureReport, make_node
 from ifsquant.measure import CLOSED, MEAN, TAIL, VARIANCE, Region
 from ifsquant.words import Word, parse, render
 
@@ -136,3 +138,34 @@ def branch_decomposition(q: QuantizerSet) -> BranchDecomposition:
     if _frontier_value(sig) != q.v:
         raise ValueError("recursive error evaluation does not match the set total")
     return BranchDecomposition(k, counts)
+
+
+def block_table_reference(depth: int) -> list[tuple[int, int, int, Block]]:
+    """``engine._block_table(depth)`` the long way: a block for every
+    (a, c) pair, all of them sorted on their key, and only then the ones
+    with no words or a key at or below the bound dropped."""
+    bound = 129 * 3 ** (depth // 3 + 1) // 8
+    width = depth // 3 + 2
+    cyl = [[1] + [0] * (width - 1)]
+    run = zero = [0] * width
+    keyed = []
+    for a in range(depth + 1):
+        if a >= 3:
+            run = [x + y for x, y in zip(run, cyl[a - 3])]
+        below = cyl[a - 2] if a >= 2 else zero
+        if a:
+            cyl.append([below[0]] + [x + y for x, y in zip(below[1:], run)])
+        shift = 3 * (depth - a)
+        for c in range(width):
+            keyed.append((9 * 3**c << shift, Block(CLOSED, 9 * 3**c, a, cyl[a][c])))
+            if c:
+                keyed.append((43 * 3**c << shift,
+                              Block(TAIL, 43 * 3**c, a, below[c - 1] + run[c - 1])))
+    rows, end, dropped = [], 0, 0
+    for key, block in sorted(keyed, reverse=True):
+        if key > bound and block.m:
+            step = key * _DROP[block.kind]
+            end += block.m
+            rows.append((end, dropped, step, block))
+            dropped += block.m * step
+    return rows

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -8,10 +10,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ifsquant import engine, exact_oracle, golden, oracle
 from ifsquant.cli import main
 from ifsquant.measure import Region
+from ifsquant.words import render
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -127,6 +131,84 @@ def test_tree_json_adjacency(capsys):
     data = json.loads(out)
     assert data["edges"] == [["a_{2,1}", "a_{3,1}"]]
     assert data["vertices"][0]["nodes"] == ["closed:1", "tail:1"]
+
+
+def _stdout(*argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(list(argv)) == 0
+    return buf.getvalue()
+
+
+def _names(q):
+    return [f"{kind}:{render(word)}" for kind, word in q.signature()]
+
+
+# Most sets a property test below builds per example: layer 67's 364.  The
+# reference forms of layers 68 to 74 take up to seconds each, and the
+# output of the largest, layer 71, is pinned by digest instead.
+SMALL_CAP = 364
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 90))
+def test_enumerate_node_memo_matches_the_dict_forms(n):
+    # Each form formats a distinct node once and reuses its text; every
+    # form must equal the one built from quantizer_set_to_dict set by set.
+    assume(engine.count_optimal_sets(n) <= SMALL_CAP)
+    sets = engine.enumerate_optimal_sets(n)
+    data = [engine.quantizer_set_to_dict(q) for q in sets]
+    expected = json.dumps(data)
+    assert "".join(engine.quantizer_sets_json(sets)) == expected
+    assert _stdout("enumerate", "--n", str(n), "--format", "json") == expected + "\n"
+    lines = _stdout("enumerate", "--n", str(n)).splitlines()
+    assert lines[3:] == [f"set {index}: {' '.join(_names(q))}"
+                         for index, q in enumerate(sets, start=1)]
+    rows = io.StringIO()
+    csv.writer(rows, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC).writerows(
+        [["set", *data[0]["nodes"][0]],
+         *([index, *node.values()] for index, entry in enumerate(data, start=1)
+           for node in entry["nodes"])])
+    assert _stdout("enumerate", "--n", str(n), "--format", "csv") == rows.getvalue()
+
+
+def test_quantizer_sets_json_of_no_sets_and_of_two_layers():
+    assert "".join(engine.quantizer_sets_json([])) == json.dumps([])
+    # The set wrapper follows n and V from one set to the next.
+    sets = [*engine.enumerate_optimal_sets(16), engine.optimal_set(17),
+            engine.optimal_set(16)]
+    assert "".join(engine.quantizer_sets_json(sets)) \
+        == json.dumps([engine.quantizer_set_to_dict(q) for q in sets])
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 90), st.integers(0, 5))
+def test_tree_json_node_names_match_the_signatures(n_lo, width):
+    try:
+        graph = engine.transition_graph(n_lo, n_lo + width, cap=SMALL_CAP)
+    except engine.CapExceeded:
+        assume(False)
+    data = engine.transition_graph_to_dict(graph)
+    out = _stdout("tree", "--from", str(n_lo), "--to", str(n_lo + width),
+                  "--format", "json")
+    assert out == json.dumps(data) + "\n"
+    assert [vertex["nodes"] for vertex in data["vertices"]] \
+        == [_names(q) for layer in graph.layers for q in layer]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_node_memo_lives_for_one_call(monkeypatch, capsys, fmt):
+    formatted = []
+    node_entry = engine.node_entry
+    monkeypatch.setattr(engine, "node_entry",
+                        lambda node: formatted.append(node) or node_entry(node))
+    distinct = {node for q in engine.enumerate_optimal_sets(16) for node in q.nodes}
+    assert len(distinct) < 3 * 16
+    for calls in (1, 2):
+        assert run(capsys, "enumerate", "--n", "16", "--format", fmt)[0] == 0
+        # Each call formats every distinct node once, the second one again.
+        assert len(formatted) == calls * len(distinct)
+        assert set(formatted[-len(distinct):]) == distinct
 
 
 def test_usage_errors_exit_2(capsys):

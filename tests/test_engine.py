@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bfs_reference import REFERENCE_N, reference_graph, reference_sets
-from exact_reference import branch_decomposition, fraction_audit, quantizer_set_from_dict
+from exact_reference import (
+    block_table_reference,
+    branch_decomposition,
+    fraction_audit,
+    quantizer_set_from_dict,
+)
 from ifsquant import engine, golden, measure
 from ifsquant.engine import (
     CapExceeded,
@@ -515,6 +520,13 @@ def test_block_tables_agree_across_depths():
         deeper = engine._block_table(2 * depth)[:len(rows)]
         assert [(end, block) for end, _, _, block in rows] \
             == [(end, block) for end, _, _, block in deeper]
+
+
+@pytest.mark.parametrize("depth", [8, 16, 32, 64, 128, 256])
+def test_block_table_matches_build_all_then_filter(depth):
+    # The table builds only the blocks it keeps; keys are distinct, so the
+    # rows are those of sorting every block and dropping the rest after.
+    assert engine._block_table(depth) == block_table_reference(depth)
 
 
 def test_state_mass_and_mean_invariants():

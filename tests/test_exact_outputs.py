@@ -3,8 +3,9 @@
 Every exact operation of ``perfbench/workloads.py`` is run once and its own
 check applied: CLI operations must print, byte for byte, the stdout whose
 SHA-256 digest ``perfbench/expected.json`` records.  The benchmark's tracer
-must still find every function it wraps.  Every form of ``tree`` prints,
-byte for byte, the stdout whose SHA-256 digest is recorded below.
+must still find every function it wraps.  Every form of ``tree``, and the
+``enumerate`` calls below, print, byte for byte, the stdout whose SHA-256
+digest is recorded here.
 """
 
 import hashlib
@@ -80,8 +81,25 @@ def test_tracer_installs_and_restores():
      "8261238567bd913e8768dd68e890abab6b44adfc4022e1d5a43bf2b85aca53c9"),
     ("--from 60 --to 67 --format dot",
      "bc05ec39b627db6247b1bd66595d763740bf5af8af6c12eb326da338a455ab34"),
+    ("--from 60 --to 67 --format json",
+     "2981ce5e54f6e6bb320d93d33f31c4f3264d53e6d27d2dc201d7bcaf614fea31"),
 ])
 def test_tree_output_digest(capsys, argv, digest):
     assert main(["tree", *argv.split()]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Layer 71 holds the most sets below n = 90: 3432 sets of 71 nodes each.
+@pytest.mark.parametrize("argv, digest", [
+    ("--n 71",
+     "001591aeccbca6dd6211c619be4433d0b98de77254422d51ff64e7eb48955723"),
+    ("--n 71 --format json",
+     "52b9c49e7768aa99bf3966f48a67d66518eb32efb9f989e866877206ef6dffcf"),
+    ("--n 16 --format csv",
+     "a3c7975f3a4c4cfd685d39d4e7767d5cac72916c0826c58d05b6e43681f35d52"),
+])
+def test_enumerate_output_digest(capsys, argv, digest):
+    assert main(["enumerate", *argv.split()]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
