@@ -10,8 +10,11 @@ tree node of error above a threshold t and any r of the m nodes tied at t.
 
 Nothing replays the induction.  The tree nodes of one error form a block,
 sized by a count of words (``_block_table``); V_n and the binomial(m, r)
-optimal sets of each size follow from the blocks (``_layers``), and one
-depth-first walk builds a set in canonical order (``_walk``).
+optimal sets of each size follow from the blocks (``_layers``).  One
+depth-first walk builds the frontier above a block in canonical order and
+leaves the block's tied nodes unsplit (``_walk``), and one tie rule splices
+the children of the chosen tied nodes into it (``_splice``): the canonical
+set chooses the first r, and the enumeration every r of them.
 ``GenerationState`` runs the induction step by step, as the tests'
 reference.  A node is one integer record: its region's kind and word and
 three integers (M, a, dn), split by one rule (``children``).  Its
@@ -29,7 +32,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb, log, log1p, pi
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -65,8 +68,9 @@ class Node(NamedTuple):
     The rationals are built from these integers each time they are read;
     the audit and serialisation read the integers instead.  Equal regions
     have equal integers, so equality, hashing and order amount to region
-    identity, kind first.  Only ``children`` and ``make_node`` (from a
-    validated Region) build one, so nothing re-validates a record.
+    identity, kind first.  Only ``root_node``, ``children`` and
+    ``make_node`` (from a validated Region) build one, so nothing
+    re-validates a record.
     """
 
     kind: str
@@ -138,8 +142,8 @@ def children(node: Node) -> tuple[Node, Node]:
             Node(TAIL, word, m, a + 1, 2 * dn + 4))
 
 
-# The walk's own name for the split rule: a tracer that wraps ``children``
-# then counts only the tie-block splits of ``_layer_sets``.
+# The name ``_walk`` and ``optimal_set`` split through: a tracer that wraps
+# ``children`` then counts only the tied-node splits of ``_layer_sets``.
 _split = children
 
 
@@ -297,14 +301,14 @@ def _layers(n_lo: int, n_hi: int) -> Iterator[tuple[int, Block, int, Fraction]]:
                                     VARIANCE.denominator * scale)
 
 
-def _walk(block: Block, r: int) -> tuple[list[Node], list[int]]:
-    """The frontier that splits every node above ``block`` and its first r.
+def _walk(block: Block) -> tuple[list[Node], list[int]]:
+    """The frontier that splits every node above ``block`` and none in it.
 
     A depth-first walk from the root, cylinder child first, so the nodes
     come out in canonical left-to-right order with no sort.  A node is
-    split when its error is above the block's, or equal to it while fewer
-    than r tied nodes have been split.  Returns the frontier and the
-    positions in it of the tied nodes left unsplit.
+    split when its error is above the block's.  Returns the frontier and
+    the positions in it of the block's m tied nodes, all left unsplit;
+    ``_splice`` then splits the chosen ones.
     """
     m_t, a_t = block.M, block.a
     nodes, tied = [], []
@@ -312,8 +316,7 @@ def _walk(block: Block, r: int) -> tuple[list[Node], list[int]]:
     while stack:
         node = stack.pop()
         above = (node.m << 3 * a_t) - (m_t << 3 * node.a)
-        if above > 0 or (above == 0 and r):
-            r -= above == 0
+        if above > 0:
             stack += reversed(_split(node))  # the cylinder child on top
         else:
             if above == 0:
@@ -322,10 +325,34 @@ def _walk(block: Block, r: int) -> tuple[list[Node], list[int]]:
     return nodes, tied
 
 
+def _splice(nodes: list[Node], tied: list[int], chosen: Iterable[int],
+            halves: list[tuple[Node, Node]]) -> tuple[Node, ...]:
+    """The one tie rule: the frontier with tied node i split, for each i in
+    ``chosen``.
+
+    ``chosen`` holds indices into ``tied`` in increasing order, and
+    ``halves[i]`` is tied node i's pair of children.  A node's two children
+    cover its own region, closed child first, so they take its place in
+    the canonical order.  The nodes between chosen ones are copied as list
+    slices, so a set takes O(r) Python steps, not O(n).
+    """
+    parts, start = [], 0
+    for i in chosen:
+        slot = tied[i]
+        parts += nodes[start:slot]
+        parts += halves[i]
+        start = slot + 1
+    parts += nodes[start:]
+    return tuple(parts)
+
+
 def optimal_set(n: int) -> QuantizerSet:
-    """One canonical optimal n-point set (ties split at the leftmost region)."""
+    """One canonical optimal n-point set: the block's first r tied nodes
+    split, that is ties split at the leftmost region."""
     _, block, r, v = next(_layers(n, n))
-    return QuantizerSet(tuple(_walk(block, r)[0]), n, v)
+    nodes, tied = _walk(block)
+    halves = [_split(nodes[slot]) for slot in tied[:r]]
+    return QuantizerSet(_splice(nodes, tied, range(r), halves), n, v)
 
 
 def quantization_error(n: int) -> Fraction:
@@ -338,25 +365,21 @@ def _layer_sets(n: int, block: Block, r: int,
     """The optimal sets of one ``_layers`` item as (chosen, set) pairs.
 
     ``chosen`` holds the indices, in left-to-right order, of the split tied
-    nodes.  A node's two children cover its own region, closed child first,
-    so they take its place in the canonical order.  Pairs come in signature
-    order with no sort.  Two sets first differ at the first tied node one
-    splits and the other keeps.  A kept cylinder w sorts before its first
-    child, the cylinder w.1, whose word w prefixes; a kept tail sorts after
-    its first child, a cylinder, as "closed" < "tail".  So a tail block's
-    sets come in ``combinations`` order, and a cylinder block's in reverse.
+    nodes, and ``_splice`` builds each set from one walk.  Pairs come in
+    signature order with no sort.  Two sets first differ at the first tied
+    node one splits and the other keeps.  A kept cylinder w sorts before
+    its first child, the cylinder w.1, whose word w prefixes; a kept tail
+    sorts after its first child, a cylinder, as "closed" < "tail".  So a
+    tail block's sets come in ``combinations`` order, and a cylinder
+    block's in reverse.
     """
-    nodes, slots = _walk(block, 0)
-    pieces = [(node,) for node in nodes]
-    split = [children(nodes[slot]) for slot in slots]
-    chosen_sets = combinations(range(len(slots)), r)
+    nodes, tied = _walk(block)
+    halves = [children(nodes[slot]) for slot in tied]
+    chosen_sets = combinations(range(len(tied)), r)
     if block.kind == CLOSED:
         chosen_sets = reversed(list(chosen_sets))
     for chosen in chosen_sets:
-        parts = pieces.copy()
-        for i in chosen:
-            parts[slots[i]] = split[i]
-        yield chosen, QuantizerSet(tuple(chain.from_iterable(parts)), n, v)
+        yield chosen, QuantizerSet(_splice(nodes, tied, chosen, halves), n, v)
 
 
 def _exceeds(m: int, r: int, cap: int) -> bool:

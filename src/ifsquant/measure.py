@@ -13,8 +13,8 @@ of w collects all right siblings J_{w^-(last+i)}, i >= 1.
 The measure's functions take and return ``fractions.Fraction`` values, and
 no float enters them.  The two rendering helpers at the bottom write a
 decimal hint, for display beside an exact value, of a Fraction or of an
-oracle's float.  They are not the only ones: ``engine.quantizer_set_to_dict``
-formats its centroid hints with ``FLOAT_SPEC`` itself, and ``oracle-check``
+oracle's float.  They are not the only ones: ``engine.node_entry`` formats
+its centroid hints with ``FLOAT_SPEC`` itself, and ``oracle-check``
 prints its deviation and standard error to three significant figures.
 """
 
@@ -80,13 +80,6 @@ def prob_letter(j: int) -> Fraction:
     if j == 1:
         return Fraction(1, 4)
     return Fraction(3, 1 << (j + 1))
-
-
-def scale_letter(j: int) -> Fraction:
-    """Contraction ratio of map j: 1/2^(j+1)."""
-    if j < 1:
-        raise ValueError(f"letter must be >= 1, got {j}")
-    return Fraction(1, 1 << (j + 1))
 
 
 def prob_word(w: Word) -> Fraction:

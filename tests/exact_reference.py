@@ -12,7 +12,10 @@ the integer forms against them:
 - ``branch_decomposition`` re-derives a set's total error recursively,
   branch by branch from the first letter, with the measure's formulas;
 - ``block_table_reference`` builds every block of a depth, sorts them all
-  and only then drops the ones ``engine._block_table`` never builds.
+  and only then drops the ones ``engine._block_table`` never builds;
+- ``countdown_walk`` builds the canonical set in one walk that splits the
+  first r tied nodes as it meets them, where the engine walks once and
+  splices the tied nodes' children in after.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ifsquant import measure
-from ifsquant.engine import _DROP, Block, QuantizerSet, StructureReport, make_node
+from ifsquant.engine import (
+    _DROP, Block, Node, QuantizerSet, StructureReport, children, make_node, root_node,
+)
 from ifsquant.measure import CLOSED, MEAN, TAIL, VARIANCE, Region
 from ifsquant.words import Word, parse, render
 
@@ -115,7 +120,7 @@ def _frontier_value(sig: tuple[tuple[str, Word], ...]) -> Fraction:
     total = measure.node_error(Region(TAIL, (k,)))
     for j in range(1, k + 1):
         p = measure.prob_letter(j)
-        s = measure.scale_letter(j)
+        s = measure.scale_word((j,))
         total += p * s * s * _frontier_value(tuple(branches[j]))
     return total
 
@@ -169,3 +174,21 @@ def block_table_reference(depth: int) -> list[tuple[int, int, int, Block]]:
             rows.append((end, dropped, step, block))
             dropped += block.m * step
     return rows
+
+
+def countdown_walk(block: Block, r: int) -> list[Node]:
+    """The canonical frontier of a block with r of its nodes split, in one
+    depth-first walk: a node is split when its error is above the block's,
+    or equal to it while fewer than r tied nodes have been split."""
+    m_t, a_t = block.M, block.a
+    nodes = []
+    stack = [root_node()]
+    while stack:
+        node = stack.pop()
+        above = (node.m << 3 * a_t) - (m_t << 3 * node.a)
+        if above > 0 or (above == 0 and r):
+            r -= above == 0
+            stack += reversed(children(node))
+        else:
+            nodes.append(node)
+    return nodes

@@ -10,11 +10,13 @@ from bfs_reference import REFERENCE_N, reference_graph, reference_sets
 from exact_reference import (
     block_table_reference,
     branch_decomposition,
+    countdown_walk,
     fraction_audit,
     quantizer_set_from_dict,
 )
 from ifsquant import engine, golden, measure
 from ifsquant.engine import (
+    DEFAULT_CAP,
     CapExceeded,
     GenerationState,
     QuantizerSet,
@@ -510,6 +512,52 @@ def test_optimal_sets_match_heap(heap_run):
         q = optimal_set(n)
         assert (q.n, q.v) == (ref.n, ref.v)
         assert list(map(_fields, q.nodes)) == list(map(_fields, ref.nodes)), n
+
+
+def test_optimal_set_is_the_first_choice_of_its_layer():
+    # The canonical set splits the leftmost r tied nodes, so it is the first
+    # set of a tail block's layer in signature order and the last of a
+    # cylinder block's: layer 62 is a cylinder block of 15 sets, layer 71 a
+    # tail block of 3432.
+    picked = {}
+    for n, block, r, _ in engine._layers(1, 90):
+        if math.comb(block.m, r) > DEFAULT_CAP:
+            continue
+        sets = enumerate_optimal_sets(n)
+        index = 0 if block.kind == TAIL else len(sets) - 1
+        assert optimal_set(n) == sets[index], n
+        picked[n] = (block.kind, index + 1, len(sets))
+    assert picked[62] == (CLOSED, 15, 15)
+    assert picked[71] == (TAIL, 1, 3432)
+
+
+def test_walk_leaves_every_tied_node_unsplit():
+    big = [next(engine._layers(n, n))[1] for n in (2 * 10**4, 10**5)]
+    assert [block.m for block in big] == [1530, 7128]
+    blocks = {block for _, block, _, _ in engine._layers(1, 2000)}
+    for block in blocks.union(big):
+        nodes, tied = engine._walk(block)
+        assert len(tied) == block.m, block
+        assert tied == [i for i, node in enumerate(nodes)
+                        if (node.m, node.a) == (block.M, block.a)], block
+
+
+def _assert_matches_countdown_walk(n):
+    _, block, r, _ = next(engine._layers(n, n))
+    assert list(optimal_set(n).nodes) == countdown_walk(block, r), n
+
+
+@pytest.mark.parametrize("n", [2 * 10**4, 10**5])
+def test_optimal_set_matches_countdown_walk(n):
+    # Past the heap reference's n <= 10^4: r = 462 at n = 2 * 10^4 and
+    # 3247 at n = 10^5.
+    _assert_matches_countdown_walk(n)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 5 * 10**4))
+def test_optimal_set_matches_countdown_walk_drawn(n):
+    _assert_matches_countdown_walk(n)
 
 
 def test_block_tables_agree_across_depths():
