@@ -15,6 +15,7 @@ import functools
 import json
 import os
 import sys
+from itertools import chain
 
 from . import engine, exact_oracle, golden, measure
 from .measure import float_str
@@ -33,6 +34,16 @@ def _positive(name):
     return parse
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, not all the machine's: its
+    affinity mask where the OS has one."""
+    if hasattr(os, "process_cpu_count"):  # Python 3.13
+        return os.process_cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quantizer",
@@ -44,15 +55,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, func, formats=(), cap_help=None, sampling=False):
+    def add(name, help_text, func, formats=(), cap=False, sampling=False):
         """A subcommand with only the shared flags it reads."""
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         if formats:
             p.add_argument("--format", choices=formats, default="text")
-        if cap_help:
-            p.add_argument("--cap", type=_positive("cap"),
-                           default=engine.DEFAULT_CAP, help=cap_help)
+        if cap:
+            p.add_argument("--cap", type=_positive("cap"), default=engine.DEFAULT_CAP,
+                           help="most optimal sets to build in all the layers asked for")
         if sampling:
             p.add_argument("--seed", type=int, default=exact_oracle.DEFAULT_SEED)
             p.add_argument("--samples", type=_positive("samples"),
@@ -60,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--depth", type=_positive("depth"),
                            default=exact_oracle.DEFAULT_DEPTH)
             p.add_argument("--threads", type=_positive("threads"),
-                           default=os.cpu_count() or 1)
+                           default=_usable_cpus())
         return p
 
     exact = ("json", "csv", "text")
@@ -73,15 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="n_hi", type=_positive("to"), required=True)
 
     p = add("enumerate", "list every optimal n-point set", cmd_enumerate, exact,
-            cap_help="most optimal sets to build in layer --n")
+            cap=True)
     p.add_argument("--n", type=_positive("n"), required=True)
 
     p = add("count", "number of distinct optimal n-point sets", cmd_count)
     p.add_argument("--n", type=_positive("n"), required=True)
 
     p = add("tree", "transition DAG of optimal sets between two sizes", cmd_tree,
-            ("dot", "json", "text"),
-            cap_help="most optimal sets to build, per layer and in all")
+            ("dot", "json", "text"), cap=True)
     p.add_argument("--from", dest="n_lo", type=_positive("from"), required=True)
     p.add_argument("--to", dest="n_hi", type=_positive("to"), required=True)
 
@@ -150,19 +160,22 @@ def cmd_optimal(args) -> int:
 
 
 def cmd_table(args) -> int:
-    rows = [(n, v) for n, _, _, v in engine._layers(args.n_lo, args.n_hi)]
+    layers = engine._layers(args.n_lo, args.n_hi)
+    # _layers checks the range on its first step: take it before any output.
+    rows = ((n, v) for n, _, _, v in chain([next(layers)], layers))
     if args.format == "json":
         print(json.dumps([
             {"n": n, "V": str(v), "V_float": measure.float_val(v)}
             for n, v in rows
         ]))
-    elif args.format == "csv":
+    elif args.format == "csv":  # each row written as _layers yields it, none kept
         _write_csv(("n", "V", "V_float"),
                    ((n, str(v), measure.float_val(v)) for n, v in rows))
     else:
-        width = max(len(str(v)) for _, v in rows)
-        for n, v in rows:
-            print(f"{n:<6d} {str(v):<{width}} {float_str(v)}")
+        rows = [(n, str(v), v) for n, v in rows]
+        width = max(len(text) for _, text, _ in rows)
+        for n, text, v in rows:
+            print(f"{n:<6d} {text:<{width}} {float_str(v)}")
     return 0
 
 

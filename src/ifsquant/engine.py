@@ -14,7 +14,8 @@ optimal sets of each size follow from the blocks (``_layers``).  One
 depth-first walk builds the frontier above a block in canonical order and
 leaves the block's tied nodes unsplit (``_walk``), and one tie rule splices
 the children of the chosen tied nodes into it (``_splice``): the canonical
-set chooses the first r, and the enumeration every r of them.
+set chooses the first r, and the enumeration every r of them.  One cap
+rule bounds the sets a window of layers may build (``_within_cap``).
 ``GenerationState`` runs the induction step by step, as the tests'
 reference.  A node is one integer record: its region's kind and word and
 three integers (M, a, dn), split by one rule (``children``).  Its
@@ -382,34 +383,38 @@ def _layer_sets(n: int, block: Block, r: int,
         yield chosen, QuantizerSet(_splice(nodes, tied, chosen, halves), n, v)
 
 
-def _exceeds(m: int, r: int, cap: int) -> bool:
-    """Whether binomial(m, r) > cap, without building a count above cap.
+def _within_cap(n_lo: int, n_hi: int,
+                cap: int) -> list[tuple[int, Block, int, Fraction]]:
+    """The one cap rule: the ``_layers`` items of sizes n_lo .. n_hi, when
+    their optimal sets number at most ``cap`` in all.
 
-    binomial(m, i) grows with i up to m/2, so it is multiplied up from
-    i = 0 to min(r, m - r) and the first value above cap settles it; that
-    takes at most about log2(cap) + 1 steps.
+    Raises CapExceeded naming the first layer whose running total passes
+    the cap, before any set is built.  A layer holds binomial(m, k) >= 2^k
+    sets, k = min(r, m - r), so k at or past the bit length of what is
+    left of the cap settles it with no count built; otherwise one exact
+    binomial of fewer factors than that bit length does, and is taken
+    from the budget.
     """
-    count = 1
-    for i in range(min(r, m - r)):
-        count = count * (m - i) // (i + 1)
-        if count > cap:
-            return True
-    return count > cap
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
+    items, left = [], cap
+    for item in _layers(n_lo, n_hi):
+        n, block, r, _ = item
+        k = min(r, block.m - r)
+        if k >= left.bit_length() or (left := left - comb(block.m, k)) < 0:
+            raise CapExceeded(f"optimal sets exceed cap {cap} at n={n}")
+        items.append(item)
+    return items
 
 
 def enumerate_optimal_sets(n: int, cap: int = DEFAULT_CAP) -> list[QuantizerSet]:
     """All optimal n-point sets, in signature order.
 
     Built from the threshold-block description, so the cost follows the
-    number of sets in layer n alone.  Raises CapExceeded naming n when
-    that number exceeds ``cap``; this is known before any set, or any
-    count above ``cap``, is built.
+    number of sets in layer n alone.  Raises CapExceeded past ``cap``
+    sets, by the cap rule ``_within_cap`` on the one-layer window.
     """
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    _, block, r, v = next(_layers(n, n))
-    if _exceeds(block.m, r, cap):
-        raise CapExceeded(f"number of optimal sets exceeds cap {cap} at n={n}")
+    [(_, block, r, v)] = _within_cap(n, n, cap)
     return [q for _, q in _layer_sets(n, block, r, v)]
 
 
@@ -465,25 +470,13 @@ def transition_graph(n_lo: int, n_hi: int, cap: int = DEFAULT_CAP) -> Transition
 
     An r-set of a block leads to the (r+1)-sets of the same block that
     contain it; the one set that closes a block leads to every set of the
-    next.  Raises CapExceeded, naming the first layer that passes it, when
-    the window holds more than ``cap`` sets in all.  Each layer is checked
-    against what is left of the cap, so this is known before any set, or
-    any count above ``cap``, is built.
+    next.  Raises CapExceeded past ``cap`` sets in all, by the cap rule
+    ``_within_cap`` on the window n_lo .. n_hi.
     """
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    items, left = [], cap
-    for item in _layers(n_lo, n_hi):
-        k, block, r, _ = item
-        if _exceeds(block.m, r, left):
-            raise CapExceeded(f"transition graph exceeds cap {cap} sets at n={k}")
-        left -= comb(block.m, r)
-        items.append(item)
-
     layers: list[tuple[QuantizerSet, ...]] = []
     edges: list[tuple[str, str]] = []
     previous_block, previous = None, {}
-    for k, block, r, v in items:
+    for k, block, r, v in _within_cap(n_lo, n_hi, cap):
         pairs = list(_layer_sets(k, block, r, v))
         order = {chosen: index for index, (chosen, _) in enumerate(pairs, start=1)}
         layers.append(tuple(q for _, q in pairs))

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ifsquant import engine, exact_oracle, golden, oracle
-from ifsquant.cli import main
+from ifsquant.cli import build_parser, main
 from ifsquant.measure import Region
 from ifsquant.words import render
 
@@ -218,9 +219,11 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "optimal", "--n", "3", "--format", "dot")[0] == 2
     assert run(capsys, "verify", "--n", "1") == (
         2, "", "usage error: verify needs n >= 2, got 1\n")
-    # table and tree iterate the same layers, so they share one range rule
-    for command in ("table", "tree"):
-        assert run(capsys, command, "--from", "5", "--to", "3") == (
+    # table and tree iterate the same layers, so they share one range rule,
+    # which runs before table writes anything, the CSV header included.
+    for argv in (["table"], ["table", "--format", "csv"],
+                 ["table", "--format", "json"], ["tree"]):
+        assert run(capsys, *argv, "--from", "5", "--to", "3") == (
             2, "", "usage error: first size 5 exceeds last size 3\n")
 
 
@@ -246,6 +249,42 @@ def test_cap_overflow_exits_1(capsys):
     code, _, err = run(capsys, "enumerate", "--n", "16", "--cap", "2")
     assert code == 1
     assert "cap" in err
+
+
+def test_table_csv_keeps_no_rows(monkeypatch):
+    # A list of the 2*10^5 (n, V) rows peaked at 40.7 MB; written as they
+    # are made, they peak at about 0.5 MB, the block table included.
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["table", "--from", "1", "--to", "200000", "--format", "csv"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * 2**20
+
+
+def test_threads_default_to_the_usable_cpus(monkeypatch):
+    def threads():
+        return build_parser().parse_args(["oracle-sample"]).threads
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.delattr(os, "process_cpu_count", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert threads() == 1  # as under taskset -c 0 on a 64-CPU machine
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    assert threads() == 3
+    monkeypatch.setattr(os, "process_cpu_count", lambda: 2, raising=False)
+    assert threads() == 2
+    monkeypatch.setattr(os, "process_cpu_count", lambda: None)
+    assert threads() == 1
+    monkeypatch.delattr(os, "process_cpu_count")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert threads() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert threads() == 1
 
 
 def test_cap_limits_only_the_requested_layer(capsys):
@@ -400,8 +439,8 @@ def test_verify_reports_a_check_that_raises(monkeypatch, capsys):
                         lambda n_lo, n_hi: graph(n_lo, n_hi, cap=1))
     code, out, _ = run(capsys, "verify", "--n", "2")
     assert code == 1
-    assert ("transition pattern 18 -> 21 FAIL (CapExceeded: transition graph "
-            "exceeds cap 1 sets at n=19)\n") in out
+    assert ("transition pattern 18 -> 21 FAIL (CapExceeded: optimal sets "
+            "exceed cap 1 at n=19)\n") in out
     assert out.endswith("verification FAILED\n")
 
 

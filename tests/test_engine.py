@@ -2,6 +2,7 @@ import functools
 import math
 import random
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,12 +191,69 @@ def test_enumerate_cap_reports_layer():
         enumerate_optimal_sets(2, cap=0)
 
 
-def test_cap_check_agrees_with_the_binomial():
-    for m in range(40):
-        for r in range(m + 1):
-            size = math.comb(m, r)
-            for cap in {1, 2, 7, 100, 10**4, 10**9, size - 1, size, size + 1}:
-                assert engine._exceeds(m, r, cap) == (size > cap), (m, r, cap)
+def test_cap_rule_agrees_with_the_binomial(monkeypatch):
+    # One fake layer stands for a tie block of m nodes with r of them split.
+    # Where 2^k passes the cap, k = min(r, m - r), the rule builds no count,
+    # so C(10^400, 10^400 // 3) never is; otherwise it builds one binomial
+    # of fewer factors than the cap has bits.
+    huge = 10**400
+    cases = [(m, r) for m in range(40) for r in range(m + 1)]
+    cases += [(huge, huge // 3), (huge, 10), (huge, 1)]
+    factors = []
+    monkeypatch.setattr(engine, "comb", lambda m, k: factors.append(k) or math.comb(m, k))
+    for m, r in cases:
+        item = (7, engine.Block(TAIL, 43, 0, m), r, F(0))
+        monkeypatch.setattr(engine, "_layers", lambda n_lo, n_hi: iter([item]))
+        size = math.comb(m, r) if r < 1000 else None  # None: past every cap
+        caps = {1, 2, 7, 100, 10**4, 10**9}
+        if size is not None:
+            caps |= {size - 1, size, size + 1}
+        for cap in caps:
+            if cap < 1:
+                with pytest.raises(ValueError, match=f"cap must be >= 1, got {cap}$"):
+                    engine._within_cap(7, 7, cap)
+            elif size is None or size > cap:
+                with pytest.raises(CapExceeded,
+                                   match=f"^optimal sets exceed cap {cap} at n=7$"):
+                    engine._within_cap(7, 7, cap)
+            else:
+                assert engine._within_cap(7, 7, cap) == [item], (m, r, cap)
+            assert all(k < cap.bit_length() for k in factors), (m, r, cap)
+            assert len(factors) <= 1
+            factors.clear()
+
+
+def test_cap_rule_names_the_layer_that_passes_it():
+    # Every window inside 1..90, with caps at its total and one either
+    # side, and one set short of the total up to its middle layer.
+    sizes = [math.comb(block.m, r) for _, block, r, _ in engine._layers(1, 90)]
+    for n_lo in range(1, 91):
+        for n_hi in range(n_lo, 91):
+            window = sizes[n_lo - 1:n_hi]
+            total = sum(window)
+            middle = sum(window[:len(window) // 2 + 1]) - 1
+            for cap in {total - 1, total, total + 1, middle}:
+                passing = [n for n, running in enumerate(accumulate(window), start=n_lo)
+                           if running > cap]
+                if cap < 1:
+                    with pytest.raises(ValueError):
+                        engine._within_cap(n_lo, n_hi, cap)
+                elif passing:
+                    with pytest.raises(CapExceeded, match=f" at n={passing[0]}$"):
+                        engine._within_cap(n_lo, n_hi, cap)
+                else:
+                    assert engine._within_cap(n_lo, n_hi, cap) \
+                        == list(engine._layers(n_lo, n_hi)), (n_lo, n_hi, cap)
+
+
+def test_enumeration_and_graph_share_the_cap_rule(monkeypatch):
+    calls = []
+    within_cap = engine._within_cap
+    monkeypatch.setattr(engine, "_within_cap",
+                        lambda *args: calls.append(args) or within_cap(*args))
+    assert len(enumerate_optimal_sets(16, cap=3)) == 3
+    assert len(transition_graph(18, 21, cap=100).layers) == 4
+    assert calls == [(16, 16, 3), (18, 21, 100)]
 
 
 def test_count_refuses_past_the_digit_limit():
