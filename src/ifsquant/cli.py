@@ -15,6 +15,7 @@ import functools
 import json
 import os
 import sys
+from decimal import Decimal
 from itertools import chain
 
 from . import engine, exact_oracle, golden, measure
@@ -202,13 +203,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_count(args) -> int:
-    count = engine.count_optimal_sets(args.n)
-    limit = sys.get_int_max_str_digits()  # counts pass it above n = 2*10^5
-    sys.set_int_max_str_digits(engine.COUNT_DIGITS)
-    try:
-        print(count)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    print(Decimal(engine.count_optimal_sets(args.n)))  # past the int digit limit
     return 0
 
 

@@ -9,31 +9,32 @@ fractions of the parent error, below it, so an optimal n-set splits every
 tree node of error above a threshold t and any r of the m nodes tied at t.
 
 Nothing replays the induction.  The tree nodes of one error form a block,
-sized by a count of words (``_block_table``); V_n and the binomial(m, r)
-optimal sets of each size follow from the blocks (``_layers``).  One
-depth-first walk builds the frontier above a block in canonical order and
-leaves the block's tied nodes unsplit (``_walk``), and one tie rule splices
-the children of the chosen tied nodes into it (``_splice``): the canonical
-set chooses the first r, and the enumeration every r of them.  One cap
-rule bounds the sets a window of layers may build (``_within_cap``).
-``GenerationState`` runs the induction step by step, as the tests'
-reference.  A node is one integer record: its region's kind and word and
-three integers (M, a, dn), split by one rule (``children``).  Its
-endpoints, centroid and mass are integers over 2^a or 7 * 2^a, and its
-error is V times an integer over 9 * 8^a, so the structural audit and the
-serialisation work on integers over one power of two; a Fraction is built
-only where one is read.
+sized by a count of words and streamed in descending error (``_rows``);
+V_n and the binomial(m, r) optimal sets of each size follow from the
+blocks (``_layers``).  One depth-first walk builds the frontier above a
+block in canonical order and leaves the block's tied nodes unsplit
+(``_walk``), and one tie rule splices the children of the chosen tied
+nodes into it (``_splice``): the canonical set chooses the first r, and
+the enumeration every r of them.  One cap rule bounds the sets a window of
+layers may build (``_within_cap``).  ``GenerationState`` runs the
+induction step by step, as the tests' reference.  A node is one integer
+record: its region's kind and word and three integers (M, a, dn), split by
+one rule (``children``).  Its endpoints, centroid and mass are integers
+over 2^a or 7 * 2^a, and its error is V times an integer over 9 * 8^a, so
+the structural audit and the serialisation work on integers over one
+power of two; a Fraction is built only where one is read.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 import json
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice, zip_longest
 from math import comb, log, log1p, pi
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -227,49 +228,48 @@ class Block(NamedTuple):
 _DROP = {CLOSED: 73 * 43, TAIL: 73 * 48}
 
 
-@functools.cache
-def _block_table(depth: int) -> list[tuple[int, int, int, Block]]:
-    """Every block above the error of all nodes deeper than ``depth``.
+def _rows() -> Iterator[tuple[int, int, int, int, Block]]:
+    """Every block that holds words, in strictly descending error M / 8^a.
 
-    Words are counted by a and c: cyl[a][c] = cyl[a-2][c] + the sum of
-    cyl[b][c-1] over b <= a-3 (append 1, or a letter j >= 2 of weight
-    j + 1).  A cylinder block (a, c) has M = 9 * 3^c.  A tail block (a, c)
-    has M = 43 * 3^c and holds the tails whose last letter is 1 with c - 1
-    other letters and the other tails with c; 43 is not a power of 3, so
-    cylinders never tie tails.  Blocks are sorted on the key
-    M * 8^(depth - a); only blocks that hold words and have keys above
-    129 * 3^(depth//3 + 1) / 8 are built, as no deeper node reaches that.
-    Rows are (splits to the end of the block, error dropped before it,
-    error dropped per split, block), the errors in units of
-    V / (37152 * 8^depth).
+    cyl[a][c] counts the words of weight a with c letters other than 1, row
+    by row: cyl[a][c] = cyl[a-2][c] + total[a-3][c-1] (append 1, or a letter
+    j >= 2 of weight j + 1), total[a] the sum of cyl[b] over b <= a.  Block
+    (a, c) holds the cyl[a][c] cylinders of M = 9 * 3^c, or the
+    total[a-2][c-1] tails w.j of M = 43 * 3^c.  A heap merges one stream
+    per (kind, c), in increasing a, on the float key a log 8 - log M; stream
+    c + 1, 512/3 below, is pushed when stream c's first block is taken.  A
+    block is checked exactly against the last: a float near-tie raises.
+    Rows are (splits to the block's end, error dropped before it and per
+    split, top, block), in units of V / (37152 * 8^top), top the largest a.
     """
-    bound = 129 * 3 ** (depth // 3 + 1) // 8
-    width = depth // 3 + 2
-    cyl = [[1] + [0] * (width - 1)]  # the empty word
-    run = zero = [0] * width  # the sum of cyl[b] over b <= a - 3
-    keyed = []
-    for a in range(depth + 1):
-        if a >= 3:
-            run = [x + y for x, y in zip(run, cyl[a - 3])]
-        below = cyl[a - 2] if a >= 2 else zero
-        if a:
-            cyl.append([below[0]] + [x + y for x, y in zip(below[1:], run)])
-        shift = 3 * (depth - a)
-        for c in range(width):
-            m, key = cyl[a][c], 9 * 3**c << shift
-            if key > bound and m:
-                keyed.append((key, Block(CLOSED, 9 * 3**c, a, m)))
-            if c:
-                m, key = below[c - 1] + run[c - 1], 43 * 3**c << shift
-                if key > bound and m:
-                    keyed.append((key, Block(TAIL, 43 * 3**c, a, m)))
-    rows, end, dropped = [], 0, 0
-    for key, block in sorted(keyed, reverse=True):
-        step = key * _DROP[block.kind]
-        end += block.m
-        rows.append((end, dropped, step, block))
-        dropped += block.m * step
-    return rows
+    heap = [(-log(9), CLOSED, 0, 0), (2 * log(8) - log(129), TAIL, 1, 2)]
+    cyl, total = [[1], [0], [1]], [[1], [1], [2]]
+    last, end, dropped, top = None, 0, 0, 0
+    while True:
+        key, kind, c, a = heap[0]
+        heapq.heapreplace(heap, (key + log(8), kind, c, a + 1))
+        if a == 3 * c - (kind == TAIL):  # the first block of its stream
+            heapq.heappush(heap, (key + log(512 / 3), kind, c + 1, a + 3))
+        while len(cyl) <= a:  # the shorter of two rows is padded with zeros
+            cyl.append([*map(sum, zip_longest(cyl[-2], [0, *total[-3]], fillvalue=0))])
+            total.append([*map(sum, zip_longest(total[-1], cyl[-1], fillvalue=0))])
+        if not (m := cyl[a][c] if kind == CLOSED else total[a - 2][c - 1]):
+            continue  # a cylinder of letters 1 alone, at odd a
+        weight = _MASS_BASE[kind] * 3**c
+        if last and weight << 3 * last[1] >= last[0] << 3 * a:
+            raise ArithmeticError(f"float keys misorder (M, a) = {last}, {weight, a}")
+        last = weight, a
+        dropped <<= 3 * max(a - top, 0)  # rescaled when a deeper block raises top
+        top = max(top, a)
+        step = weight * _DROP[kind] << 3 * (top - a)
+        end += m
+        yield end, dropped, step, top, Block(kind, weight, a, m)
+        dropped += m * step
+
+
+_STREAM = _rows()
+_ROWS: list[tuple[int, int, int, int, Block]] = []  # the rows taken so far
+_GROW = threading.Lock()  # two threads may not advance one generator at once
 
 
 def _layers(n_lo: int, n_hi: int) -> Iterator[tuple[int, Block, int, Fraction]]:
@@ -288,16 +288,21 @@ def _layers(n_lo: int, n_hi: int) -> Iterator[tuple[int, Block, int, Fraction]]:
         raise ValueError(f"n must be >= 1, got {n_lo}")
     if n_lo > n_hi:
         raise ValueError(f"first size {n_lo} exceeds last size {n_hi}")
-    depth = 8
-    while (rows := _block_table(depth))[-1][0] < n_hi - 1:
-        depth *= 2
-    scale = 37152 << 3 * depth  # 9 * 4128 * 8^depth
-    i = bisect_left(rows, n_lo - 1, key=itemgetter(0))
+    global _STREAM
+    with _GROW:
+        try:
+            while not _ROWS or _ROWS[-1][0] < n_hi - 1:
+                _ROWS.append(next(_STREAM))
+        except BaseException:  # a generator stopped by an exception cannot resume
+            _STREAM = islice(_rows(), len(_ROWS), None)
+            raise
+    i = bisect_left(rows := _ROWS, n_lo - 1, key=itemgetter(0))
     for n in range(n_lo, n_hi + 1):
         if rows[i][0] < n - 1:
             i += 1
-        end, dropped, step, block = rows[i]
+        end, dropped, step, top, block = rows[i]
         r = n - 1 - end + block.m
+        scale = 37152 << 3 * top  # 9 * 4128 * 8^top
         yield n, block, r, Fraction(VARIANCE.numerator * (scale - dropped - r * step),
                                     VARIANCE.denominator * scale)
 
@@ -393,7 +398,7 @@ def _within_cap(n_lo: int, n_hi: int,
     sets, k = min(r, m - r), so k at or past the bit length of what is
     left of the cap settles it with no count built; otherwise one exact
     binomial of fewer factors than that bit length does, and is taken
-    from the budget.
+    from the budget.  ``Decimal`` writes a cap of any length.
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
@@ -402,7 +407,7 @@ def _within_cap(n_lo: int, n_hi: int,
         n, block, r, _ = item
         k = min(r, block.m - r)
         if k >= left.bit_length() or (left := left - comb(block.m, k)) < 0:
-            raise CapExceeded(f"optimal sets exceed cap {cap} at n={n}")
+            raise CapExceeded(f"optimal sets exceed cap {Decimal(cap)} at n={n}")
         items.append(item)
     return items
 

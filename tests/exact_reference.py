@@ -12,7 +12,8 @@ the integer forms against them:
 - ``branch_decomposition`` re-derives a set's total error recursively,
   branch by branch from the first letter, with the measure's formulas;
 - ``block_table_reference`` builds every block of a depth, sorts them all
-  and only then drops the ones ``engine._block_table`` never builds;
+  and only then drops the ones some deeper node reaches: the first rows of
+  ``engine._rows``, which merges its blocks in order with no depth;
 - ``countdown_walk`` builds the canonical set in one walk that splits the
   first r tied nodes as it meets them, where the engine walks once and
   splices the tied nodes' children in after.
@@ -146,9 +147,14 @@ def branch_decomposition(q: QuantizerSet) -> BranchDecomposition:
 
 
 def block_table_reference(depth: int) -> list[tuple[int, int, int, Block]]:
-    """``engine._block_table(depth)`` the long way: a block for every
-    (a, c) pair, all of them sorted on their key, and only then the ones
-    with no words or a key at or below the bound dropped."""
+    """The blocks above the error of every node deeper than ``depth``, the
+    long way: a block for every (a, c) pair, all of them sorted on their
+    key M * 8^(depth - a), and only then the ones with no words or a key
+    at or below 129 * 3^(depth//3 + 1) / 8, which a deeper node reaches,
+    dropped.  Rows are (splits to the end of the block, error dropped before
+    it, error dropped per split, block), the errors in units of
+    V / (37152 * 8^depth): the first rows of ``engine._rows`` without their
+    ``top``."""
     bound = 129 * 3 ** (depth // 3 + 1) // 8
     width = depth // 3 + 2
     cyl = [[1] + [0] * (width - 1)]

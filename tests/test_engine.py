@@ -2,7 +2,7 @@ import functools
 import math
 import random
 from fractions import Fraction as F
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -244,6 +244,13 @@ def test_cap_rule_names_the_layer_that_passes_it():
                 else:
                     assert engine._within_cap(n_lo, n_hi, cap) \
                         == list(engine._layers(n_lo, n_hi)), (n_lo, n_hi, cap)
+
+
+def test_cap_rule_names_a_cap_of_any_length():
+    # 5001 digits: past the interpreter's default int-to-str limit of 4300.
+    with pytest.raises(CapExceeded) as refusal:
+        engine._within_cap(10**6, 10**6, 10**5000)
+    assert str(refusal.value) == f"optimal sets exceed cap 1{'0' * 5000} at n=1000000"
 
 
 def test_enumeration_and_graph_share_the_cap_rule(monkeypatch):
@@ -618,21 +625,69 @@ def test_optimal_set_matches_countdown_walk_drawn(n):
     _assert_matches_countdown_walk(n)
 
 
-def test_block_tables_agree_across_depths():
-    # A table keeps only blocks that no deeper node can reach, so it must be
-    # a prefix of every deeper table; this reaches n of about 10^12.
-    for depth in (8, 16, 32, 64):
-        rows = engine._block_table(depth)
-        deeper = engine._block_table(2 * depth)[:len(rows)]
-        assert [(end, block) for end, _, _, block in rows] \
-            == [(end, block) for end, _, _, block in deeper]
-
-
 @pytest.mark.parametrize("depth", [8, 16, 32, 64, 128, 256])
-def test_block_table_matches_build_all_then_filter(depth):
-    # The table builds only the blocks it keeps; keys are distinct, so the
-    # rows are those of sorting every block and dropping the rest after.
-    assert engine._block_table(depth) == block_table_reference(depth)
+def test_stream_starts_with_the_block_table(depth):
+    # The reference sorts every block of a depth and keeps those no deeper
+    # node reaches, with errors over 8^depth; the stream's rows count
+    # errors over 8^top.  Equal dropped and per-split errors give equal V_n.
+    reference = block_table_reference(depth)
+    rows = list(islice(engine._rows(), len(reference)))
+    assert [(end, block) for end, _, _, _, block in rows] \
+        == [(end, block) for end, _, _, block in reference]
+    for (_, dropped, step, top, _), (_, dropped_ref, step_ref, _) in zip(rows, reference):
+        assert top <= depth
+        assert (dropped << 3 * (depth - top), step << 3 * (depth - top)) \
+            == (dropped_ref, step_ref)
+
+
+def _words(a, c):
+    """Words of weight a with c letters other than 1, counted directly: k
+    letters 1 of weight 2 interleaved with c letters of weight at least 3."""
+    if c == 0:
+        return int(a % 2 == 0)
+    return sum(math.comb(k + c, c) * math.comb(a - 2 * k - 2 * c - 1, c - 1)
+               for k in range((a - 2 * c + 1) // 2))
+
+
+def test_stream_counts_match_an_independent_count():
+    # The first 5000 blocks reach a = 134.  A tail block holds the tails
+    # ending in 1 (c - 1 other letters) and those ending in j >= 2.
+    base = {engine.CLOSED: 9, engine.TAIL: 43}  # M over 3^c
+    for _, _, _, _, block in islice(engine._rows(), 5000):
+        c = round(math.log(block.M // base[block.kind], 3))
+        assert base[block.kind] * 3**c == block.M
+        if block.kind == engine.CLOSED:
+            count = _words(block.a, c)
+        else:
+            count = _words(block.a - 2, c - 1) + sum(
+                _words(b, c - 1) for b in range(block.a - 2))
+        assert block.m == count, block
+
+
+def test_stream_raises_when_float_keys_misorder_blocks(monkeypatch):
+    # Keys rounded to whole logarithms put the tail block M = 1161, a = 8
+    # after the tail block M = 129, a = 7, whose error is smaller.
+    monkeypatch.setattr(engine, "log", lambda x: round(math.log(x)))
+    with pytest.raises(ArithmeticError, match="misorder"):
+        for _ in islice(engine._rows(), 1000):
+            pass
+
+
+def test_stream_stopped_by_an_exception_restarts_past_the_kept_rows(monkeypatch):
+    # An interrupt inside the shared generator closes it for good; the next
+    # call must go on from the rows kept, not raise StopIteration.
+    expected = quantization_error(10**12)
+
+    def interrupted():
+        yield from islice(engine._rows(), 50)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(engine, "_STREAM", interrupted())
+    monkeypatch.setattr(engine, "_ROWS", [])
+    with pytest.raises(KeyboardInterrupt):
+        quantization_error(10**12)
+    assert len(engine._ROWS) == 50
+    assert quantization_error(10**12) == expected
 
 
 def test_state_mass_and_mean_invariants():

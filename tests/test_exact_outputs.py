@@ -5,12 +5,14 @@ check applied: CLI operations must print, byte for byte, the stdout whose
 SHA-256 digest ``perfbench/expected.json`` records.  The benchmark's tracer
 must still find every function it wraps.  Every form of ``tree``, and the
 ``enumerate`` calls below, print, byte for byte, the stdout whose SHA-256
-digest is recorded here.
+digest is recorded here, and so do ``str(quantization_error(n))`` at a few
+deep n.
 """
 
 import hashlib
 import importlib.util
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -103,3 +105,39 @@ def test_enumerate_output_digest(capsys, argv, digest):
     assert main(["enumerate", *argv.split()]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Deep V_n, from the block stream's rows far past n = 10^12.
+DEEP_DIGESTS = {
+    10**30: "44d873553946f04aa77898b676248d52cf4a3e0bb41dda2a56a64fcb3d958eb4",
+    10**60: "4410499ea1641869b757ab649e90fd9ce95c49e7062151d08673d7e8ac56125a",
+    10**100: "8fcd1dc10ddff00fc98b0ed4d2b39c821a67b622b127742faa7fb9c553be7071",
+}
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("exponent", [30, 60, 100])
+def test_deep_quantization_error_digest(exponent):
+    n = 10**exponent
+    assert _digest(str(engine.quantization_error(n))) == DEEP_DIGESTS[n]
+
+
+def test_two_threads_grow_one_stream(monkeypatch):
+    # From a fresh stream, both threads need rows that neither has taken:
+    # they share one generator, so it must be advanced under the lock.
+    monkeypatch.setattr(engine, "_STREAM", engine._rows())
+    monkeypatch.setattr(engine, "_ROWS", [])
+    got = {}
+
+    def ask(n):
+        got[n] = _digest(str(engine.quantization_error(n)))
+
+    threads = [threading.Thread(target=ask, args=(n,)) for n in (10**60, 10**100)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert got == {n: DEEP_DIGESTS[n] for n in (10**60, 10**100)}
