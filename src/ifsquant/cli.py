@@ -165,10 +165,15 @@ def cmd_table(args) -> int:
     # _layers checks the range on its first step: take it before any output.
     rows = ((n, v) for n, _, _, v in chain([next(layers)], layers))
     if args.format == "json":
-        print(json.dumps([
-            {"n": n, "V": str(v), "V_float": measure.float_val(v)}
-            for n, v in rows
-        ]))
+        # json.dumps of the list of rows, each row written as it is made,
+        # with json's separators and its float by repr, as in
+        # engine.quantizer_sets_json.
+        sep = "["
+        for n, v in rows:
+            sys.stdout.write(
+                f'{sep}{{"n": {n}, "V": "{v}", "V_float": {measure.float_val(v)!r}}}')
+            sep = ", "
+        print("]")
     elif args.format == "csv":  # each row written as _layers yields it, none kept
         _write_csv(("n", "V", "V_float"),
                    ((n, str(v), measure.float_val(v)) for n, v in rows))

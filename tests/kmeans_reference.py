@@ -1,0 +1,90 @@
+"""Reference for the exact 1-D k-means DP.
+
+This is ``oracle.kmeans_1d_exact`` as it stood before the last row became
+a single scan and each row pass stopped gathering through an owner index:
+every DP row, the last included, fills by divide and conquer, and each
+pass rebuilds its per-cell values from an ``owner`` index.  Its costs are
+the same doubles as the oracle's, so the tests require bit-identical
+centers on every input with at least k distinct values.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from ifsquant.oracle import ClusterResult, SampleBatch, mc_distortion
+
+
+def _fill_row(dp_prev, dp_new, opt, first, prefix, prefix_sq):
+    # Optimal last-cluster start positions are monotone in the right
+    # endpoint, so each row fills by divide and conquer on the endpoint.
+    # One numpy pass settles the midpoints of every pending interval
+    # (jlo, jhi) with candidate starts [ilo, ihi]; ilo <= jlo always holds,
+    # so every midpoint has at least one candidate.
+    n = dp_new.size
+    jlo = ilo = np.array([first])
+    jhi = ihi = np.array([n - 1])
+    while jlo.size:
+        mid = (jlo + jhi) // 2
+        width = np.minimum(ihi, mid) - ilo + 1
+        starts = np.cumsum(width) - width
+        owner = np.repeat(np.arange(mid.size), width)
+        cands = np.arange(owner.size) - starts[owner] + ilo[owner]
+        j = mid[owner]
+        sums = prefix[j + 1] - prefix[cands]
+        costs = (
+            dp_prev[cands - 1]
+            + prefix_sq[j + 1]
+            - prefix_sq[cands]
+            - sums * sums / (j + 1 - cands)
+        )
+        # Leftmost minimiser of each segment, as np.argmin picks it.
+        lowest = np.minimum.reduceat(costs, starts)[owner]
+        at_lowest = np.where(costs == lowest, np.arange(costs.size), costs.size)
+        pick = np.minimum.reduceat(at_lowest, starts)
+        best = cands[pick]
+        dp_new[mid] = costs[pick]
+        opt[mid] = best
+        jlo, jhi = np.concatenate((jlo, mid + 1)), np.concatenate((mid - 1, jhi))
+        ilo, ihi = np.concatenate((ilo, best)), np.concatenate((best, ihi))
+        keep = jlo <= jhi
+        jlo, jhi, ilo, ihi = jlo[keep], jhi[keep], ilo[keep], ihi[keep]
+
+
+def kmeans_1d_exact(batch: SampleBatch, k: int) -> ClusterResult:
+    """Globally optimal k-clustering of the sample under squared error.
+
+    Interval dynamic programming over the sorted sample: the cost of any
+    contiguous run comes from prefix sums in O(1), and each DP row fills in
+    O(n log n) via divide and conquer over the monotone split positions,
+    one numpy pass per recursion level (about log2 n passes).  On 2 cores,
+    k = 8 on 2*10^5 samples takes about 0.5 s and k = 20 on 10^6 samples
+    about 19 s.  Ties go to the leftmost split position.
+    """
+    xs = np.sort(batch.values)
+    n = int(xs.size)
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    prefix = np.concatenate(([0.0], np.cumsum(xs)))
+    prefix_sq = np.concatenate(([0.0], np.cumsum(xs * xs)))
+    dp = prefix_sq[1:] - prefix[1:] ** 2 / np.arange(1, n + 1)
+    opts: list[np.ndarray] = []
+    for row in range(2, k + 1):
+        dp_new = np.full(n, np.inf)
+        # Starts fit int32 (n is far below 2^31): half the backtrack memory.
+        opt = np.zeros(n, dtype=np.int32)
+        _fill_row(dp, dp_new, opt, row - 1, prefix, prefix_sq)
+        opts.append(opt)
+        dp = dp_new
+    starts = []
+    j = n - 1
+    for row in range(k, 1, -1):
+        i = int(opts[row - 2][j])
+        starts.append(i)
+        j = i - 1
+    starts.reverse()
+    bounds = [0] + starts + [n]
+    centers = np.array(
+        [float(xs[a:b].mean()) for a, b in zip(bounds, bounds[1:])]
+    )
+    return ClusterResult(centers, mc_distortion(batch, centers))

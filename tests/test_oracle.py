@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import kmeans_reference
 from ifsquant import exact_oracle, golden, measure, oracle
 from ifsquant.engine import enumerate_optimal_sets, optimal_set, quantization_error
 from ifsquant.exact_oracle import exhaustive_min
@@ -200,6 +201,41 @@ def test_kmeans_matches_quadratic_dp(k):
         expected = _brute_min_cost(xs, k) / xs.size
         got = mc_distortion(batch, result.centers)
         assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
+        assert np.unique(xs).size >= k
+        reference = kmeans_reference.kmeans_1d_exact(batch, k)
+        assert result.centers.tobytes() == reference.centers.tobytes()
+
+
+@pytest.mark.parametrize("decimals", [None, 1, 2])
+def test_kmeans_matches_reference_dp(decimals):
+    # Every cost is the same double as the reference's, so the centers are
+    # bit-identical wherever there are at least k distinct values.  With
+    # fewer, the least cost is 0 and many splits reach it within about
+    # 1e-33, so only the cost is pinned.
+    rng = np.random.default_rng(2011 + (decimals or 0))
+    for _ in range(120):
+        n = int(rng.integers(1, 60))
+        k = int(rng.integers(1, min(n, 16) + 1))
+        xs = rng.random(n)
+        if decimals is not None:
+            xs = np.round(xs, decimals)
+        batch = SampleBatch(xs, 0, 1, n)
+        result = kmeans_1d_exact(batch, k)
+        if np.unique(xs).size >= k:
+            reference = kmeans_reference.kmeans_1d_exact(batch, k)
+            assert result.centers.tobytes() == reference.centers.tobytes()
+        else:
+            expected = _brute_min_cost(xs, k) / n
+            got = mc_distortion(batch, result.centers)
+            assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+def test_kmeans_matches_reference_dp_on_a_large_sample():
+    batch = sample(200_000, seed=3, threads=2)
+    result = kmeans_1d_exact(batch, 8)
+    reference = kmeans_reference.kmeans_1d_exact(batch, 8)
+    assert result.centers.tobytes() == reference.centers.tobytes()
+    assert result.distortion == reference.distortion
 
 
 def test_kmeans_one_mean_is_sample_mean():
