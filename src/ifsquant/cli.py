@@ -10,7 +10,6 @@ The float oracles, and numpy with them, are imported only by the
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -23,6 +22,7 @@ from .measure import float_str
 from .words import render  # noqa: F401  (perfbench/tracing.py wraps cli.render)
 
 DEFAULT_SAMPLES = 10**6
+_NODE_HEADER = ",".join(f'"{key}"' for key in engine.NODE_KEYS)
 
 
 def _positive(name):
@@ -138,12 +138,6 @@ def main(argv=None) -> int:
         return 1
 
 
-def _write_csv(header, rows) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
 def cmd_optimal(args) -> int:
     q = engine.optimal_set(args.n)
     if args.format == "text":
@@ -151,12 +145,13 @@ def cmd_optimal(args) -> int:
             print(engine.centroid_str(node))
         print(f"V_{q.n} = {q.v}")
         return 0
-    data = engine.quantizer_set_to_dict(q)
     if args.format == "json":
-        print(json.dumps(data))
-    else:  # one row per node entry of the JSON form, its keys the header
-        nodes = data["nodes"]
-        _write_csv(nodes[0], (node.values() for node in nodes))
+        _, text, _ = engine.quantizer_sets_json([q])
+        print(text)
+    else:  # one row per node, the JSON form's node keys the header
+        print(_NODE_HEADER)
+        sys.stdout.writelines(f"{engine.NODE_CSV % engine.node_fields(node)}\n"
+                              for node in q.nodes)
     return 0
 
 
@@ -175,8 +170,8 @@ def cmd_table(args) -> int:
             sep = ", "
         print("]")
     elif args.format == "csv":  # each row written as _layers yields it, none kept
-        _write_csv(("n", "V", "V_float"),
-                   ((n, str(v), measure.float_val(v)) for n, v in rows))
+        print('"n","V","V_float"')
+        sys.stdout.writelines(f'{n},"{v}",{measure.float_val(v)!r}\n' for n, v in rows)
     else:
         rows = [(n, str(v), v) for n, v in rows]
         width = max(len(text) for _, text, _ in rows)
@@ -200,10 +195,10 @@ def cmd_enumerate(args) -> int:
         sys.stdout.writelines(engine.quantizer_sets_json(sets))
         print()
     else:  # as for optimal, each row led by the set's index
-        entries = engine.NodeMemo(engine.node_entry)
-        _write_csv(["set", *entries[sets[0].nodes[0]]],
-                   ([index, *entries[node].values()]
-                    for index, q in enumerate(sets, start=1) for node in q.nodes))
+        texts = engine.NodeMemo(lambda node: engine.NODE_CSV % engine.node_fields(node))
+        print(f'"set",{_NODE_HEADER}')
+        sys.stdout.writelines(f"{index},{texts[node]}\n"
+                              for index, q in enumerate(sets, 1) for node in q.nodes)
     return 0
 
 

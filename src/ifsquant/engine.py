@@ -28,7 +28,6 @@ power of two; a Fraction is built only where one is read.
 from __future__ import annotations
 
 import heapq
-import json
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -40,8 +39,8 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import measure
-from .measure import CLOSED, TAIL, MEAN, VARIANCE, Region
-from .words import Word, count_non_ones, render
+from .measure import CLOSED, TAIL, MEAN, VARIANCE
+from .words import Word, render
 
 DEFAULT_CAP = 10000  # most sets enumerate_optimal_sets and transition_graph build
 COUNT_DIGITS = 100_000  # most digits of a count that count_optimal_sets builds
@@ -70,9 +69,8 @@ class Node(NamedTuple):
     The rationals are built from these integers each time they are read;
     the audit and serialisation read the integers instead.  Equal regions
     have equal integers, so equality, hashing and order amount to region
-    identity, kind first.  Only ``root_node``, ``children`` and
-    ``make_node`` (from a validated Region) build one, so nothing
-    re-validates a record.
+    identity, kind first.  In the package only ``root_node`` and
+    ``children`` build one, so nothing re-validates a record.
     """
 
     kind: str
@@ -97,35 +95,10 @@ class Node(NamedTuple):
         """Left endpoint of the region interval: S_w(0), or S_w(2) for a tail."""
         return Fraction(self.dn + _OFFSETS[self.kind][0], 1 << self.a)
 
-    @property
-    def right(self) -> Fraction:
-        """Right endpoint of the region interval: S_w(1), or S_w(4) for a tail."""
-        return Fraction(self.dn + _OFFSETS[self.kind][2], 1 << self.a)
-
-    @property
-    def mass(self) -> Fraction:
-        """P-mass of the region: a tail after letter 1 holds 3 times p_w."""
-        return Fraction(self.m // _MASS_BASE[self.kind], 1 << self.a)
-
 
 def root_node() -> Node:
     """The whole-support node: one point at the global mean."""
     return Node(CLOSED, (), 9, 0, 0)
-
-
-def make_node(region: Region) -> Node:
-    """Build a region's node, deriving its integers from the word (O(|word|))."""
-    word = region.word
-    a = dn = 0
-    for j in word:  # S_{w.j}(0) = S_w(1 - 2^(1-j))
-        a += j + 1
-        dn = ((dn + 1) << (j + 1)) - 4
-    m = 3**count_non_ones(word)
-    if region.kind == CLOSED:
-        m *= 9
-    else:
-        m *= 129 if word[-1] == 1 else 43
-    return Node(region.kind, word, m, a, dn)
 
 
 def children(node: Node) -> tuple[Node, Node]:
@@ -625,25 +598,27 @@ def _error_str(m: int, a: int) -> str:
     return f"{32 * m >> shift}/{3577 << (3 * a - shift)}"
 
 
-def node_entry(node: Node) -> dict:
-    """The one formatting rule for a node: its JSON-ready entry.
+# A node's JSON object and CSV row are templates over its fields, exact as a word is
+# digits and dots, a kind "closed" or "tail" and a rational "num/den": no field holds
+# a character JSON or CSV would escape, and floats print by repr, as both print them.
+NODE_KEYS = ("word", "kind", "centroid", "centroid_float", "error")
+NODE_JSON = ('{"word": "%s", "kind": "%s", "centroid": "%s", '
+             '"centroid_float": %r, "error": "%s"}')
+NODE_CSV = '"%s","%s","%s",%r,"%s"'
+
+
+def node_fields(node: Node) -> tuple[str, str, str, float, str]:
+    """The one formatting rule for a node: its fields in ``NODE_KEYS`` order.
 
     Strings are formatted from the integers with their common factor known
     in advance, and equal the strings of the reduced Fractions; the
     centroid's float is the same correctly rounded integer division that
-    ``float(Fraction)`` performs.  Every JSON and CSV form of a node is
-    this entry, built per node by ``quantizer_set_to_dict`` and once per
-    distinct node through a ``NodeMemo``.
+    ``float(Fraction)`` performs.
     """
     kind, word, m, a, dn = node
     num, den = _centroid_terms(kind, a, dn)
-    return {
-        "word": render(word),
-        "kind": kind,
-        "centroid": f"{num}/{den}",
-        "centroid_float": float(format(num / den, measure.FLOAT_SPEC)),
-        "error": _error_str(m, a),
-    }
+    return (render(word), kind, f"{num}/{den}",
+            float(format(num / den, measure.FLOAT_SPEC)), _error_str(m, a))
 
 
 def node_name(node: Node) -> str:
@@ -657,8 +632,8 @@ class NodeMemo(dict):
     The optimal sets of a layer share their nodes: the 3432 sets of layer
     71 hold 243 672 node entries of 92 distinct nodes.  So a command that
     prints many sets looks every node up here and formats each distinct
-    node once.  The memo formats nothing itself: ``format_node`` is the
-    one formatting rule ``node_entry`` (or its ``json.dumps`` text), or
+    node once.  The memo formats nothing itself: ``format_node`` fills a
+    template (``NODE_JSON`` or ``NODE_CSV``) over ``node_fields``, or is
     ``node_name``.  Make one per command run and drop it with the run, as
     it keeps every node it has seen.
     """
@@ -673,26 +648,26 @@ class NodeMemo(dict):
 
 
 def quantizer_set_to_dict(q: QuantizerSet) -> dict:
-    """JSON-ready form of a quantizer set: n, V, V's float hint and the
-    ``node_entry`` of each node."""
+    """A quantizer set as a dict of n, V, V's float hint and its nodes' fields;
+    no command prints it, and ``quantizer_sets_json`` is tested against it."""
     return {
         "n": q.n,
         "V": str(q.v),
         "V_float": measure.float_val(q.v),
-        "nodes": list(map(node_entry, q.nodes)),
+        "nodes": [dict(zip(NODE_KEYS, node_fields(node))) for node in q.nodes],
     }
 
 
 def quantizer_sets_json(sets: Iterable[QuantizerSet]) -> Iterator[str]:
-    """``json.dumps([quantizer_set_to_dict(q) for q in sets])``, in pieces.
+    """The one writer of a set's JSON, ``json.dumps`` of the sets'
+    ``quantizer_set_to_dict`` list, in pieces.
 
-    ``json.dumps`` encodes each distinct node's entry once, and its text is
-    reused in every set that holds the node.  Only the set wrapper is
-    written here, with json's separators and its float by ``repr``, as
-    ``json`` writes it; the wrapper is rebuilt when n or V changes, so once
-    per layer.  One piece per set, to be written as it is made.
+    Each distinct node's ``NODE_JSON`` text is made once and reused in
+    every set that holds the node.  The set wrapper is written here, once
+    per layer (a change of n or V).  Yields "[", one piece per set, to be
+    written as it is made, and "]".
     """
-    texts = NodeMemo(lambda node: json.dumps(node_entry(node)))
+    texts = NodeMemo(lambda node: NODE_JSON % node_fields(node))
     layer, head, sep = None, "", ""
     yield "["
     for q in sets:

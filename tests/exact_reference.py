@@ -5,6 +5,10 @@ power of two.  The functions here do the same work the direct way, on
 ``Fraction`` values built by the node's properties, so the tests can check
 the integer forms against them:
 
+- ``make_node`` builds a region's node from its word alone, and ``right``
+  and ``mass`` read a node's right endpoint and mass as ``Fraction``
+  values, where the engine builds nodes only by splitting and reads
+  neither;
 - ``fraction_audit`` is the structural audit with one ``Fraction`` per
   endpoint, centroid, mass and error, and ``Fraction`` sums;
 - ``quantizer_set_from_dict`` rebuilds a set from its JSON form and checks
@@ -26,10 +30,36 @@ from fractions import Fraction
 
 from ifsquant import measure
 from ifsquant.engine import (
-    _DROP, Block, Node, QuantizerSet, StructureReport, children, make_node, root_node,
+    _DROP, _MASS_BASE, _OFFSETS, Block, Node, QuantizerSet, StructureReport, children,
+    root_node,
 )
 from ifsquant.measure import CLOSED, MEAN, TAIL, VARIANCE, Region
-from ifsquant.words import Word, parse, render
+from ifsquant.words import Word, count_non_ones, parse, render
+
+
+def make_node(region: Region) -> Node:
+    """Build a region's node, deriving its integers from the word (O(|word|))."""
+    word = region.word
+    a = dn = 0
+    for j in word:  # S_{w.j}(0) = S_w(1 - 2^(1-j))
+        a += j + 1
+        dn = ((dn + 1) << (j + 1)) - 4
+    m = 3**count_non_ones(word)
+    if region.kind == CLOSED:
+        m *= 9
+    else:
+        m *= 129 if word[-1] == 1 else 43
+    return Node(region.kind, word, m, a, dn)
+
+
+def right(node: Node) -> Fraction:
+    """Right endpoint of the region interval: S_w(1), or S_w(4) for a tail."""
+    return Fraction(node.dn + _OFFSETS[node.kind][2], 1 << node.a)
+
+
+def mass(node: Node) -> Fraction:
+    """P-mass of the region: a tail after letter 1 holds 3 times p_w."""
+    return Fraction(node.m // _MASS_BASE[node.kind], 1 << node.a)
 
 
 def fraction_audit(q: QuantizerSet) -> StructureReport:
@@ -38,9 +68,9 @@ def fraction_audit(q: QuantizerSet) -> StructureReport:
     failures: list[str] = []
     nodes = q.nodes
     lefts = [node.left for node in nodes]
-    rights = [node.right for node in nodes]
+    rights = [right(node) for node in nodes]
     points = [node.centroid for node in nodes]
-    masses = [node.mass for node in nodes]
+    masses = [mass(node) for node in nodes]
     if q.n != len(nodes) or q.n < 1:
         failures.append("node count mismatch")
     if any(not (lo < next_lo and hi <= next_lo)

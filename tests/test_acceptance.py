@@ -12,13 +12,13 @@ import time
 from fractions import Fraction as F
 
 from bfs_reference import reference_sets
+from exact_reference import make_node, mass
 from ifsquant import golden, measure
 from ifsquant.engine import (
     GenerationState,
     children,
     count_optimal_sets,
     enumerate_optimal_sets,
-    make_node,
     optimal_set,
     quantization_error,
     transition_graph,
@@ -174,11 +174,11 @@ def test_criterion_7():
     checkpoints = {1, 7, 64, 333, 1000}
     for n in range(2, 1001):
         parent, first, second = state.split()
-        mass_total += first.mass + second.mass - parent.mass
+        mass_total += mass(first) + mass(second) - mass(parent)
         mean_total += (
-            first.mass * first.centroid
-            + second.mass * second.centroid
-            - parent.mass * parent.centroid
+            mass(first) * first.centroid
+            + mass(second) * second.centroid
+            - mass(parent) * parent.centroid
         )
         assert mass_total == 1, n
         assert mean_total == measure.MEAN, n
@@ -187,8 +187,8 @@ def test_criterion_7():
         previous_v = state.v
         if n in checkpoints:
             nodes = state.nodes()
-            assert sum((nd.mass for nd in nodes), F(0)) == 1
-            assert sum((nd.mass * nd.centroid for nd in nodes), F(0)) == measure.MEAN
+            assert sum(map(mass, nodes), F(0)) == 1
+            assert sum((mass(nd) * nd.centroid for nd in nodes), F(0)) == measure.MEAN
             assert sum((nd.error for nd in nodes), F(0)) == state.v
 
     # child/parent error quotients, exact, on 10^4 random nodes

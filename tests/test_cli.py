@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from exact_reference import make_node
 from ifsquant import engine, exact_oracle, golden, measure, oracle
 from ifsquant.cli import build_parser, main
 from ifsquant.measure import Region
@@ -27,6 +29,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _csv_text(rows):
+    """The rows as ``csv.writer`` writes them, with the CLI's quoting."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC).writerows(rows)
+    return out.getvalue()
 
 
 def test_optimal_text(capsys):
@@ -55,6 +64,14 @@ def test_optimal_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == '"word","kind","centroid","centroid_float","error"'
     assert lines[1].startswith('"1","closed","1/7",0.1428571429,"9/7154"')
+    # Both forms fill templates; they must be what json and csv write of the
+    # set's dict, its node keys the CSV header.
+    for n in (1, 2, 71, 5000, *random.Random(3).sample(range(3, 5000), 8)):
+        data = engine.quantizer_set_to_dict(engine.optimal_set(n))
+        assert run(capsys, "optimal", "--n", str(n), "--format", "json")[1] \
+            == json.dumps(data) + "\n"
+        assert run(capsys, "optimal", "--n", str(n), "--format", "csv")[1] \
+            == _csv_text([data["nodes"][0], *(node.values() for node in data["nodes"])])
 
 
 def test_table_csv(capsys):
@@ -65,6 +82,12 @@ def test_table_csv(capsys):
     assert lines[0] == '"n","V","V_float"'
     assert lines[1].startswith('2,"69/3577",0.0192899')
     assert len(lines) == 5
+    code, out, _ = run(capsys, "table", "--from", "1", "--to", "500", "--format", "csv")
+    assert code == 0
+    values = map(engine.quantization_error, range(1, 501))
+    assert out == _csv_text([("n", "V", "V_float"),
+                             *((n, str(v), measure.float_val(v))
+                               for n, v in enumerate(values, start=1))])
 
 
 def test_table_text_contains_exact_values(capsys):
@@ -165,12 +188,10 @@ def test_enumerate_node_memo_matches_the_dict_forms(n):
     lines = _stdout("enumerate", "--n", str(n)).splitlines()
     assert lines[3:] == [f"set {index}: {' '.join(_names(q))}"
                          for index, q in enumerate(sets, start=1)]
-    rows = io.StringIO()
-    csv.writer(rows, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC).writerows(
-        [["set", *data[0]["nodes"][0]],
-         *([index, *node.values()] for index, entry in enumerate(data, start=1)
-           for node in entry["nodes"])])
-    assert _stdout("enumerate", "--n", str(n), "--format", "csv") == rows.getvalue()
+    rows = _csv_text([["set", *data[0]["nodes"][0]],
+                      *([index, *node.values()] for index, entry in enumerate(data, start=1)
+                        for node in entry["nodes"])])
+    assert _stdout("enumerate", "--n", str(n), "--format", "csv") == rows
 
 
 def test_quantizer_sets_json_of_no_sets_and_of_two_layers():
@@ -200,9 +221,9 @@ def test_tree_json_node_names_match_the_signatures(n_lo, width):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_node_memo_lives_for_one_call(monkeypatch, capsys, fmt):
     formatted = []
-    node_entry = engine.node_entry
-    monkeypatch.setattr(engine, "node_entry",
-                        lambda node: formatted.append(node) or node_entry(node))
+    node_fields = engine.node_fields
+    monkeypatch.setattr(engine, "node_fields",
+                        lambda node: formatted.append(node) or node_fields(node))
     distinct = {node for q in engine.enumerate_optimal_sets(16) for node in q.nodes}
     assert len(distinct) < 3 * 16
     for calls in (1, 2):
@@ -406,7 +427,7 @@ def test_verify_catches_duplicate_sets(monkeypatch, capsys):
 def test_verify_rederives_set_totals(monkeypatch, capsys):
     def swap_first_node(sets):
         q = sets[0]
-        wrong = engine.make_node(Region(q.nodes[0].kind, (9,)))
+        wrong = make_node(Region(q.nodes[0].kind, (9,)))
         return [engine.QuantizerSet((wrong, *q.nodes[1:]), q.n, q.v), *sets[1:]]
 
     out = _tampered_verify(monkeypatch, capsys, swap_first_node)

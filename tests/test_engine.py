@@ -1,6 +1,10 @@
+import csv
 import functools
+import io
+import json
 import math
 import random
+import re
 from fractions import Fraction as F
 from itertools import accumulate, islice
 
@@ -13,7 +17,10 @@ from exact_reference import (
     branch_decomposition,
     countdown_walk,
     fraction_audit,
+    make_node,
+    mass,
     quantizer_set_from_dict,
+    right,
 )
 from ifsquant import engine, golden, measure
 from ifsquant.engine import (
@@ -24,7 +31,6 @@ from ifsquant.engine import (
     children,
     count_optimal_sets,
     enumerate_optimal_sets,
-    make_node,
     optimal_set,
     quantization_error,
     quantizer_set_to_dict,
@@ -77,13 +83,14 @@ def _assert_matches_measure(node):
     assert node.dn * scale == measure.apply_map(region.word, F(0))
     assert node.error == measure.node_error(region)
     assert node.centroid == measure.centroid(region)
-    assert (node.left, node.right) == measure.region_interval(region)
-    assert node.mass == measure.region_mass(region)
+    assert (node.left, right(node)) == measure.region_interval(region)
+    assert mass(node) == measure.region_mass(region)
 
 
 def test_children_match_measure_formulas():
-    # make_node and children() share the engine's integer record, so both
-    # are checked against the from-scratch formulas of ``measure``.
+    # make_node (from the word) and children() build the same integer
+    # record, so both are checked against the from-scratch formulas of
+    # ``measure``.
     _assert_matches_measure(root_node())
     rng = random.Random(5)
     for _ in range(300):
@@ -496,13 +503,23 @@ def test_integer_audit_matches_fraction_audit(q):
 def test_serialisation_matches_fraction_formatting(n):
     # The node strings come from the integers with the common factor known
     # in advance; they must be the reduced Fractions' strings, and the
-    # float the Fraction's float rounded the same way.
-    q = _optimal(n)
-    data = quantizer_set_to_dict(q)
-    for node, entry in zip(q.nodes, data["nodes"], strict=True):
-        assert entry["centroid"] == engine.centroid_str(node) == str(node.centroid)
-        assert entry["centroid_float"] == measure.float_val(node.centroid)
-        assert entry["error"] == str(node.error)
+    # float the Fraction's float rounded the same way.  No string field
+    # holds a character that JSON or CSV would escape, so the templates are
+    # what json and csv write of the fields; random regions, with letters
+    # up to 10, bring words of two-digit letters.
+    rng = random.Random(n)
+    for node in (*_optimal(n).nodes, *(make_node(random_region(rng)) for _ in range(50))):
+        fields = engine.node_fields(node)
+        _, _, centroid, centroid_float, error = fields
+        assert centroid == engine.centroid_str(node) == str(node.centroid)
+        assert centroid_float == measure.float_val(node.centroid)
+        assert error == str(node.error)
+        assert all(re.fullmatch("[0-9a-z./]*", field)
+                   for field in fields if isinstance(field, str))
+        assert engine.NODE_JSON % fields == json.dumps(dict(zip(engine.NODE_KEYS, fields)))
+        row = io.StringIO()
+        csv.writer(row, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC).writerow(fields)
+        assert engine.NODE_CSV % fields + "\n" == row.getvalue()
 
 
 def test_recurrence_and_monotonicity():
@@ -695,8 +712,8 @@ def test_state_mass_and_mean_invariants():
     for _ in range(120):
         state.split()
     nodes = state.nodes()
-    assert sum((n.mass for n in nodes), F(0)) == 1
-    assert sum((n.mass * n.centroid for n in nodes), F(0)) == measure.MEAN
+    assert sum(map(mass, nodes), F(0)) == 1
+    assert sum((mass(n) * n.centroid for n in nodes), F(0)) == measure.MEAN
 
 
 @pytest.mark.parametrize(
