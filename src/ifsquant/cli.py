@@ -245,11 +245,13 @@ def cmd_oracle_sample(args) -> int:
         print(json.dumps(stats))
     else:
         for key, value in stats.items():
-            if isinstance(value, float):
-                print(f"{key} = {float_str(value)}")
-            else:
-                print(f"{key} = {value}")
+            print(f"{key} = {_value_text(value)}")
     return 0
+
+
+def _value_text(value) -> str:
+    """A payload value as the text forms print it: a float by ``float_str``."""
+    return float_str(value) if isinstance(value, float) else str(value)
 
 
 def cmd_oracle_lloyd(args) -> int:
@@ -269,25 +271,19 @@ def cmd_oracle_lloyd(args) -> int:
         "dp_centers": [float(c) for c in dp_result.centers],
         "dp_distortion": dp_result.distortion,
         "exact_centroids": [str(c) for c in points],
-        "lloyd_max_deviation": max(
-            abs(a - b) for a, b in zip(lloyd_result.centers, exact)
-        ),
-        "dp_max_deviation": max(
-            abs(a - b) for a, b in zip(dp_result.centers, exact)
-        ),
+        "lloyd_max_deviation": max(abs(a - b)
+                                   for a, b in zip(lloyd_result.centers, exact)),
+        "dp_max_deviation": max(abs(a - b) for a, b in zip(dp_result.centers, exact)),
     }
     if args.format == "json":
         print(json.dumps(payload))
-    else:
-        print(f"k = {k}")
-        print("lloyd centers: " + " ".join(map(float_str, payload["lloyd_centers"])))
-        print(f"lloyd distortion = {float_str(payload['lloyd_distortion'])}")
-        print(f"lloyd iterations = {payload['lloyd_iterations']}")
-        print("dp centers: " + " ".join(map(float_str, payload["dp_centers"])))
-        print(f"dp distortion = {float_str(payload['dp_distortion'])}")
-        print("exact centroids: " + " ".join(payload["exact_centroids"]))
-        print(f"lloyd max deviation = {float_str(payload['lloyd_max_deviation'])}")
-        print(f"dp max deviation = {float_str(payload['dp_max_deviation'])}")
+    else:  # one line per key, its "_" read as a space
+        for key, value in payload.items():
+            label = key.replace("_", " ")
+            if isinstance(value, list):
+                print(f"{label}: {' '.join(map(_value_text, value))}")
+            else:
+                print(f"{label} = {_value_text(value)}")
     return 0
 
 
@@ -349,8 +345,9 @@ def cmd_oracle_check(args) -> int:
 
 # --------------------------- verify ---------------------------------------
 
-def _golden_checks():
-    """(label, value thunk, expected) rows, in the order verify prints them."""
+def _checks(n_max: int):
+    """(label, check) rows, in the order verify prints them: each check
+    returns (passed, detail), the detail printed only when it fails."""
     rows = [("measure constants identities",
              lambda: measure.validate_constants() or True, True)]
     rows += [(f"V_{n} = {v}",
@@ -361,7 +358,7 @@ def _golden_checks():
              for n, points in sorted(golden.GOLDEN_POINTS.items())]
     rows += [(f"card C_{n} = {c}", functools.partial(engine.count_optimal_sets, n), c)
              for n, c in sorted(golden.GOLDEN_COUNTS.items())]
-    return rows + [
+    rows += [
         *golden.MEASURE_ROWS,
         ("enumerated 16-point listings (3 sets)",
          lambda: {q.signature() for q in engine.enumerate_optimal_sets(16)},
@@ -374,61 +371,61 @@ def _golden_checks():
         ("transition pattern 18 -> 21",
          lambda: engine.transition_graph(18, 21).edges, golden.EDGES_18_21),
     ]
+    checks = [(label, lambda value=value, expected=expected: (value() == expected, ""))
+              for label, value, expected in rows]
+    counted, searched = min(n_max, 40), min(n_max, 12)
+    return checks + [
+        (f"structure valid for n <= {n_max}", lambda: _structure(n_max)),
+        (f"count matches enumeration for n <= {counted}", lambda: _counts(counted)),
+        (f"exhaustive search agrees for n <= {searched}", lambda: _exhaustive(searched)),
+    ]
 
 
-def run_verify(n_max: int) -> bool:
-    """Print the verification report to stdout; returns overall success."""
-    if n_max < 2:
-        raise ValueError(f"verify needs n >= 2, got {n_max}")
-    ok_all = True
+def _structure(n_max: int) -> tuple[bool, str]:
+    bad = [f"n={n}: {failures[0]}" for n in range(1, n_max + 1)
+           if (failures := engine.validate_structure(engine.optimal_set(n)).failures)]
+    return not bad, "; ".join(bad[:3])
 
-    def report(label: str, ok: bool, detail: str = "") -> None:
-        nonlocal ok_all
-        ok_all = ok_all and ok
-        suffix = f" ({detail})" if detail and not ok else ""
-        print(f"{label} {'PASS' if ok else 'FAIL'}{suffix}")
 
-    for label, value, expected in _golden_checks():
-        try:
-            report(label, value() == expected)
-        except Exception as exc:  # a failing check must not stop the report
-            report(label, False, f"{type(exc).__name__}: {exc}")
-
-    bad = []
-    for n in range(1, n_max + 1):
-        result = engine.validate_structure(engine.optimal_set(n))
-        if not result.ok:
-            bad.append(f"n={n}: {result.failures[0]}")
-    report(f"structure valid for n <= {n_max}", not bad,
-           "; ".join(bad[:3]))
-
+def _counts(upper: int) -> tuple[bool, str]:
     # Besides the count, check what the block description takes for
     # granted: the sets are distinct, and each one's total, re-derived node
     # by node from the measure formulas, is the optimal error.
-    upper = min(n_max, 40)
     node_error = functools.cache(lambda *kw: measure.node_error(measure.Region(*kw)))
-    mismatch = []
+    bad = []
     for n in range(1, upper + 1):
-        sets = engine.enumerate_optimal_sets(n)
-        v = engine.quantization_error(n)
-        if (
-            engine.count_optimal_sets(n) != len(sets)
-            or len({q.signature() for q in sets}) != len(sets)
-            or any(sum(node_error(node.kind, node.word) for node in q.nodes) != v
-                   for q in sets)
-        ):
-            mismatch.append(str(n))
-    report(f"count matches enumeration for n <= {upper}", not mismatch,
-           "n=" + ",".join(mismatch[:5]))
+        sets, v = engine.enumerate_optimal_sets(n), engine.quantization_error(n)
+        if (engine.count_optimal_sets(n) != len(sets)
+                or len({q.signature() for q in sets}) != len(sets)
+                or any(sum(node_error(node.kind, node.word) for node in q.nodes) != v
+                       for q in sets)):
+            bad.append(n)
+    return not bad, "n=" + ",".join(map(str, bad[:5]))
 
-    upper = min(n_max, 12)
-    mismatch = []
-    for n in range(2, upper + 1):
-        best_v, _ = exact_oracle.exhaustive_min(n)
-        if best_v != engine.quantization_error(n):
-            mismatch.append(str(n))
-    report(f"exhaustive search agrees for n <= {upper}", not mismatch,
-           "n=" + ",".join(mismatch[:5]))
+
+def _exhaustive(upper: int) -> tuple[bool, str]:
+    bad = [n for n in range(2, upper + 1)
+           if exact_oracle.exhaustive_min(n)[0] != engine.quantization_error(n)]
+    return not bad, "n=" + ",".join(map(str, bad[:5]))
+
+
+def run_verify(n_max: int) -> bool:
+    """Print the verification report to stdout; returns overall success.
+
+    One loop runs every ``_checks`` row and prints its line: a check that
+    raises fails with the exception as its detail, and the report goes on.
+    """
+    if n_max < 2:
+        raise ValueError(f"verify needs n >= 2, got {n_max}")
+    ok_all = True
+    for label, check in _checks(n_max):
+        try:
+            ok, detail = check()
+        except Exception as exc:  # a failing check must not stop the report
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
+        ok_all = ok_all and ok
+        suffix = f" ({detail})" if detail and not ok else ""
+        print(f"{label} {'PASS' if ok else 'FAIL'}{suffix}")
     return ok_all
 
 

@@ -16,13 +16,16 @@ block in canonical order and leaves the block's tied nodes unsplit
 (``_walk``), and one tie rule splices the children of the chosen tied
 nodes into it (``_splice``): the canonical set chooses the first r, and
 the enumeration every r of them.  One cap rule bounds the sets a window of
-layers may build (``_within_cap``).  ``GenerationState`` runs the
-induction step by step, as the tests' reference.  A node is one integer
-record: its region's kind and word and three integers (M, a, dn), split by
-one rule (``children``).  Its endpoints, centroid and mass are integers
-over 2^a or 7 * 2^a, and its error is V times an integer over 9 * 8^a, so
-the structural audit and the serialisation work on integers over one
-power of two; a Fraction is built only where one is read.
+layers may build (``_within_cap``), and one edge rule links the layers
+(``transition_graph``): a set leads to each set that splits one more of
+its block's tied nodes, and the set before a block's first layer splits
+none of them.  ``GenerationState`` runs the induction step by step, as the
+tests' reference.  A node is one integer record: its region's kind and
+word and three integers (M, a, dn), split by one rule (``children``).  Its
+endpoints, centroid and mass are integers over 2^a or 7 * 2^a, and its
+error is V times an integer over 9 * 8^a, so the structural audit and the
+serialisation work on integers over one power of two; a Fraction is built
+only where one is read.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, islice, zip_longest
-from math import comb, log, log1p, pi
+from math import comb, inf, log, log1p, pi
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -405,23 +408,23 @@ def count_optimal_sets(n: int) -> int:
     ln binomial(m, k) within 1/6 of k ln(m/k) + (m - k) ln(m/(m - k))
     + ln(m / (2 pi k (m - k))) / 2, taken with logarithms of integers and
     of 1 - k/m so that no float overflows; that settles it unless the count
-    lies within a factor 1.3 of 10^COUNT_DIGITS, and only then is it built
-    and compared.
+    lies within a factor 1.3 of 10^COUNT_DIGITS, and only then is the count
+    compared with 10^COUNT_DIGITS.  The count is built once, at most.
     """
     _, block, r, _ = next(_layers(n, n))
     m, k = block.m, min(r, block.m - r)
-    too_many = k >= 4 * COUNT_DIGITS
-    if k and not too_many:
+    log10_count = inf if k else 0.0  # binomial(m, k) >= 2^k; 1 at k = 0
+    if 0 < k < 4 * COUNT_DIGITS:
         x = k / m  # (m - k) ln(m/(m - k)) is k (1 - x) ln(1/(1 - x)) / x, or k at x = 0
         other = k if x == 0 else -k * (1 - x) * log1p(-x) / x
         log10_count = (k * (log(m) - log(k)) + other
                        - (log(2 * pi * k) + log1p(-x)) / 2) / log(10)
-        too_many = log10_count > COUNT_DIGITS + 0.1 or (
-            log10_count > COUNT_DIGITS - 0.1 and comb(m, k) >= 10**COUNT_DIGITS)
-    if too_many:
-        raise CapExceeded(
-            f"number of optimal sets has more than {COUNT_DIGITS} digits at n={n}")
-    return comb(m, k)
+    if log10_count <= COUNT_DIGITS + 0.1:
+        count = comb(m, k)  # built once, and compared only near the limit
+        if log10_count <= COUNT_DIGITS - 0.1 or count < 10**COUNT_DIGITS:
+            return count
+    raise CapExceeded(
+        f"number of optimal sets has more than {COUNT_DIGITS} digits at n={n}")
 
 
 def vertex_label(n: int, i: int) -> str:
@@ -435,7 +438,7 @@ class TransitionGraph:
 
     ``layers[k]`` holds the optimal sets of size n_lo + k in canonical
     order; ``vertex_label(n, i)`` names the i-th set of layer n, and the
-    edges are pairs of those names.
+    edges are pairs of those names, by ``transition_graph``'s edge rule.
     """
 
     n_lo: int
@@ -446,27 +449,26 @@ class TransitionGraph:
 def transition_graph(n_lo: int, n_hi: int, cap: int = DEFAULT_CAP) -> TransitionGraph:
     """Build the optimal-set transition DAG for sizes n_lo .. n_hi.
 
-    An r-set of a block leads to the (r+1)-sets of the same block that
-    contain it; the one set that closes a block leads to every set of the
-    next.  Raises CapExceeded past ``cap`` sets in all, by the cap rule
-    ``_within_cap`` on the window n_lo .. n_hi.
+    The one edge rule: an r-choice of a block's tied nodes leads to the
+    (r+1)-choices of the block that contain it, where a layer with r = 1
+    takes the one set before it as the empty choice.  Raises CapExceeded
+    past ``cap`` sets in all, by the cap rule ``_within_cap``.
     """
     layers: list[tuple[QuantizerSet, ...]] = []
     edges: list[tuple[str, str]] = []
-    previous_block, previous = None, {}
+    previous = {}
     for k, block, r, v in _within_cap(n_lo, n_hi, cap):
         pairs = list(_layer_sets(k, block, r, v))
         order = {chosen: index for index, (chosen, _) in enumerate(pairs, start=1)}
         layers.append(tuple(q for _, q in pairs))
+        if r == 1 and previous:  # the one set before a block chose none of it
+            previous = {(): 1}
         for chosen, src in previous.items():
-            if block == previous_block:
-                targets = sorted(order[tuple(sorted((*chosen, x)))]
-                                 for x in range(block.m) if x not in chosen)
-            else:  # the closing set of the previous block feeds every set
-                targets = range(1, len(order) + 1)
+            targets = sorted(order[tuple(sorted((*chosen, x)))]
+                             for x in range(block.m) if x not in chosen)
             edges.extend((vertex_label(k - 1, src), vertex_label(k, dst))
                          for dst in targets)
-        previous_block, previous = block, order
+        previous = order
     return TransitionGraph(n_lo, tuple(layers), tuple(edges))
 
 

@@ -491,6 +491,32 @@ def test_verify_reports_a_check_that_raises(monkeypatch, capsys):
     assert out.endswith("verification FAILED\n")
 
 
+@pytest.mark.parametrize("error", [RuntimeError, ValueError])
+@pytest.mark.parametrize("owner, name, label", [
+    (engine, "validate_structure", "structure valid for n <= 3"),
+    (engine, "enumerate_optimal_sets", "count matches enumeration for n <= 3"),
+    (exact_oracle, "exhaustive_min", "exhaustive search agrees for n <= 3"),
+], ids=["structure", "enumeration", "exhaustive"])
+def test_verify_reports_any_check_that_raises(monkeypatch, capsys, owner, name,
+                                              label, error):
+    # A check that raises fails on its own line, and every later line still
+    # prints: no traceback, and no usage error for a ValueError.
+    _, clean, _ = run(capsys, "verify", "--n", "3")
+
+    def broken(*args, **kwargs):
+        raise error("broken on purpose")
+
+    monkeypatch.setattr(owner, name, broken)
+    code, out, err = run(capsys, "verify", "--n", "3")
+    assert (code, err) == (1, "")
+    failure = f" FAIL ({error.__name__}: broken on purpose)"
+    assert f"{label}{failure}" in out.splitlines()
+    assert len(out.splitlines()) == len(clean.splitlines())
+    for before, after in zip(clean.splitlines()[:-1], out.splitlines()):
+        assert after in (before, before.removesuffix(" PASS") + failure)
+    assert out.endswith("verification FAILED\n")
+
+
 def test_memory_error_exits_1(monkeypatch, capsys):
     def sample(*args):
         raise MemoryError("Unable to allocate 7.28 TiB for an array")
@@ -580,6 +606,29 @@ def test_oracle_lloyd_json_matches_text(capsys):
     assert payload["exact_centroids"] == line.split(": ")[1].split()
     assert payload["exact_centroids"] == [
         str(x) for x in engine.optimal_set(3).points()]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_oracle_lloyd_text_is_its_payload(capsys, k):
+    # Each text line is a payload key with "_" read as a space: a list
+    # joined by spaces after ": ", any other value after " = ", and floats
+    # through float_str.  At k = 1 every list has one element.
+    argv = ("oracle-lloyd", "--n", str(k), "--samples", "20000", "--depth", "16",
+            "--threads", "1")
+    code, text_out, _ = run(capsys, *argv)
+    assert code == 0
+    code, json_out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(json_out)
+    assert {len(v) for v in payload.values() if isinstance(v, list)} == {k}
+
+    def text(value):
+        return measure.float_str(value) if isinstance(value, float) else str(value)
+
+    assert text_out.splitlines() == [
+        f"{key.replace('_', ' ')}: {' '.join(map(text, value))}"
+        if isinstance(value, list) else f"{key.replace('_', ' ')} = {text(value)}"
+        for key, value in payload.items()]
 
 
 @pytest.mark.parametrize("argv", [

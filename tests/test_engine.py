@@ -314,6 +314,22 @@ def test_count_digit_limit_is_exact(monkeypatch, limit):
     assert near
 
 
+@pytest.mark.parametrize("limit", [2, 3, 5, 10, 20, 40])
+def test_count_builds_its_binomial_once(monkeypatch, limit):
+    # Near 10^limit the count is built for the comparison, and the same
+    # one is returned: no call builds a binomial twice.
+    monkeypatch.setattr(engine, "COUNT_DIGITS", limit)
+    built = []
+    monkeypatch.setattr(engine, "comb", lambda m, k: built.append(m) or math.comb(m, k))
+    for n in range(1, 3001):
+        built.clear()
+        try:
+            count_optimal_sets(n)
+        except CapExceeded:
+            pass
+        assert len(built) <= 1, n
+
+
 @pytest.mark.parametrize("n, expected", sorted(golden.GOLDEN_COUNTS.items()))
 def test_count_goldens(n, expected):
     assert count_optimal_sets(n) == expected
@@ -350,7 +366,13 @@ def test_layer_sets_come_in_signature_order():
     assert layers == {CLOSED: 97, TAIL: 98}
 
 
-@pytest.mark.parametrize("n_lo, n_hi", [(2, 3), (15, 18), (18, 21), (60, 67)])
+# Every window of one to five layers inside 1..30, so windows that start on a
+# block's first layer, end on a block's closing layer and cross one-node
+# blocks, and the tie-heavy block 60..67.
+@pytest.mark.parametrize("n_lo, n_hi", [
+    *((n_lo, n_hi) for n_lo in range(1, 31) for n_hi in range(n_lo, min(n_lo + 5, 31))),
+    (60, 67),
+])
 def test_transition_graph_matches_breadth_first_reference(n_lo, n_hi):
     assert transition_graph(n_lo, n_hi) == reference_graph(n_lo, n_hi)
 

@@ -4,9 +4,9 @@ Every exact operation of ``perfbench/workloads.py`` is run once and its own
 check applied: CLI operations must print, byte for byte, the stdout whose
 SHA-256 digest ``perfbench/expected.json`` records.  The benchmark's tracer
 must still find every function it wraps.  Every form of ``tree``, and the
-``enumerate`` calls below, print, byte for byte, the stdout whose SHA-256
-digest is recorded here, and so do ``str(quantization_error(n))`` at a few
-deep n.
+``enumerate`` and ``verify`` calls below, print, byte for byte, the stdout
+whose SHA-256 digest is recorded here, and so do
+``str(quantization_error(n))`` at a few deep n.
 """
 
 import hashlib
@@ -73,6 +73,12 @@ def test_tracer_installs_and_restores():
 
 
 @pytest.mark.parametrize("argv, digest", [
+    ("--from 1 --to 30",
+     "0082d34c0083b8da00269920175b53b9c5b9d20183a55f370f57145e01a6b4fd"),
+    ("--from 1 --to 30 --format dot",
+     "a505f317f2278f41b8dbcb8dc5b768befab4e86031afc663407ec2525612bd8a"),
+    ("--from 1 --to 30 --format json",
+     "a6d644058eefd089e225f8f79b9767e32a028f21a19632ae056565c3d92d2599"),
     ("--from 15 --to 21",
      "4af173a41d0a37e450ebec31ab43b2f8fef05e5aa8f9579c4c2c50f077d19ec1"),
     ("--from 15 --to 21 --format dot",
@@ -90,6 +96,14 @@ def test_tree_output_digest(capsys, argv, digest):
     assert main(["tree", *argv.split()]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_output_digest(capsys):
+    # Past n = 40 the structure line's bound differs from the count line's.
+    assert main(["verify", "--n", "60"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "217698f87d3a6afd339ae28e5dbc188c5004226812e4d9d2dd6ade7c6132b231")
 
 
 # Layer 71 holds the most sets below n = 90: 3432 sets of 71 nodes each.
