@@ -232,7 +232,7 @@ def cmd_oracle_sample(args) -> int:
             oracle.write_batch(batch, args.out)
         except OSError as exc:
             raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from exc
-    stats = {
+    _report(args, _payload_rows({
         "count": batch.count,
         "depth": batch.depth,
         "seed": batch.seed,
@@ -240,18 +240,32 @@ def cmd_oracle_sample(args) -> int:
         "variance": float(batch.values.var()),
         "mass_first_cylinder": oracle.empirical_mass(batch, 0.0, 0.25),
         "mass_second_cylinder": oracle.empirical_mass(batch, 0.5, 0.625),
-    }
-    if args.format == "json":
-        print(json.dumps(stats))
-    else:
-        for key, value in stats.items():
-            print(f"{key} = {_value_text(value)}")
+    }))
     return 0
+
+
+def _report(args, rows) -> None:
+    """The one printer of the oracle reports, whose rows are (text line,
+    JSON fields): the JSON form is one object of every row's fields, in
+    order, and the text form is every row's line."""
+    if args.format == "json":
+        print(json.dumps({key: value for _, fields in rows
+                          for key, value in fields.items()}))
+    else:
+        sys.stdout.writelines(f"{line}\n" for line, _ in rows)
 
 
 def _value_text(value) -> str:
     """A payload value as the text forms print it: a float by ``float_str``."""
     return float_str(value) if isinstance(value, float) else str(value)
+
+
+def _payload_rows(payload: dict, label=str) -> list[tuple[str, dict]]:
+    """One row per payload key: its line is the key's label and a list
+    joined by spaces after ": ", or any other value after " = "."""
+    return [(f"{label(key)}: {' '.join(map(_value_text, value))}"
+             if isinstance(value, list) else f"{label(key)} = {_value_text(value)}",
+             {key: value}) for key, value in payload.items()]
 
 
 def cmd_oracle_lloyd(args) -> int:
@@ -263,7 +277,7 @@ def cmd_oracle_lloyd(args) -> int:
     dp_result = oracle.kmeans_1d_exact(batch, k)
     points = engine.optimal_set(k).points()
     exact = [float(c) for c in points]
-    payload = {
+    _report(args, _payload_rows({
         "k": k,
         "lloyd_centers": [float(c) for c in lloyd_result.centers],
         "lloyd_distortion": lloyd_result.distortion,
@@ -274,16 +288,7 @@ def cmd_oracle_lloyd(args) -> int:
         "lloyd_max_deviation": max(abs(a - b)
                                    for a, b in zip(lloyd_result.centers, exact)),
         "dp_max_deviation": max(abs(a - b) for a, b in zip(dp_result.centers, exact)),
-    }
-    if args.format == "json":
-        print(json.dumps(payload))
-    else:  # one line per key, its "_" read as a space
-        for key, value in payload.items():
-            label = key.replace("_", " ")
-            if isinstance(value, list):
-                print(f"{label}: {' '.join(map(_value_text, value))}")
-            else:
-                print(f"{label} = {_value_text(value)}")
+    }, label=lambda key: key.replace("_", " ")))
     return 0
 
 
@@ -306,40 +311,24 @@ def cmd_oracle_check(args) -> int:
             f"every sample has the same distortion (stderr 0) and n={n} has no "
             "exhaustive check; draw more or deeper samples")
     ok = not conclusive or gap <= 4 * stderr
-    bands = (f"{format(gap / stderr, '.3g')} stderr" if conclusive
-             else "inconclusive: stderr 0")
-    lines = [
-        f"n = {n}",
-        f"V_{n} = {exact} = {float_str(exact)}",
-        f"mc estimate = {float_str(estimate)} "
-        f"(stderr {format(stderr, '.3g')})",
-        f"deviation = {format(gap, '.3g')} ({bands})",
+    deviation = f"deviation = {format(gap, '.3g')}"
+    rows = [
+        (f"n = {n}", {"n": n}),
+        (f"V_{n} = {exact} = {float_str(exact)}", {"V": str(exact)}),
+        (f"mc estimate = {float_str(estimate)} (stderr {format(stderr, '.3g')})",
+         {"mc_estimate": estimate, "mc_stderr": stderr}),
+        (f"{deviation} ({format(gap / stderr, '.3g')} stderr)", {}) if conclusive
+        else (f"{deviation} (inconclusive: stderr 0)", {"mc_inconclusive": True}),
     ]
-    report = {
-        "n": n,
-        "V": str(exact),
-        "mc_estimate": estimate,
-        "mc_stderr": stderr,
-    }
-    if not conclusive:
-        report["mc_inconclusive"] = True
     if n >= 2:
         best_v, _ = exact_oracle.exhaustive_min(n)
         agree = best_v == exact
         ok = ok and agree
-        lines.append(
-            f"exhaustive minimum = {best_v} "
-            f"({'agrees' if agree else 'DISAGREES'})"
-        )
-        report["exhaustive_min"] = str(best_v)
-        report["exhaustive_agrees"] = agree
-    lines.append("result: " + ("PASS" if ok else "FAIL"))
-    if args.format == "json":
-        report["pass"] = ok
-        print(json.dumps(report))
-    else:
-        for line in lines:
-            print(line)
+        rows.append((f"exhaustive minimum = {best_v} "
+                     f"({'agrees' if agree else 'DISAGREES'})",
+                     {"exhaustive_min": str(best_v), "exhaustive_agrees": agree}))
+    rows.append(("result: " + ("PASS" if ok else "FAIL"), {"pass": ok}))
+    _report(args, rows)
     return 0 if ok else 1
 
 
@@ -382,8 +371,8 @@ def _checks(n_max: int):
 
 
 def _structure(n_max: int) -> tuple[bool, str]:
-    bad = [f"n={n}: {failures[0]}" for n in range(1, n_max + 1)
-           if (failures := engine.validate_structure(engine.optimal_set(n)).failures)]
+    bad = [f"n={q.n}: {failures[0]}" for q in engine.canonical_sets(1, n_max)
+           if (failures := engine.validate_structure(q).failures)]
     return not bad, "; ".join(bad[:3])
 
 

@@ -14,9 +14,10 @@ V_n and the binomial(m, r) optimal sets of each size follow from the
 blocks (``_layers``).  One depth-first walk builds the frontier above a
 block in canonical order and leaves the block's tied nodes unsplit
 (``_walk``), and one tie rule splices the children of the chosen tied
-nodes into it (``_splice``): the canonical set chooses the first r, and
-the enumeration every r of them.  One cap rule bounds the sets a window of
-layers may build (``_within_cap``), and one edge rule links the layers
+nodes into it (``_splice``): the canonical sets choose the first r, one
+walk per block (``canonical_sets``), and the enumeration every r of them.
+One cap rule bounds the sets a window of layers may build
+(``_within_cap``), and one edge rule links the layers
 (``transition_graph``): a set leads to each set that splits one more of
 its block's tied nodes, and the set before a block's first layer splits
 none of them.  ``GenerationState`` runs the induction step by step, as the
@@ -120,7 +121,7 @@ def children(node: Node) -> tuple[Node, Node]:
             Node(TAIL, word, m, a + 1, 2 * dn + 4))
 
 
-# The name ``_walk`` and ``optimal_set`` split through: a tracer that wraps
+# The name ``_walk`` and ``canonical_sets`` split through: a tracer that wraps
 # ``children`` then counts only the tied-node splits of ``_layer_sets``.
 _split = children
 
@@ -328,13 +329,21 @@ def _splice(nodes: list[Node], tied: list[int], chosen: Iterable[int],
     return tuple(parts)
 
 
+def canonical_sets(n_lo: int, n_hi: int) -> Iterator[QuantizerSet]:
+    """The canonical optimal sets of sizes n_lo .. n_hi: each splits its
+    block's first r tied nodes, that is ties split at the leftmost region.
+    One walk serves a block, and each next size adds one pair to ``halves``."""
+    current = None
+    for n, block, r, v in _layers(n_lo, n_hi):
+        if block is not current:
+            current, (nodes, tied), halves = block, _walk(block), []
+        halves += map(_split, (nodes[slot] for slot in tied[len(halves):r]))
+        yield QuantizerSet(_splice(nodes, tied, range(r), halves), n, v)
+
+
 def optimal_set(n: int) -> QuantizerSet:
-    """One canonical optimal n-point set: the block's first r tied nodes
-    split, that is ties split at the leftmost region."""
-    _, block, r, v = next(_layers(n, n))
-    nodes, tied = _walk(block)
-    halves = [_split(nodes[slot]) for slot in tied[:r]]
-    return QuantizerSet(_splice(nodes, tied, range(r), halves), n, v)
+    """One canonical optimal n-point set: ``canonical_sets``' one-size window."""
+    return next(canonical_sets(n, n))
 
 
 def quantization_error(n: int) -> Fraction:

@@ -703,6 +703,45 @@ def test_oracle_check_json_reports_exhaustive(capsys):
     assert "exhaustive_min" not in json.loads(out)
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("--n", "1", "--samples", "20000"), 0),
+    (("--n", "2", "--samples", "20000"), 0),
+    (("--n", "13", "--samples", "20000"), 0),
+    (("--n", "3", "--samples", "2", "--depth", "1"), 0),  # stderr 0
+    (("--n", "3", "--samples", "1000", "--depth", "1"), 1),  # outside 4 stderr
+], ids=["n1", "n2", "n13", "stderr0", "fail"])
+def test_oracle_check_forms_state_the_same_results(capsys, argv, code):
+    # The JSON form's values rebuild every line of the text form, and the
+    # exit code follows the verdict.
+    argv = ("oracle-check", *argv, "--threads", "1")
+    text_code, text_out, text_err = run(capsys, *argv)
+    json_code, json_out, json_err = run(capsys, *argv, "--format", "json")
+    assert (text_code, json_code, text_err, json_err) == (code, code, "", "")
+    report = json.loads(json_out)
+    n, v, estimate, stderr = (report[key] for key in ("n", "V", "mc_estimate",
+                                                      "mc_stderr"))
+    inconclusive = stderr == 0
+    assert list(report) == ["n", "V", "mc_estimate", "mc_stderr",
+                            *["mc_inconclusive"] * inconclusive,
+                            *["exhaustive_min", "exhaustive_agrees"] * (n >= 2),
+                            "pass"]
+    assert report.get("mc_inconclusive", True) is True
+    gap = abs(estimate - float(Fraction(v)))
+    band = ("inconclusive: stderr 0" if inconclusive
+            else f"{format(gap / stderr, '.3g')} stderr")
+    lines = [f"n = {n}",
+             f"V_{n} = {v} = {measure.float_str(Fraction(v))}",
+             f"mc estimate = {measure.float_str(estimate)} "
+             f"(stderr {format(stderr, '.3g')})",
+             f"deviation = {format(gap, '.3g')} ({band})"]
+    if n >= 2:
+        verdict = "agrees" if report["exhaustive_agrees"] else "DISAGREES"
+        lines.append(f"exhaustive minimum = {report['exhaustive_min']} ({verdict})")
+    lines.append("result: " + ("PASS" if report["pass"] else "FAIL"))
+    assert text_out.splitlines() == lines
+    assert report["pass"] is (code == 0)
+
+
 def test_oracle_check_one_point_skips_exhaustive(capsys):
     # A one-point set has nothing to search, so only the Monte Carlo band runs.
     code, out, err = run(capsys, "oracle-check", "--n", "1",

@@ -577,12 +577,19 @@ def heap_run():
         values.append(state.v)
 
 
+def block_ends(upper):
+    """The sizes below ``upper`` whose layer closes a block (one set)."""
+    return [n for n in range(2, upper) if count_optimal_sets(n) == 1]
+
+
 def heap_sample_n():
-    """Seeded sizes up to HEAP_N, n = 1, 2, 60..77 and the ends of some blocks."""
-    ends = [n for n in range(2, HEAP_N) if count_optimal_sets(n) == 1]
+    """Seeded sizes up to HEAP_N, n = 1, 2, 60..77, the ends of some blocks,
+    and each block end below 500 with its two neighbours."""
+    ends = block_ends(HEAP_N)
     edges = [n for end in ends[::len(ends) // 8] for n in (end, end + 1)]
+    near = [n for end in block_ends(500) for n in (end - 1, end, end + 1)]
     rng = random.Random(20241018)
-    return sorted({1, 2, *range(60, 78), *edges, HEAP_N,
+    return sorted({1, 2, *range(60, 78), *edges, *near, HEAP_N,
                    *rng.sample(range(3, HEAP_N), 12)})
 
 
@@ -616,6 +623,52 @@ def test_optimal_sets_match_heap(heap_run):
         q = optimal_set(n)
         assert (q.n, q.v) == (ref.n, ref.v)
         assert list(map(_fields, q.nodes)) == list(map(_fields, ref.nodes)), n
+
+
+def test_canonical_windows_match_heap(heap_run):
+    # A window that starts inside a block walks that block once and splits
+    # its first r tied nodes: 60..77, and across each block end below 500.
+    sets = heap_run[2]
+    windows = [(60, 77), *((end - 1, end + 1) for end in block_ends(500))]
+    for n_lo, n_hi in windows:
+        got = list(engine.canonical_sets(n_lo, n_hi))
+        assert [q.n for q in got] == list(range(n_lo, n_hi + 1))
+        for q in got:
+            ref = sets[q.n]
+            assert q.v == ref.v, q.n
+            assert list(map(_fields, q.nodes)) == list(map(_fields, ref.nodes)), q.n
+
+
+def test_canonical_chain_splits_one_node_at_a_time():
+    # The paper's induction: each canonical (n+1)-set is the canonical n-set
+    # with one node, a tied node of layer n+1's block, replaced by its
+    # children, cylinder child first, and V drops by that split's gain.
+    chain = engine.canonical_sets(1, 3000)
+    blocks = [block for _, block, _, _ in engine._layers(2, 3000)]
+    previous = next(chain)
+    for q, block in zip(chain, blocks, strict=True):
+        old, new = previous.nodes, q.nodes
+        i = next(i for i, (a, b) in enumerate(zip(old, new)) if a != b)
+        node = old[i]
+        assert new == old[:i] + children(node) + old[i + 1:], q.n
+        assert (node.kind, node.m, node.a) == (block.kind, block.M, block.a), q.n
+        assert q.v == previous.v - node.error + sum(c.error for c in children(node))
+        previous = q
+    assert previous.n == 3000
+
+
+def test_canonical_sets_walk_once_per_block(monkeypatch):
+    # So verify's structure sweep over 1..N walks each block once.
+    walks = []
+    walk = engine._walk
+    monkeypatch.setattr(engine, "_walk",
+                        lambda block: walks.append(block) or walk(block))
+    sets = list(engine.canonical_sets(1, 400))
+    blocks = [block for _, block, _, _ in engine._layers(1, 400)]
+    assert walks == list(dict.fromkeys(blocks))
+    assert sets[-1] == optimal_set(400)
+    with pytest.raises(ValueError):
+        next(engine.canonical_sets(5, 4))
 
 
 def test_optimal_set_is_the_first_choice_of_its_layer():
