@@ -159,16 +159,11 @@ def cmd_table(args) -> int:
     layers = engine._layers(args.n_lo, args.n_hi)
     # _layers checks the range on its first step: take it before any output.
     rows = ((n, v) for n, _, _, v in chain([next(layers)], layers))
-    if args.format == "json":
-        # json.dumps of the list of rows, each row written as it is made,
-        # with json's separators and its float by repr, as in
-        # engine.quantizer_sets_json.
-        sep = "["
-        for n, v in rows:
-            sys.stdout.write(
-                f'{sep}{{"n": {n}, "V": "{v}", "V_float": {measure.float_val(v)!r}}}')
-            sep = ", "
-        print("]")
+    if args.format == "json":  # json.dumps of the rows, each written as it is made
+        sys.stdout.writelines(engine.json_list(
+            f'{{"n": {n}, "V": "{v}", "V_float": {measure.float_val(v)!r}}}'
+            for n, v in rows))
+        print()
     elif args.format == "csv":  # each row written as _layers yields it, none kept
         print('"n","V","V_float"')
         sys.stdout.writelines(f'{n},"{v}",{measure.float_val(v)!r}\n' for n, v in rows)
@@ -210,16 +205,15 @@ def cmd_count(args) -> int:
 def cmd_tree(args) -> int:
     graph = engine.transition_graph(args.n_lo, args.n_hi, cap=args.cap)
     if args.format == "dot":
-        sys.stdout.write(engine.transition_graph_dot(graph))
+        lines = engine.transition_graph_dot(graph)
     elif args.format == "json":
-        print(json.dumps(engine.transition_graph_to_dict(graph)))
+        lines = chain(engine.transition_graph_json(graph), ["\n"])
     else:
-        for n, layer in enumerate(graph.layers, start=graph.n_lo):
-            names = (engine.vertex_label(n, i) for i in range(1, len(layer) + 1))
-            print(f"layer {n}: {' '.join(names)}")
-        print("edges:")
-        for src, dst in graph.edges:
-            print(f"{src} -> {dst}")
+        labels = ((n, [engine.vertex_label(n, i) for i in range(1, len(layer) + 1)])
+                  for n, layer in enumerate(graph.layers, start=graph.n_lo))
+        lines = chain((f"layer {n}: {' '.join(names)}\n" for n, names in labels),
+                      ["edges:\n"], (f"{src} -> {dst}\n" for src, dst in graph.edges))
+    sys.stdout.writelines(lines)
     return 0
 
 

@@ -37,9 +37,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations, islice, zip_longest
+from itertools import chain, combinations, groupby, islice, zip_longest
 from math import comb, inf, log, log1p, pi
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import measure
@@ -481,39 +481,15 @@ def transition_graph(n_lo: int, n_hi: int, cap: int = DEFAULT_CAP) -> Transition
     return TransitionGraph(n_lo, tuple(layers), tuple(edges))
 
 
-def transition_graph_dot(graph: TransitionGraph) -> str:
-    """Render the graph as DOT, layers flowing left to right."""
-    lines = ["digraph optimal_sets {", "  rankdir=LR;", "  node [shape=box];"]
+def transition_graph_dot(graph: TransitionGraph) -> Iterator[str]:
+    """The graph as DOT lines, layers flowing left to right."""
+    yield from ("digraph optimal_sets {\n", "  rankdir=LR;\n", "  node [shape=box];\n")
     for n, layer in enumerate(graph.layers, start=graph.n_lo):
         names = " ".join(f'"{vertex_label(n, i)}";' for i in range(1, len(layer) + 1))
-        lines.append(f"  {{ rank=same; {names} }}")
+        yield f"  {{ rank=same; {names} }}\n"
     for src, dst in graph.edges:
-        lines.append(f'  "{src}" -> "{dst}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def transition_graph_to_dict(graph: TransitionGraph) -> dict:
-    """JSON-ready adjacency form of the graph; each distinct node is named
-    once, through a ``NodeMemo``."""
-    names = NodeMemo(node_name)
-    return {
-        "n_lo": graph.n_lo,
-        "n_hi": graph.n_lo + len(graph.layers) - 1,
-        "vertices": [
-            {
-                "label": vertex_label(q.n, index),
-                "n": q.n,
-                "index": index,
-                "V": str(q.v),
-                "V_float": measure.float_val(q.v),
-                "nodes": list(map(names.__getitem__, q.nodes)),
-            }
-            for layer in graph.layers
-            for index, q in enumerate(layer, start=1)
-        ],
-        "edges": [[src, dst] for src, dst in graph.edges],
-    }
+        yield f'  "{src}" -> "{dst}";\n'
+    yield "}\n"
 
 
 @dataclass(frozen=True)
@@ -609,13 +585,19 @@ def _error_str(m: int, a: int) -> str:
     return f"{32 * m >> shift}/{3577 << (3 * a - shift)}"
 
 
-# A node's JSON object and CSV row are templates over its fields, exact as a word is
-# digits and dots, a kind "closed" or "tail" and a rational "num/den": no field holds
-# a character JSON or CSV would escape, and floats print by repr, as both print them.
+# A node's JSON object and CSV row are templates over its fields, and a set's and a
+# tree vertex's JSON objects over their layer's n and V texts and their nodes' texts,
+# exact as a word is digits and dots, a kind "closed" or "tail", a rational "num/den"
+# and a label "a_{n,i}": no field holds a character JSON or CSV would escape, and
+# floats print by repr, as both print them.  A list inside a template, a set's nodes,
+# is joined by json's ", ".
 NODE_KEYS = ("word", "kind", "centroid", "centroid_float", "error")
 NODE_JSON = ('{"word": "%s", "kind": "%s", "centroid": "%s", '
              '"centroid_float": %r, "error": "%s"}')
 NODE_CSV = '"%s","%s","%s",%r,"%s"'
+SET_JSON = '{"n": %d, "V": "%s", "V_float": %s, "nodes": [%s]}'
+VERTEX_JSON = ('{"label": "%s", "n": %d, "index": %d, "V": "%s", "V_float": %s, '
+               '"nodes": [%s]}')
 
 
 def node_fields(node: Node) -> tuple[str, str, str, float, str]:
@@ -644,9 +626,9 @@ class NodeMemo(dict):
     71 hold 243 672 node entries of 92 distinct nodes.  So a command that
     prints many sets looks every node up here and formats each distinct
     node once.  The memo formats nothing itself: ``format_node`` fills a
-    template (``NODE_JSON`` or ``NODE_CSV``) over ``node_fields``, or is
-    ``node_name``.  Make one per command run and drop it with the run, as
-    it keeps every node it has seen.
+    template (``NODE_JSON`` or ``NODE_CSV``) over ``node_fields``, or gives
+    ``node_name``, quoted for JSON.  Make one per command run and drop it
+    with the run, as it keeps every node it has seen.
     """
 
     def __init__(self, format_node: Callable[[Node], object]) -> None:
@@ -669,23 +651,46 @@ def quantizer_set_to_dict(q: QuantizerSet) -> dict:
     }
 
 
+def json_list(items: Iterable[str]) -> Iterator[str]:
+    """The one writer of a streamed JSON list, in ``json.dumps``' form, of
+    items that are JSON text: "[", the items with a ", " piece between each
+    two, and "]".  No item is copied to join it to a separator."""
+    items = iter(items)
+    yield "["
+    yield from islice(items, 1)
+    for item in items:
+        yield ", "
+        yield item
+    yield "]"
+
+
+def _layer_runs(sets: Iterable[QuantizerSet]) -> Iterator[tuple[int, str, str, Iterator]]:
+    """(n, V's text, its float hint's text, the sets) for each run of sets
+    of one layer, so that V is formatted once per layer."""
+    for (n, v), run in groupby(sets, key=attrgetter("n", "v")):
+        yield n, str(v), repr(measure.float_val(v)), run
+
+
 def quantizer_sets_json(sets: Iterable[QuantizerSet]) -> Iterator[str]:
     """The one writer of a set's JSON, ``json.dumps`` of the sets'
-    ``quantizer_set_to_dict`` list, in pieces.
-
-    Each distinct node's ``NODE_JSON`` text is made once and reused in
-    every set that holds the node.  The set wrapper is written here, once
-    per layer (a change of n or V).  Yields "[", one piece per set, to be
-    written as it is made, and "]".
-    """
+    ``quantizer_set_to_dict`` list, in ``json_list``'s pieces; each distinct
+    node's ``NODE_JSON`` text is made once."""
     texts = NodeMemo(lambda node: NODE_JSON % node_fields(node))
-    layer, head, sep = None, "", ""
-    yield "["
-    for q in sets:
-        if (q.n, q.v) != layer:
-            layer = q.n, q.v
-            head = (f'{{"n": {q.n}, "V": "{q.v}", '
-                    f'"V_float": {measure.float_val(q.v)!r}, "nodes": [')
-        yield f'{sep}{head}{", ".join(map(texts.__getitem__, q.nodes))}]}}'
-        sep = ", "
-    yield "]"
+    return json_list(SET_JSON % (n, v, hint, ", ".join(map(texts.__getitem__, q.nodes)))
+                     for n, v, hint, run in _layer_runs(sets) for q in run)
+
+
+def transition_graph_json(graph: TransitionGraph) -> Iterator[str]:
+    """The graph's JSON in pieces: its size range, a ``VERTEX_JSON`` per
+    set and a label pair per edge; each distinct node's name is quoted once."""
+    names = NodeMemo(lambda node: f'"{node_name(node)}"')
+    yield (f'{{"n_lo": {graph.n_lo}, "n_hi": {graph.n_lo + len(graph.layers) - 1}, '
+           '"vertices": ')
+    yield from json_list(
+        VERTEX_JSON % (vertex_label(n, index), n, index, v, hint,
+                       ", ".join(map(names.__getitem__, q.nodes)))
+        for n, v, hint, run in _layer_runs(chain.from_iterable(graph.layers))
+        for index, q in enumerate(run, start=1))
+    yield ', "edges": '
+    yield from json_list(f'["{src}", "{dst}"]' for src, dst in graph.edges)
+    yield "}"

@@ -20,7 +20,9 @@ the integer forms against them:
   ``engine._rows``, which merges its blocks in order with no depth;
 - ``countdown_walk`` builds the canonical set in one walk that splits the
   first r tied nodes as it meets them, where the engine walks once and
-  splices the tied nodes' children in after.
+  splices the tied nodes' children in after;
+- ``transition_graph_to_dict`` builds the transition graph's JSON form as
+  a dict for ``json.dumps``, where the engine streams it from templates.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from fractions import Fraction
 
 from ifsquant import measure
 from ifsquant.engine import (
-    _DROP, _MASS_BASE, _OFFSETS, Block, Node, QuantizerSet, StructureReport, children,
-    root_node,
+    _DROP, _MASS_BASE, _OFFSETS, Block, Node, NodeMemo, QuantizerSet, StructureReport,
+    TransitionGraph, children, node_name, root_node, vertex_label,
 )
 from ifsquant.measure import CLOSED, MEAN, TAIL, VARIANCE, Region
 from ifsquant.words import Word, count_non_ones, parse, render
@@ -228,3 +230,26 @@ def countdown_walk(block: Block, r: int) -> list[Node]:
         else:
             nodes.append(node)
     return nodes
+
+
+def transition_graph_to_dict(graph: TransitionGraph) -> dict:
+    """JSON-ready adjacency form of the graph; each distinct node is named
+    once, through a ``NodeMemo``."""
+    names = NodeMemo(node_name)
+    return {
+        "n_lo": graph.n_lo,
+        "n_hi": graph.n_lo + len(graph.layers) - 1,
+        "vertices": [
+            {
+                "label": vertex_label(q.n, index),
+                "n": q.n,
+                "index": index,
+                "V": str(q.v),
+                "V_float": measure.float_val(q.v),
+                "nodes": list(map(names.__getitem__, q.nodes)),
+            }
+            for layer in graph.layers
+            for index, q in enumerate(layer, start=1)
+        ],
+        "edges": [[src, dst] for src, dst in graph.edges],
+    }

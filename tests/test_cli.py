@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from exact_reference import make_node
+from exact_reference import make_node, transition_graph_to_dict
 from ifsquant import engine, exact_oracle, golden, measure, oracle
 from ifsquant.cli import build_parser, main
 from ifsquant.measure import Region
@@ -210,7 +210,7 @@ def test_tree_json_node_names_match_the_signatures(n_lo, width):
         graph = engine.transition_graph(n_lo, n_lo + width, cap=SMALL_CAP)
     except engine.CapExceeded:
         assume(False)
-    data = engine.transition_graph_to_dict(graph)
+    data = transition_graph_to_dict(graph)
     out = _stdout("tree", "--from", str(n_lo), "--to", str(n_lo + width),
                   "--format", "json")
     assert out == json.dumps(data) + "\n"
@@ -295,6 +295,21 @@ def test_table_json_keeps_no_rows(monkeypatch):
         tracemalloc.start()
         try:
             code = main(["table", "--from", "1", "--to", "10000", "--format", "json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * 2**20
+
+
+def test_tree_json_keeps_no_dict(monkeypatch):
+    # A dict of every vertex and its json.dumps string peaked at 5.2 MB;
+    # written as they are made, the vertices and edges peak under 1 MB.
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["tree", "--from", "60", "--to", "67", "--format", "json"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -404,7 +404,7 @@ def test_transition_graph_cap():
 
 
 def test_transition_graph_dot_layout():
-    text = transition_graph_dot(transition_graph(2, 3, cap=10))
+    text = "".join(transition_graph_dot(transition_graph(2, 3, cap=10)))
     assert "rankdir=LR" in text
     assert '"a_{2,1}" -> "a_{3,1}";' in text
 
@@ -805,6 +805,20 @@ def test_branch_decomposition_all_small_n():
     for n in range(2, 60):
         decomposition = branch_decomposition(optimal_set(n))
         assert sum(decomposition.counts) + 1 == n
+
+
+@pytest.mark.parametrize("sizes", [range(2, 401), (1000, 3000, 10_000)])
+def test_induction_formula_ties_v_n_to_smaller_sizes(sizes):
+    # The paper's induction: an optimal n-set is one point for the tail
+    # region of (k,), the cylinders past J_k, and in each cylinder J_j with
+    # j <= k the image of an optimal n_j-set, so
+    # V_n = error(tail of (k,)) + sum over j of p_j * s_j^2 * V_{n_j}.
+    for n in sizes:
+        decomposition = branch_decomposition(optimal_set(n))
+        branches = sum(measure.prob_letter(j) * measure.scale_word((j,)) ** 2
+                       * quantization_error(n_j)
+                       for j, n_j in enumerate(decomposition.counts, start=1))
+        assert quantization_error(n) == node_error(tail(decomposition.k)) + branches, n
 
 
 def test_branch_decomposition_rejects_malformed():

@@ -5,6 +5,7 @@ import pytest
 
 from ifsquant import golden, measure
 from ifsquant.measure import (
+    CLOSED,
     MEAN,
     VARIANCE,
     Region,
@@ -97,6 +98,11 @@ def test_prob_word_matches_letter_product():
 def test_prob_word_rejects_bad_letters(w):
     with pytest.raises(ValueError):
         prob_word(w)
+
+
+def test_region_rejects_letters_below_one():
+    with pytest.raises(ValueError, match=r"word letters must be >= 1: \(0,\)"):
+        Region(CLOSED, (0,))
 
 
 def test_equal_prob_implies_equal_scale():

@@ -141,6 +141,11 @@ def test_lloyd_validates_init():
         lloyd(BATCH, 2, [0.8, 0.2])
 
 
+def test_lloyd_rejects_k_above_sample_count():
+    with pytest.raises(ValueError, match="k=5 exceeds sample count 3"):
+        lloyd(sample(3, threads=1), 5, [0.1, 0.2, 0.3, 0.4, 0.5])
+
+
 def test_lloyd_reseeds_empty_cluster():
     xs = np.array([0.6, 0.62, 0.7, 0.9])
     crafted = SampleBatch(xs, 0, 1, xs.size)
@@ -278,6 +283,11 @@ def test_mc_distortion_stats_needs_two_samples():
 
 def test_mc_distortion_single_center():
     assert abs(mc_distortion(BATCH, [4 / 7]) - 288 / 3577) < 2e-3
+
+
+def test_mc_distortion_needs_a_center():
+    with pytest.raises(ValueError, match="need at least one center"):
+        mc_distortion(sample(10, threads=1), [])
 
 
 def test_mc_distortion_center_order_is_irrelevant():

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ifsquant.words import count_non_ones, parent, parse, render, successor
+from ifsquant.words import count_non_ones, last, parent, parse, render, successor
 
 words = st.lists(st.integers(min_value=1, max_value=40), max_size=12).map(tuple)
 
@@ -14,6 +14,11 @@ def test_parent(w, expected):
 def test_parent_of_empty_word_fails():
     with pytest.raises(ValueError, match="no parent of empty word"):
         parent(())
+
+
+def test_last_of_empty_word_fails():
+    with pytest.raises(ValueError, match="empty word has no last letter"):
+        last(())
 
 
 @pytest.mark.parametrize(
