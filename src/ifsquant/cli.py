@@ -27,7 +27,12 @@ _NODE_HEADER = ",".join(f'"{key}"' for key in engine.NODE_KEYS)
 
 def _positive(name):
     def parse(text: str) -> int:
-        value = int(text)
+        try:
+            value = int(text)
+        except ValueError:  # not an integer, or more digits than int() reads
+            more = f"... ({len(text)} characters)" if text[40:] else ""
+            raise argparse.ArgumentTypeError(
+                f"{name} must be an integer, got {text[:40]!r}{more}") from None
         if value < 1:
             raise argparse.ArgumentTypeError(f"{name} must be >= 1, got {value}")
         return value
@@ -56,8 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, func, formats=(), cap=False, sampling=False):
-        """A subcommand with only the shared flags it reads."""
+    def add(name, help_text, func, formats=(), cap=False, sampling=False, size=""):
+        """A subcommand with only the shared flags it reads; its size flag is
+        --n (``size="n"``), or --from and --to (``size="range"``)."""
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         if formats:
@@ -73,43 +79,31 @@ def build_parser() -> argparse.ArgumentParser:
                            default=exact_oracle.DEFAULT_DEPTH)
             p.add_argument("--threads", type=_positive("threads"),
                            default=_usable_cpus())
+        if size == "n":
+            p.add_argument("--n", type=_positive("n"), required=True)
+        elif size == "range":
+            p.add_argument("--from", dest="n_lo", type=_positive("from"), required=True)
+            p.add_argument("--to", dest="n_hi", type=_positive("to"), required=True)
         return p
 
     exact = ("json", "csv", "text")
-    p = add("optimal", "print one optimal n-point set and its exact error",
-            cmd_optimal, exact)
-    p.add_argument("--n", type=_positive("n"), required=True)
-
-    p = add("table", "exact quantization errors for a range of n", cmd_table, exact)
-    p.add_argument("--from", dest="n_lo", type=_positive("from"), required=True)
-    p.add_argument("--to", dest="n_hi", type=_positive("to"), required=True)
-
-    p = add("enumerate", "list every optimal n-point set", cmd_enumerate, exact,
-            cap=True)
-    p.add_argument("--n", type=_positive("n"), required=True)
-
-    p = add("count", "number of distinct optimal n-point sets", cmd_count)
-    p.add_argument("--n", type=_positive("n"), required=True)
-
-    p = add("tree", "transition DAG of optimal sets between two sizes", cmd_tree,
-            ("dot", "json", "text"), cap=True)
-    p.add_argument("--from", dest="n_lo", type=_positive("from"), required=True)
-    p.add_argument("--to", dest="n_hi", type=_positive("to"), required=True)
-
+    add("optimal", "print one optimal n-point set and its exact error", cmd_optimal,
+        exact, size="n")
+    add("table", "exact quantization errors for a range of n", cmd_table, exact,
+        size="range")
+    add("enumerate", "list every optimal n-point set", cmd_enumerate, exact, cap=True,
+        size="n")
+    add("count", "number of distinct optimal n-point sets", cmd_count, size="n")
+    add("tree", "transition DAG of optimal sets between two sizes", cmd_tree,
+        ("dot", "json", "text"), cap=True, size="range")
     p = add("oracle-sample", "draw deterministic samples of the measure",
             cmd_oracle_sample, ("json", "text"), sampling=True)
     p.add_argument("--out", help="write the batch to this file (binary format)")
-
-    p = add("oracle-lloyd", "Lloyd and exact DP clustering vs exact centroids",
-            cmd_oracle_lloyd, ("json", "text"), sampling=True)
-    p.add_argument("--n", type=_positive("n"), required=True)
-
-    p = add("oracle-check", "Monte Carlo and exhaustive check of V_n",
-            cmd_oracle_check, ("json", "text"), sampling=True)
-    p.add_argument("--n", type=_positive("n"), required=True)
-
-    p = add("verify", "golden values, structure, counts and oracle agreement",
-            cmd_verify)
+    add("oracle-lloyd", "Lloyd and exact DP clustering vs exact centroids",
+        cmd_oracle_lloyd, ("json", "text"), sampling=True, size="n")
+    add("oracle-check", "Monte Carlo and exhaustive check of V_n", cmd_oracle_check,
+        ("json", "text"), sampling=True, size="n")
+    p = add("verify", "golden values, structure, counts and oracle agreement", cmd_verify)
     p.add_argument("--n", type=_positive("n"), default=12,
                    help="largest n for the structural / counting checks")
     return parser

@@ -16,8 +16,9 @@ block in canonical order and leaves the block's tied nodes unsplit
 (``_walk``), and one tie rule splices the children of the chosen tied
 nodes into it (``_splice``): the canonical sets choose the first r, one
 walk per block (``canonical_sets``), and the enumeration every r of them.
-One cap rule bounds the sets a window of layers may build
-(``_within_cap``), and one edge rule links the layers
+One size rule settles if a binomial is at most a limit, built only near
+it (``_binomial_at_most``), for the count and the one cap rule, a budget of
+sets for a window of layers (``_within_cap``); one edge rule links the layers
 (``transition_graph``): a set leads to each set that splits one more of
 its block's tied nodes, and the set before a block's first layer splits
 none of them.  ``GenerationState`` runs the induction step by step, as the
@@ -373,26 +374,47 @@ def _layer_sets(n: int, block: Block, r: int,
         yield chosen, QuantizerSet(_splice(nodes, tied, chosen, halves), n, v)
 
 
-def _within_cap(n_lo: int, n_hi: int,
-                cap: int) -> list[tuple[int, Block, int, Fraction]]:
-    """The one cap rule: the ``_layers`` items of sizes n_lo .. n_hi, when
-    their optimal sets number at most ``cap`` in all.
+def _binomial_at_most(m: int, r: int, log_limit: float,
+                      limit: Callable[[], int]) -> int | None:
+    """The one size rule: binomial(m, r) if at most the limit, else None,
+    from the limit's natural log (or up to 0.1 above it) and its maker.
 
-    Raises CapExceeded naming the first layer whose running total passes
-    the cap, before any set is built.  A layer holds binomial(m, k) >= 2^k
-    sets, k = min(r, m - r), so k at or past the bit length of what is
-    left of the cap settles it with no count built; otherwise one exact
-    binomial of fewer factors than that bit length does, and is taken
-    from the budget.  ``Decimal`` writes a cap of any length.
-    """
+    With k = min(r, m - r), binomial(m, k) >= 2^k settles every k past log2
+    of the limit, in floats safely, as past k = 1 it is >= 1.5 * 2^k.
+    Below that, Stirling's series puts ln binomial(m, k) within 1/6 of
+    k ln(m/k) + (m - k) ln(m/(m - k)) + ln(m / (2 pi k (m - k))) / 2, with
+    no float overflow; only an estimate within 0.23 of the log makes the
+    limit to compare, so the count is built once at most and never has more
+    than one bit beyond the limit."""
+    k = min(r, m - r)
+    if k > log_limit / log(2):
+        return None
+    estimate = 0.0  # ln binomial(m, 0)
+    if k:
+        x = k / m  # (m - k) ln(m/(m - k)) is k (1 - x) ln(1/(1 - x)) / x, or k at x = 0
+        other = k if x == 0 else -k * (1 - x) * log1p(-x) / x
+        estimate = k * (log(m) - log(k)) + other - (log(2 * pi * k) + log1p(-x)) / 2
+    if estimate > log_limit + 0.23:
+        return None
+    count = comb(m, k)
+    return count if estimate < log_limit - 0.23 or count <= limit() else None
+
+
+def _within_cap(n_lo: int, n_hi: int, cap: int) -> list[tuple[int, Block, int, Fraction]]:
+    """The one cap rule: the ``_layers`` items of sizes n_lo .. n_hi, when
+    their optimal sets number at most ``cap`` in all.  The size rule takes
+    each layer's binomial(m, r) from what is left of the cap; CapExceeded
+    names the first layer past it, and a cap of any length (``Decimal``),
+    before any set is built."""
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     items, left = [], cap
     for item in _layers(n_lo, n_hi):
         n, block, r, _ = item
-        k = min(r, block.m - r)
-        if k >= left.bit_length() or (left := left - comb(block.m, k)) < 0:
+        if (size := _binomial_at_most(block.m, r, log(left) if left else -inf,
+                                      lambda: left)) is None:
             raise CapExceeded(f"optimal sets exceed cap {Decimal(cap)} at n={n}")
+        left -= size
         items.append(item)
     return items
 
@@ -410,30 +432,14 @@ def enumerate_optimal_sets(n: int, cap: int = DEFAULT_CAP) -> list[QuantizerSet]
 
 def count_optimal_sets(n: int) -> int:
     """Number of distinct optimal n-point sets: binomial(m, r) of its block.
-
-    Raises CapExceeded naming n when the count has more than COUNT_DIGITS
-    digits, at any n.  With k = min(r, m - r), binomial(m, k) >= 2^k
-    settles k >= 4 * COUNT_DIGITS.  Below that, Stirling's series puts
-    ln binomial(m, k) within 1/6 of k ln(m/k) + (m - k) ln(m/(m - k))
-    + ln(m / (2 pi k (m - k))) / 2, taken with logarithms of integers and
-    of 1 - k/m so that no float overflows; that settles it unless the count
-    lies within a factor 1.3 of 10^COUNT_DIGITS, and only then is the count
-    compared with 10^COUNT_DIGITS.  The count is built once, at most.
-    """
+    The size rule refuses one of more than COUNT_DIGITS digits, at any n,
+    making the limit 10^COUNT_DIGITS - 1 only for a count near it."""
     _, block, r, _ = next(_layers(n, n))
-    m, k = block.m, min(r, block.m - r)
-    log10_count = inf if k else 0.0  # binomial(m, k) >= 2^k; 1 at k = 0
-    if 0 < k < 4 * COUNT_DIGITS:
-        x = k / m  # (m - k) ln(m/(m - k)) is k (1 - x) ln(1/(1 - x)) / x, or k at x = 0
-        other = k if x == 0 else -k * (1 - x) * log1p(-x) / x
-        log10_count = (k * (log(m) - log(k)) + other
-                       - (log(2 * pi * k) + log1p(-x)) / 2) / log(10)
-    if log10_count <= COUNT_DIGITS + 0.1:
-        count = comb(m, k)  # built once, and compared only near the limit
-        if log10_count <= COUNT_DIGITS - 0.1 or count < 10**COUNT_DIGITS:
-            return count
-    raise CapExceeded(
-        f"number of optimal sets has more than {COUNT_DIGITS} digits at n={n}")
+    if (count := _binomial_at_most(block.m, r, COUNT_DIGITS * log(10),
+                                   lambda: 10**COUNT_DIGITS - 1)) is None:
+        raise CapExceeded(
+            f"number of optimal sets has more than {COUNT_DIGITS} digits at n={n}")
+    return count
 
 
 def vertex_label(n: int, i: int) -> str:

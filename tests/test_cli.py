@@ -240,6 +240,23 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "optimal", "--n", "3", "--format", "dot")[0] == 2
     assert run(capsys, "verify", "--n", "1") == (
         2, "", "usage error: verify needs n >= 2, got 1\n")
+    # A flag that int() cannot read names itself, and a value past the
+    # interpreter's 4300-digit limit is shown by its first 40 characters.
+    long = "7" * 5000
+    for argv, flag, shown in (
+            (["optimal", "--n", "abc"], "n", "'abc'"),
+            (["table", "--from", "1.5", "--to", "3"], "from", "'1.5'"),
+            (["tree", "--from", "2", "--to", ""], "to", "''"),
+            (["enumerate", "--n", "3", "--cap", long], "cap",
+             f"'{long[:40]}'... (5000 characters)"),
+            (["count", "--n", long], "n", f"'{long[:40]}'... (5000 characters)"),
+            (["oracle-sample", "--samples", "1e6"], "samples", "'1e6'"),
+            (["oracle-check", "--n", "2", "--depth", "x"], "depth", "'x'"),
+            (["oracle-lloyd", "--n", "2", "--threads", "two"], "threads", "'two'")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and len(err) < 500, argv
+        assert err.endswith(f"error: argument --{flag}: {flag} must be an integer, "
+                            f"got {shown}\n"), err
     # table and tree iterate the same layers, so they share one range rule,
     # which runs before table writes anything, the CSV header included.
     for argv in (["table"], ["table", "--format", "csv"],

@@ -201,18 +201,21 @@ def test_enumerate_cap_reports_layer():
 def test_cap_rule_agrees_with_the_binomial(monkeypatch):
     # One fake layer stands for a tie block of m nodes with r of them split.
     # Where 2^k passes the cap, k = min(r, m - r), the rule builds no count,
-    # so C(10^400, 10^400 // 3) never is; otherwise it builds one binomial
-    # of fewer factors than the cap has bits.
+    # so C(10^400, 10^400 // 3) never is; otherwise it builds at most one
+    # binomial, of fewer factors than the cap has bits and at most one bit
+    # longer than the cap, so C(10^400, 2000), about 2.6*10^6 bits, is not
+    # built to refuse it under the cap 10^1000 either.
     huge = 10**400
     cases = [(m, r) for m in range(40) for r in range(m + 1)]
-    cases += [(huge, huge // 3), (huge, 10), (huge, 1)]
-    factors = []
-    monkeypatch.setattr(engine, "comb", lambda m, k: factors.append(k) or math.comb(m, k))
+    cases += [(huge, huge // 3), (huge, 2000), (huge, 10), (huge, 1)]
+    built = []
+    monkeypatch.setattr(engine, "comb",
+                        lambda m, k: built.append((k, math.comb(m, k))) or built[-1][1])
     for m, r in cases:
         item = (7, engine.Block(TAIL, 43, 0, m), r, F(0))
         monkeypatch.setattr(engine, "_layers", lambda n_lo, n_hi: iter([item]))
         size = math.comb(m, r) if r < 1000 else None  # None: past every cap
-        caps = {1, 2, 7, 100, 10**4, 10**9}
+        caps = {1, 2, 7, 100, 10**4, 10**9, 10**1000}
         if size is not None:
             caps |= {size - 1, size, size + 1}
         for cap in caps:
@@ -225,9 +228,11 @@ def test_cap_rule_agrees_with_the_binomial(monkeypatch):
                     engine._within_cap(7, 7, cap)
             else:
                 assert engine._within_cap(7, 7, cap) == [item], (m, r, cap)
-            assert all(k < cap.bit_length() for k in factors), (m, r, cap)
-            assert len(factors) <= 1
-            factors.clear()
+            assert all(k < cap.bit_length() for k, _ in built), (m, r, cap)
+            assert all(count.bit_length() <= cap.bit_length() + 1
+                       for _, count in built), (m, r, cap)
+            assert len(built) <= 1
+            built.clear()
 
 
 def test_cap_rule_names_the_layer_that_passes_it():
@@ -251,6 +256,26 @@ def test_cap_rule_names_the_layer_that_passes_it():
                 else:
                     assert engine._within_cap(n_lo, n_hi, cap) \
                         == list(engine._layers(n_lo, n_hi)), (n_lo, n_hi, cap)
+
+
+def test_size_rule_refuses_a_deep_layer_unbuilt(monkeypatch):
+    # The n = 10^100 block holds about 3.4*10^97 tied tails; its layer with
+    # r = 60000 holds some 5.6*10^6 digits of sets.  Both the cap and the
+    # count refuse it from the size rule's estimate, with no binomial built:
+    # building C(m, 60000) to refuse the cap 10^20000 once took 8.85 s.
+    _, block, r, _ = next(engine._layers(10**100, 10**100))
+    n = 10**100 - r + 60000
+    assert min(60000, block.m - 60000) == 60000
+
+    def no_binomial(m, k):
+        raise AssertionError(f"binomial of {k} factors built")
+
+    monkeypatch.setattr(engine, "comb", no_binomial)
+    with pytest.raises(CapExceeded, match=f" at n={n}$"):
+        engine._within_cap(n, n, 10**20000)
+    with pytest.raises(CapExceeded,
+                       match=f"^number of optimal sets has more than 100000 digits at n={n}$"):
+        count_optimal_sets(n)
 
 
 def test_cap_rule_names_a_cap_of_any_length():
