@@ -25,7 +25,9 @@ DEFAULT_SAMPLES = 10**6
 _NODE_HEADER = ",".join(f'"{key}"' for key in engine.NODE_KEYS)
 
 
-def _positive(name):
+def _integer(name, least=1):
+    """The one rule of an integer flag: an integer of at least ``least``,
+    a value int() cannot read shown by its first 40 characters."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -33,8 +35,8 @@ def _positive(name):
             more = f"... ({len(text)} characters)" if text[40:] else ""
             raise argparse.ArgumentTypeError(
                 f"{name} must be an integer, got {text[:40]!r}{more}") from None
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{name} must be >= 1, got {value}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {least}, got {value}")
         return value
 
     return parse
@@ -69,21 +71,22 @@ def build_parser() -> argparse.ArgumentParser:
         if formats:
             p.add_argument("--format", choices=formats, default="text")
         if cap:
-            p.add_argument("--cap", type=_positive("cap"), default=engine.DEFAULT_CAP,
+            p.add_argument("--cap", type=_integer("cap"), default=engine.DEFAULT_CAP,
                            help="most optimal sets to build in all the layers asked for")
         if sampling:
-            p.add_argument("--seed", type=int, default=exact_oracle.DEFAULT_SEED)
-            p.add_argument("--samples", type=_positive("samples"),
+            p.add_argument("--seed", type=_integer("seed", least=0),
+                           default=exact_oracle.DEFAULT_SEED)
+            p.add_argument("--samples", type=_integer("samples"),
                            default=DEFAULT_SAMPLES)
-            p.add_argument("--depth", type=_positive("depth"),
+            p.add_argument("--depth", type=_integer("depth"),
                            default=exact_oracle.DEFAULT_DEPTH)
-            p.add_argument("--threads", type=_positive("threads"),
+            p.add_argument("--threads", type=_integer("threads"),
                            default=_usable_cpus())
         if size == "n":
-            p.add_argument("--n", type=_positive("n"), required=True)
+            p.add_argument("--n", type=_integer("n"), required=True)
         elif size == "range":
-            p.add_argument("--from", dest="n_lo", type=_positive("from"), required=True)
-            p.add_argument("--to", dest="n_hi", type=_positive("to"), required=True)
+            p.add_argument("--from", dest="n_lo", type=_integer("from"), required=True)
+            p.add_argument("--to", dest="n_hi", type=_integer("to"), required=True)
         return p
 
     exact = ("json", "csv", "text")
@@ -104,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("oracle-check", "Monte Carlo and exhaustive check of V_n", cmd_oracle_check,
         ("json", "text"), sampling=True, size="n")
     p = add("verify", "golden values, structure, counts and oracle agreement", cmd_verify)
-    p.add_argument("--n", type=_positive("n"), default=12,
+    p.add_argument("--n", type=_integer("n"), default=12,
                    help="largest n for the structural / counting checks")
     return parser
 
@@ -149,23 +152,31 @@ def cmd_optimal(args) -> int:
     return 0
 
 
+def _table_rows(n_lo: int, n_hi: int):
+    """(n, V_n as "num/den", V_n's float) for n_lo .. n_hi, from the reduced
+    pairs of ``_layers``: the text is the Fraction's, and the float the same
+    integer division that ``float(Fraction)`` performs.  ``_layers`` checks
+    the range on its first step, taken here before any output."""
+    layers = engine._layers(n_lo, n_hi)
+    return ((n, f"{num}/{den}", num / den)
+            for n, _, _, (num, den) in chain([next(layers)], layers))
+
+
 def cmd_table(args) -> int:
-    layers = engine._layers(args.n_lo, args.n_hi)
-    # _layers checks the range on its first step: take it before any output.
-    rows = ((n, v) for n, _, _, v in chain([next(layers)], layers))
-    if args.format == "json":  # json.dumps of the rows, each written as it is made
+    # Every form writes each row as it is made and keeps none.
+    rows = _table_rows(args.n_lo, args.n_hi)
+    if args.format == "json":  # json.dumps of the rows
         sys.stdout.writelines(engine.json_list(
-            f'{{"n": {n}, "V": "{v}", "V_float": {measure.float_val(v)!r}}}'
-            for n, v in rows))
+            f'{{"n": {n}, "V": "{v}", "V_float": {measure.float_val(x)!r}}}'
+            for n, v, x in rows))
         print()
-    elif args.format == "csv":  # each row written as _layers yields it, none kept
+    elif args.format == "csv":
         print('"n","V","V_float"')
-        sys.stdout.writelines(f'{n},"{v}",{measure.float_val(v)!r}\n' for n, v in rows)
-    else:
-        rows = [(n, str(v), v) for n, v in rows]
-        width = max(len(text) for _, text, _ in rows)
-        for n, text, v in rows:
-            print(f"{n:<6d} {text:<{width}} {float_str(v)}")
+        sys.stdout.writelines(f'{n},"{v}",{measure.float_val(x)!r}\n' for n, v, x in rows)
+    else:  # a first pass finds the column width; the second prints
+        width = max(len(v) for _, v, _ in rows)
+        sys.stdout.writelines(f"{n:<6d} {v:<{width}} {float_str(x)}\n"
+                              for n, v, x in _table_rows(args.n_lo, args.n_hi))
     return 0
 
 

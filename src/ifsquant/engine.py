@@ -11,11 +11,15 @@ tree node of error above a threshold t and any r of the m nodes tied at t.
 Nothing replays the induction.  The tree nodes of one error form a block,
 sized by a count of words and streamed in descending error (``_rows``);
 V_n and the binomial(m, r) optimal sets of each size follow from the
-blocks (``_layers``).  One depth-first walk builds the frontier above a
-block in canonical order and leaves the block's tied nodes unsplit
-(``_walk``), and one tie rule splices the children of the chosen tied
-nodes into it (``_splice``): the canonical sets choose the first r, one
-walk per block (``canonical_sets``), and the enumeration every r of them.
+blocks (``_layers``), V_n as an integer pair in lowest terms: over its
+denominator 2^(5 + 3 top) * 3577 * 1161, the numerator's common power of
+two is stripped, then one gcd with 3577 * 1161 is taken, and a Fraction
+is built only for a library value or a set's V.  One depth-first walk
+builds the frontier above a block in canonical order and leaves the
+block's tied nodes unsplit (``_walk``), and one tie rule splices the
+children of the chosen tied nodes into it (``_splice``): the canonical
+sets choose the first r, one walk per block (``canonical_sets``), and the
+enumeration every r of them.
 One size rule settles if a binomial is at most a limit, built only near
 it (``_binomial_at_most``), for the count and the one cap rule, a budget of
 sets for a window of layers (``_within_cap``); one edge rule links the layers
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, combinations, groupby, islice, zip_longest
-from math import comb, inf, log, log1p, pi
+from math import comb, gcd, inf, log, log1p, pi
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -250,39 +254,63 @@ _ROWS: list[tuple[int, int, int, int, Block]] = []  # the rows taken so far
 _GROW = threading.Lock()  # two threads may not advance one generator at once
 
 
-def _layers(n_lo: int, n_hi: int) -> Iterator[tuple[int, Block, int, Fraction]]:
+# V's terms, and the odd part of a row's V_n denominator 3577 * 37152 * 8^top,
+# as 37152 = 2^5 * 1161.
+_V_NUM, _V_DEN = VARIANCE.numerator, VARIANCE.denominator
+_V_ODD = _V_DEN * 1161
+
+
+def _layers(n_lo: int, n_hi: int) -> Iterator[tuple[int, Block, int, tuple[int, int]]]:
     """Threshold-block description of the optimal sets of sizes n_lo .. n_hi.
 
     Child errors are fixed fractions of their parent's, below it, so the
     greedy splits run through the tree's nodes in descending error order.
     Every optimal n-set splits the nodes of the blocks before its block and
     any r of that block's m nodes: there are binomial(m, r) of them, and
-    r = 0 only at n = 1.  Yields ``(n, block, r, V_n)``, with
+    r = 0 only at n = 1.  Yields ``(n, block, r, (num, den))``, with V_n =
+    num / den in lowest terms, where
     V_n = V * (1 - sum of m*e*g over the earlier blocks - r*e*g) for error
     fraction e = M / (9 * 8^a) and g = 73/96 (cylinder) or 73/86 (tail).
-    Every exact command iterates it, so it alone checks 1 <= n_lo <= n_hi.
+    No Fraction is built: over its row's denominator, 2^(5 + 3 top) times
+    3577 * 1161, V_n is reduced by the numerator's trailing zero bits, at
+    most 5 + 3 top of them, and then by one gcd with 3577 * 1161.  Every
+    exact command iterates it, so it alone checks 1 <= n_lo <= n_hi.
     """
     if n_lo < 1:
         raise ValueError(f"n must be >= 1, got {n_lo}")
     if n_lo > n_hi:
         raise ValueError(f"first size {n_lo} exceeds last size {n_hi}")
+    _take_rows(n_hi - 1)
+    n = n_lo
+    for end, dropped, step, top, block in islice(
+            _ROWS, bisect_left(_ROWS, n_lo - 1, key=itemgetter(0)), None):
+        # The row holds the sizes up to end + 1, at r = n - first, and V_n's
+        # numerator 288 * (scale - dropped - r * step) is c - n * s.
+        first, last = end + 1 - block.m, min(end + 1, n_hi)
+        scale = 37152 << 3 * top  # 9 * 4128 * 8^top
+        c, s = _V_NUM * (scale - dropped + first * step), _V_NUM * step
+        den, twos_max = _V_DEN * scale, 5 + 3 * top
+        for n in range(n, last + 1):
+            num = c - n * s  # > 0: V_n > 0
+            twos = min((num & -num).bit_length() - 1, twos_max)
+            g = gcd(num := num >> twos, _V_ODD)
+            yield n, block, n - first, (num // g, (den >> twos) // g)
+        if last == n_hi:
+            return
+        n = last + 1
+
+
+def _take_rows(end: int) -> None:
+    """Take rows from the stream into ``_ROWS`` until one ends at or past
+    ``end`` splits."""
     global _STREAM
     with _GROW:
         try:
-            while not _ROWS or _ROWS[-1][0] < n_hi - 1:
+            while not _ROWS or _ROWS[-1][0] < end:
                 _ROWS.append(next(_STREAM))
         except BaseException:  # a generator stopped by an exception cannot resume
             _STREAM = islice(_rows(), len(_ROWS), None)
             raise
-    i = bisect_left(rows := _ROWS, n_lo - 1, key=itemgetter(0))
-    for n in range(n_lo, n_hi + 1):
-        if rows[i][0] < n - 1:
-            i += 1
-        end, dropped, step, top, block = rows[i]
-        r = n - 1 - end + block.m
-        scale = 37152 << 3 * top  # 9 * 4128 * 8^top
-        yield n, block, r, Fraction(VARIANCE.numerator * (scale - dropped - r * step),
-                                    VARIANCE.denominator * scale)
 
 
 def _walk(block: Block) -> tuple[list[Node], list[int]]:
@@ -339,7 +367,7 @@ def canonical_sets(n_lo: int, n_hi: int) -> Iterator[QuantizerSet]:
         if block is not current:
             current, (nodes, tied), halves = block, _walk(block), []
         halves += map(_split, (nodes[slot] for slot in tied[len(halves):r]))
-        yield QuantizerSet(_splice(nodes, tied, range(r), halves), n, v)
+        yield QuantizerSet(_splice(nodes, tied, range(r), halves), n, Fraction(*v))
 
 
 def optimal_set(n: int) -> QuantizerSet:
@@ -349,12 +377,13 @@ def optimal_set(n: int) -> QuantizerSet:
 
 def quantization_error(n: int) -> Fraction:
     """Exact minimal mean squared error over n-point sets."""
-    return next(_layers(n, n))[3]
+    return Fraction(*next(_layers(n, n))[3])
 
 
 def _layer_sets(n: int, block: Block, r: int,
-                v: Fraction) -> Iterator[tuple[tuple[int, ...], QuantizerSet]]:
-    """The optimal sets of one ``_layers`` item as (chosen, set) pairs.
+                v: tuple[int, int]) -> Iterator[tuple[tuple[int, ...], QuantizerSet]]:
+    """The optimal sets of one ``_layers`` item as (chosen, set) pairs, all
+    of one Fraction V built from the item's pair.
 
     ``chosen`` holds the indices, in left-to-right order, of the split tied
     nodes, and ``_splice`` builds each set from one walk.  Pairs come in
@@ -370,6 +399,7 @@ def _layer_sets(n: int, block: Block, r: int,
     chosen_sets = combinations(range(len(tied)), r)
     if block.kind == CLOSED:
         chosen_sets = reversed(list(chosen_sets))
+    v = Fraction(*v)
     for chosen in chosen_sets:
         yield chosen, QuantizerSet(_splice(nodes, tied, chosen, halves), n, v)
 
@@ -400,7 +430,8 @@ def _binomial_at_most(m: int, r: int, log_limit: float,
     return count if estimate < log_limit - 0.23 or count <= limit() else None
 
 
-def _within_cap(n_lo: int, n_hi: int, cap: int) -> list[tuple[int, Block, int, Fraction]]:
+def _within_cap(n_lo: int, n_hi: int,
+                cap: int) -> list[tuple[int, Block, int, tuple[int, int]]]:
     """The one cap rule: the ``_layers`` items of sizes n_lo .. n_hi, when
     their optimal sets number at most ``cap`` in all.  The size rule takes
     each layer's binomial(m, r) from what is left of the cap; CapExceeded

@@ -252,11 +252,21 @@ def test_usage_errors_exit_2(capsys):
             (["count", "--n", long], "n", f"'{long[:40]}'... (5000 characters)"),
             (["oracle-sample", "--samples", "1e6"], "samples", "'1e6'"),
             (["oracle-check", "--n", "2", "--depth", "x"], "depth", "'x'"),
-            (["oracle-lloyd", "--n", "2", "--threads", "two"], "threads", "'two'")):
+            (["oracle-lloyd", "--n", "2", "--threads", "two"], "threads", "'two'"),
+            (["oracle-sample", "--seed", "abc"], "seed", "'abc'"),
+            (["oracle-check", "--n", "2", "--seed", long], "seed",
+             f"'{long[:40]}'... (5000 characters)")):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and len(err) < 500, argv
         assert err.endswith(f"error: argument --{flag}: {flag} must be an integer, "
                             f"got {shown}\n"), err
+    # --seed takes 0 and up, the other integer flags 1 and up.
+    for argv, flag, least in ((["oracle-sample", "--seed", "-1"], "seed", 0),
+                              (["oracle-sample", "--samples", "0"], "samples", 1)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (f"quantizer {argv[0]}: error: argument --{flag}: "
+                                        f"{flag} must be >= {least}, got {argv[-1]}"), err
     # table and tree iterate the same layers, so they share one range rule,
     # which runs before table writes anything, the CSV header included.
     for argv in (["table"], ["table", "--format", "csv"],
@@ -289,49 +299,45 @@ def test_cap_overflow_exits_1(capsys):
     assert "cap" in err
 
 
-def test_table_csv_keeps_no_rows(monkeypatch):
-    # A list of the 2*10^5 (n, V) rows peaked at 40.7 MB; written as they
-    # are made, they peak at about 0.5 MB, the block table included.
+def _peak_bytes(monkeypatch, argv):
+    """The tracemalloc peak of one successful call, its stdout sent to devnull."""
     with open(os.devnull, "w") as sink:
         monkeypatch.setattr(sys, "stdout", sink)
         tracemalloc.start()
         try:
-            code = main(["table", "--from", "1", "--to", "200000", "--format", "csv"])
+            code = main(argv)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     assert code == 0
-    assert peak < 2 * 2**20
+    return peak
+
+
+def test_table_csv_keeps_no_rows(monkeypatch):
+    # A list of the 2*10^5 (n, V) rows peaked at 40.7 MB; written as they
+    # are made, they peak at about 0.5 MB, the block table included.
+    argv = ["table", "--from", "1", "--to", "200000", "--format", "csv"]
+    assert _peak_bytes(monkeypatch, argv) < 2 * 2**20
 
 
 def test_table_json_keeps_no_rows(monkeypatch):
     # A list of the 10^4 rows and its json.dumps string peaked at 7.1 MB;
     # written as they are made, the rows peak at about 0.3 MB.
-    with open(os.devnull, "w") as sink:
-        monkeypatch.setattr(sys, "stdout", sink)
-        tracemalloc.start()
-        try:
-            code = main(["table", "--from", "1", "--to", "10000", "--format", "json"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert code == 0
-    assert peak < 2 * 2**20
+    argv = ["table", "--from", "1", "--to", "10000", "--format", "json"]
+    assert _peak_bytes(monkeypatch, argv) < 2 * 2**20
+
+
+def test_table_text_keeps_no_rows(monkeypatch):
+    # A list of the 2*10^4 rows, kept to find the column width, peaked at
+    # 6.0 MB; a first pass over the layers finds the width instead.
+    assert _peak_bytes(monkeypatch, ["table", "--from", "1", "--to", "20000"]) < 2**20
 
 
 def test_tree_json_keeps_no_dict(monkeypatch):
     # A dict of every vertex and its json.dumps string peaked at 5.2 MB;
     # written as they are made, the vertices and edges peak under 1 MB.
-    with open(os.devnull, "w") as sink:
-        monkeypatch.setattr(sys, "stdout", sink)
-        tracemalloc.start()
-        try:
-            code = main(["tree", "--from", "60", "--to", "67", "--format", "json"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert code == 0
-    assert peak < 2 * 2**20
+    argv = ["tree", "--from", "60", "--to", "67", "--format", "json"]
+    assert _peak_bytes(monkeypatch, argv) < 2 * 2**20
 
 
 def test_table_json_is_json_dumps_of_the_rows(capsys):
@@ -411,7 +417,7 @@ def test_count_past_the_digit_limit_at_any_block_size(monkeypatch, capsys):
     # A tie block of 10^400 nodes, past any float: one error line, exit 1.
     m = 10**400
     monkeypatch.setattr(engine, "_layers", lambda n_lo, n_hi: iter(
-        [(n_lo, engine.Block(engine.TAIL, 43, 0, m), m // 3, Fraction(0))]))
+        [(n_lo, engine.Block(engine.TAIL, 43, 0, m), m // 3, (0, 1))]))
     code, out, err = run(capsys, "count", "--n", "7")
     assert (code, out) == (1, "")
     assert err == "error: number of optimal sets has more than 100000 digits at n=7\n"

@@ -5,8 +5,10 @@ import json
 import math
 import random
 import re
+from bisect import bisect_left
 from fractions import Fraction as F
 from itertools import accumulate, islice
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -212,7 +214,7 @@ def test_cap_rule_agrees_with_the_binomial(monkeypatch):
     monkeypatch.setattr(engine, "comb",
                         lambda m, k: built.append((k, math.comb(m, k))) or built[-1][1])
     for m, r in cases:
-        item = (7, engine.Block(TAIL, 43, 0, m), r, F(0))
+        item = (7, engine.Block(TAIL, 43, 0, m), r, (0, 1))
         monkeypatch.setattr(engine, "_layers", lambda n_lo, n_hi: iter([item]))
         size = math.comb(m, r) if r < 1000 else None  # None: past every cap
         caps = {1, 2, 7, 100, 10**4, 10**9, 10**1000}
@@ -313,7 +315,7 @@ def test_count_digit_check_holds_at_any_block_size(monkeypatch, m, r, digits):
     # 2*pi*k*(m - k) has no float past m = 10^154, nor m itself past 10^308;
     # one fake block stands for a layer that no quick walk reaches.
     monkeypatch.setattr(engine, "_layers", lambda n_lo, n_hi: iter(
-        [(n_lo, engine.Block(TAIL, 43, 0, m), r, F(0))]))
+        [(n_lo, engine.Block(TAIL, 43, 0, m), r, (0, 1))]))
     if digits is None:
         with pytest.raises(CapExceeded, match="digits at n=7$"):
             count_optimal_sets(7)
@@ -620,8 +622,53 @@ def heap_sample_n():
 
 def test_layers_match_heap_values(heap_run):
     values = heap_run[0]
+    # _layers gives V_n in lowest terms, as the heap's Fractions hold it.
     got = [v for _, _, _, v in engine._layers(1, HEAP_N)]
-    assert got == values[1:HEAP_N + 1]
+    assert got == [(v.numerator, v.denominator) for v in values[1:HEAP_N + 1]]
+
+
+def _rise_before(n):
+    """The first size of the last row at or before n's row whose top is
+    above the row before it: there the stream rescaled its integers."""
+    rows = engine._ROWS
+    i = bisect_left(rows, n - 1, key=itemgetter(0))
+    while rows[i][3] == rows[i - 1][3]:
+        i -= 1
+    return rows[i - 1][0] + 2
+
+
+@pytest.mark.parametrize("exponent", [None, 12, 30, 100])
+def test_layers_pair_is_the_reduced_row_value(exponent):
+    # Every n of 1..3000, or sizes around a rescale below 10^k and from
+    # 10^k on.  Each pair is in lowest terms over a divisor of its row's
+    # denominator 3577 * 37152 * 8^top, and equals the row's unreduced V_n.
+    if exponent is None:
+        windows = [(1, 3000)]
+    else:
+        quantization_error(10**exponent)  # takes the rows to 10^k
+        rise = _rise_before(10**exponent)
+        windows = [(rise - 100, rise + 100), (10**exponent, 10**exponent + 100)]
+    tops = set()
+    for n_lo, n_hi in windows:
+        for n, block, r, (num, den) in engine._layers(n_lo, n_hi):
+            end, dropped, step, top, row_block = engine._ROWS[
+                bisect_left(engine._ROWS, n - 1, key=itemgetter(0))]
+            assert row_block is block and r == n - 1 - end + block.m
+            scale = 37152 << 3 * top
+            assert den > 0 and math.gcd(num, den) == 1, n
+            assert 3577 * scale % den == 0, n
+            assert F(num, den) == F(288 * (scale - dropped - r * step), 3577 * scale), n
+            tops.add(top)
+    assert len(tops) > 1  # the windows cross a rescale
+
+
+def test_library_values_stay_fractions():
+    # _layers yields integer pairs; every library value of V is a Fraction.
+    assert type(quantization_error(71)) is F
+    assert type(optimal_set(71).v) is F
+    assert {type(q.v) for q in engine.canonical_sets(1, 80)} == {F}
+    assert {type(q.v) for q in enumerate_optimal_sets(71)} == {F}
+    assert {type(q.v) for layer in transition_graph(60, 67).layers for q in layer} == {F}
 
 
 def test_counts_match_heap_runs(heap_run):

@@ -4,8 +4,8 @@ Every exact operation of ``perfbench/workloads.py`` is run once and its own
 check applied: CLI operations must print, byte for byte, the stdout whose
 SHA-256 digest ``perfbench/expected.json`` records.  The benchmark's tracer
 must still find every function it wraps.  Every form of ``tree``, and the
-``enumerate`` and ``verify`` calls below, print, byte for byte, the stdout
-whose SHA-256 digest is recorded here, and so do
+``enumerate``, ``verify`` and ``table`` calls below, print, byte for byte,
+the stdout whose SHA-256 digest is recorded here, and so do
 ``str(quantization_error(n))`` at a few deep n.
 """
 
@@ -117,6 +117,31 @@ def test_verify_output_digest(capsys):
 ])
 def test_enumerate_output_digest(capsys, argv, digest):
     assert main(["enumerate", *argv.split()]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# table writes V_n from _layers' reduced pairs: the digests were recorded
+# when each row's V_n was a Fraction, printed by str() and float().
+N100 = 10**100
+
+
+@pytest.mark.parametrize("n_lo, n_hi, form, digest", [
+    (1, 200000, "csv",
+     "2dead227acd27e414b768f83a407b5bfca18526048f76b08e934356b24ced814"),
+    (N100, N100 + 5000, "csv",
+     "79e43fcb9177adaaaf3bfedcfcb757c1e193376595a9d26e7845006053ac7dd6"),
+    (1, 3000, "text",
+     "c4ba7e7305acf9f0abac98992943b0bf801c06c987d92518d41d7abf90049d7a"),
+    (1, 3000, "json",
+     "0cab380bb0216d1d85be2ff65ffda66ca3e990eb15ac156293250cd52914817f"),
+    (N100, N100 + 300, "text",
+     "8a70ee7ae501987668041a7bc8e66a32fdea4c6ed3c864770962e06b95838011"),
+    (N100, N100 + 300, "json",
+     "04a801455ed07775e4edc7419e6a61c2a52b977a8689d19d502d452955642a08"),
+], ids=["csv-1", "csv-10^100", "text-1", "json-1", "text-10^100", "json-10^100"])
+def test_table_output_digest(capsys, n_lo, n_hi, form, digest):
+    assert main(["table", "--from", str(n_lo), "--to", str(n_hi), "--format", form]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
