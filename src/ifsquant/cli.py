@@ -173,9 +173,10 @@ def cmd_table(args) -> int:
     elif args.format == "csv":
         print('"n","V","V_float"')
         sys.stdout.writelines(f'{n},"{v}",{measure.float_val(x)!r}\n' for n, v, x in rows)
-    else:  # a first pass finds the column width; the second prints
+    else:  # a first pass finds V's width; the second prints, n as wide as --to
         width = max(len(v) for _, v, _ in rows)
-        sys.stdout.writelines(f"{n:<6d} {v:<{width}} {float_str(x)}\n"
+        n_width = max(6, len(str(args.n_hi)))
+        sys.stdout.writelines(f"{n:<{n_width}d} {v:<{width}} {float_str(x)}\n"
                               for n, v, x in _table_rows(args.n_lo, args.n_hi))
     return 0
 
@@ -222,10 +223,15 @@ def cmd_tree(args) -> int:
     return 0
 
 
-def cmd_oracle_sample(args) -> int:
+def _draw(args):
+    """The float oracles, imported only now, and the batch the sampling flags draw."""
     from . import oracle
 
-    batch = oracle.sample(args.samples, args.depth, args.seed, args.threads)
+    return oracle, oracle.sample(args.samples, args.depth, args.seed, args.threads)
+
+
+def cmd_oracle_sample(args) -> int:
+    oracle, batch = _draw(args)
     if args.out:
         try:
             oracle.write_batch(batch, args.out)
@@ -268,10 +274,8 @@ def _payload_rows(payload: dict, label=str) -> list[tuple[str, dict]]:
 
 
 def cmd_oracle_lloyd(args) -> int:
-    from . import oracle
-
     k = args.n
-    batch = oracle.sample(args.samples, args.depth, args.seed, args.threads)
+    oracle, batch = _draw(args)
     lloyd_result = oracle.lloyd(batch, k, oracle.quantile_init(batch, k))
     dp_result = oracle.kmeans_1d_exact(batch, k)
     points = engine.optimal_set(k).points()
@@ -292,10 +296,8 @@ def cmd_oracle_lloyd(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    from . import oracle
-
     n = args.n
-    batch = oracle.sample(args.samples, args.depth, args.seed, args.threads)
+    oracle, batch = _draw(args)
     q = engine.optimal_set(n)
     exact = q.v
     centers = [float(c) for c in q.points()]
@@ -397,16 +399,16 @@ def _exhaustive(upper: int) -> tuple[bool, str]:
     return not bad, "n=" + ",".join(map(str, bad[:5]))
 
 
-def run_verify(n_max: int) -> bool:
-    """Print the verification report to stdout; returns overall success.
+def cmd_verify(args) -> int:
+    """Print the verification report and its verdict.
 
     One loop runs every ``_checks`` row and prints its line: a check that
     raises fails with the exception as its detail, and the report goes on.
     """
-    if n_max < 2:
-        raise ValueError(f"verify needs n >= 2, got {n_max}")
+    if args.n < 2:
+        raise ValueError(f"verify needs n >= 2, got {args.n}")
     ok_all = True
-    for label, check in _checks(n_max):
+    for label, check in _checks(args.n):
         try:
             ok, detail = check()
         except Exception as exc:  # a failing check must not stop the report
@@ -414,13 +416,8 @@ def run_verify(n_max: int) -> bool:
         ok_all = ok_all and ok
         suffix = f" ({detail})" if detail and not ok else ""
         print(f"{label} {'PASS' if ok else 'FAIL'}{suffix}")
-    return ok_all
-
-
-def cmd_verify(args) -> int:
-    ok = run_verify(args.n)
-    print("verification " + ("PASSED" if ok else "FAILED"))
-    return 0 if ok else 1
+    print("verification " + ("PASSED" if ok_all else "FAILED"))
+    return 0 if ok_all else 1
 
 
 if __name__ == "__main__":

@@ -97,7 +97,7 @@ class Node(NamedTuple):
     @property
     def centroid(self) -> Fraction:
         """Mean of the region: S_w(4/7) for a cylinder, S_w(20/7) for a tail."""
-        return Fraction(7 * self.dn + _OFFSETS[self.kind][1], 7 << self.a)
+        return Fraction(*_centroid_terms(self.kind, self.a, self.dn))
 
     @property
     def left(self) -> Fraction:

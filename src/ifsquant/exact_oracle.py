@@ -17,17 +17,14 @@ from operator import add
 
 from . import measure
 from .measure import CLOSED, TAIL, Region
+from .words import successor
 
 DEFAULT_DEPTH = 40
 DEFAULT_SEED = 20240317
 
 
 def _split_region(region: Region) -> tuple[Region, Region]:
-    w = region.word
-    if region.kind == CLOSED:
-        child = w + (1,)
-    else:
-        child = w[:-1] + (w[-1] + 1,)
+    child = region.word + (1,) if region.kind == CLOSED else successor(region.word)
     return Region(CLOSED, child), Region(TAIL, child)
 
 

@@ -96,6 +96,19 @@ def test_table_text_contains_exact_values(capsys):
     assert "288/3577" in out and "69/3577" in out and "57/14308" in out
 
 
+@pytest.mark.parametrize("n_lo, n_hi", [(999998, 1000001), (9999998, 10000001)])
+def test_table_text_starts_v_in_one_column(capsys, n_lo, n_hi):
+    # n is padded to the width of --to, so a window that crosses a power of
+    # ten past 10^6 does not push the V of its longer n one column right.
+    code, out, _ = run(capsys, "table", "--from", str(n_lo), "--to", str(n_hi))
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == n_hi - n_lo + 1
+    starts = {len(line) - len(line.split(maxsplit=1)[1]) for line in lines}
+    assert starts == {len(str(n_hi)) + 1}
+    values = [line.split()[1] for line in lines]
+    assert values == [str(engine.quantization_error(n)) for n in range(n_lo, n_hi + 1)]
+
+
 def test_enumerate_csv_rows_are_the_json_values(capsys):
     code, out, _ = run(capsys, "enumerate", "--n", "16", "--format", "csv")
     assert code == 0
