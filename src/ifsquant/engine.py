@@ -91,8 +91,7 @@ class Node(NamedTuple):
     @property
     def error(self) -> Fraction:
         """Exact squared-error contribution of the region."""
-        return Fraction(self.m * VARIANCE.numerator,
-                        9 * VARIANCE.denominator << (3 * self.a))
+        return Fraction(*_error_terms(self.m, self.a))
 
     @property
     def centroid(self) -> Fraction:
@@ -136,14 +135,17 @@ class QuantizerSet:
     """A frontier in canonical (left-to-right) order with its exact error."""
 
     nodes: tuple[Node, ...]
-    n: int
     v: Fraction
+
+    @property
+    def n(self) -> int:
+        """The set's size, its number of nodes."""
+        return len(self.nodes)
 
     @classmethod
     def from_nodes(cls, nodes: Iterable[Node]) -> "QuantizerSet":
         ordered = tuple(sorted(nodes, key=lambda node: (node.left, node)))
-        total = sum((node.error for node in ordered), Fraction(0))
-        return cls(ordered, len(ordered), total)
+        return cls(ordered, sum((node.error for node in ordered), Fraction(0)))
 
     def points(self) -> tuple[Fraction, ...]:
         """The quantizer points (node centroids) in increasing order."""
@@ -363,11 +365,11 @@ def canonical_sets(n_lo: int, n_hi: int) -> Iterator[QuantizerSet]:
     block's first r tied nodes, that is ties split at the leftmost region.
     One walk serves a block, and each next size adds one pair to ``halves``."""
     current = None
-    for n, block, r, v in _layers(n_lo, n_hi):
+    for _, block, r, v in _layers(n_lo, n_hi):
         if block is not current:
             current, (nodes, tied), halves = block, _walk(block), []
         halves += map(_split, (nodes[slot] for slot in tied[len(halves):r]))
-        yield QuantizerSet(_splice(nodes, tied, range(r), halves), n, Fraction(*v))
+        yield QuantizerSet(_splice(nodes, tied, range(r), halves), Fraction(*v))
 
 
 def optimal_set(n: int) -> QuantizerSet:
@@ -380,7 +382,7 @@ def quantization_error(n: int) -> Fraction:
     return Fraction(*next(_layers(n, n))[3])
 
 
-def _layer_sets(n: int, block: Block, r: int,
+def _layer_sets(block: Block, r: int,
                 v: tuple[int, int]) -> Iterator[tuple[tuple[int, ...], QuantizerSet]]:
     """The optimal sets of one ``_layers`` item as (chosen, set) pairs, all
     of one Fraction V built from the item's pair.
@@ -401,7 +403,7 @@ def _layer_sets(n: int, block: Block, r: int,
         chosen_sets = reversed(list(chosen_sets))
     v = Fraction(*v)
     for chosen in chosen_sets:
-        yield chosen, QuantizerSet(_splice(nodes, tied, chosen, halves), n, v)
+        yield chosen, QuantizerSet(_splice(nodes, tied, chosen, halves), v)
 
 
 def _binomial_at_most(m: int, r: int, log_limit: float,
@@ -458,7 +460,7 @@ def enumerate_optimal_sets(n: int, cap: int = DEFAULT_CAP) -> list[QuantizerSet]
     sets, by the cap rule ``_within_cap`` on the one-layer window.
     """
     [(_, block, r, v)] = _within_cap(n, n, cap)
-    return [q for _, q in _layer_sets(n, block, r, v)]
+    return [q for _, q in _layer_sets(block, r, v)]
 
 
 def count_optimal_sets(n: int) -> int:
@@ -504,7 +506,7 @@ def transition_graph(n_lo: int, n_hi: int, cap: int = DEFAULT_CAP) -> Transition
     edges: list[tuple[str, str]] = []
     previous = {}
     for k, block, r, v in _within_cap(n_lo, n_hi, cap):
-        pairs = list(_layer_sets(k, block, r, v))
+        pairs = list(_layer_sets(block, r, v))
         order = {chosen: index for index, (chosen, _) in enumerate(pairs, start=1)}
         layers.append(tuple(q for _, q in pairs))
         if r == 1 and previous:  # the one set before a block chose none of it
@@ -571,8 +573,6 @@ def validate_structure(q: QuantizerSet) -> StructureReport:
         mass_sum += mass
         mean_sum += mass * x
         error_sum += m << 3 * shift
-    if q.n != len(nodes) or q.n < 1:
-        failures.append("node count mismatch")
     if any(not (lo < next_lo and hi <= next_lo)
            for lo, hi, next_lo in zip(lefts, rights, lefts[1:])):
         failures.append("regions out of order or overlapping")
@@ -613,13 +613,13 @@ def centroid_str(node: Node) -> str:
     return "%d/%d" % _centroid_terms(node.kind, node.a, node.dn)
 
 
-def _error_str(m: int, a: int) -> str:
-    """The error V * M / (9 * 8^a) = 32 * M / (3577 * 8^a) as "num/den".
+def _error_terms(m: int, a: int) -> tuple[int, int]:
+    """The error V * M / (9 * 8^a) = 32 * M / (3577 * 8^a) in lowest terms.
 
     M is odd and prime to 3577 = 7^2 * 73, so only 2^min(5, 3a) cancels.
     """
     shift = min(5, 3 * a)
-    return f"{32 * m >> shift}/{3577 << (3 * a - shift)}"
+    return 32 * m >> shift, 3577 << (3 * a - shift)
 
 
 # A node's JSON object and CSV row are templates over its fields, and a set's and a
@@ -642,13 +642,13 @@ def node_fields(node: Node) -> tuple[str, str, str, float, str]:
 
     Strings are formatted from the integers with their common factor known
     in advance, and equal the strings of the reduced Fractions; the
-    centroid's float is the same correctly rounded integer division that
-    ``float(Fraction)`` performs.
+    centroid's hint is ``measure.float_val`` of the same correctly rounded
+    integer division that ``float(Fraction)`` performs.
     """
     kind, word, m, a, dn = node
     num, den = _centroid_terms(kind, a, dn)
-    return (render(word), kind, f"{num}/{den}",
-            float(format(num / den, measure.FLOAT_SPEC)), _error_str(m, a))
+    return (render(word), kind, f"{num}/{den}", measure.float_val(num / den),
+            "%d/%d" % _error_terms(m, a))
 
 
 def node_name(node: Node) -> str:

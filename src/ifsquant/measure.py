@@ -13,9 +13,8 @@ of w collects all right siblings J_{w^-(last+i)}, i >= 1.
 The measure's functions take and return ``fractions.Fraction`` values, and
 no float enters them.  The two rendering helpers at the bottom write a
 decimal hint, for display beside an exact value, of a Fraction or of an
-oracle's float.  They are not the only ones: ``engine.node_fields`` formats
-its centroid hints with ``FLOAT_SPEC`` itself, and ``oracle-check``
-prints its deviation and standard error to three significant figures.
+oracle's float; only ``oracle-check`` formats its own floats, printing its
+deviation and standard error to three significant figures.
 """
 
 from __future__ import annotations

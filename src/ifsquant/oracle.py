@@ -33,13 +33,12 @@ class SampleBatch:
     """Deterministic float samples of the measure.
 
     values is a read-only float64 array, a pure function of
-    (seed, depth, count) regardless of thread count.
+    (seed, depth, values.size) regardless of thread count.
     """
 
     values: np.ndarray
     seed: int
     depth: int
-    count: int
 
 
 # Letter j maps x to 2^-(j+1) x + 1 - 2^-(j-1); both powers of two are
@@ -107,7 +106,7 @@ def sample(
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(fill, range(0, count, CHUNK_SIZE)))
     values.setflags(write=False)
-    return SampleBatch(values, seed, depth, count)
+    return SampleBatch(values, seed, depth)
 
 
 def empirical_mass(batch: SampleBatch, lo: float, hi: float) -> float:
@@ -305,7 +304,7 @@ def kmeans_1d_exact(batch: SampleBatch, k: int) -> ClusterResult:
 def write_batch(batch: SampleBatch, path) -> None:
     """Write a batch as flat binary: 8-byte magic, little-endian uint64
     count, then count little-endian float64 values."""
-    header = struct.pack("<8sQ", BATCH_MAGIC, batch.count)
+    header = struct.pack("<8sQ", BATCH_MAGIC, batch.values.size)
     Path(path).write_bytes(header + batch.values.astype("<f8").tobytes())
 
 

@@ -65,7 +65,7 @@ def mass(node: Node) -> Fraction:
 
 
 def fraction_audit(q: QuantizerSet) -> StructureReport:
-    """The structural audit in ``Fraction`` arithmetic: the same eight
+    """The structural audit in ``Fraction`` arithmetic: the same seven
     checks, messages and order as ``engine.validate_structure``."""
     failures: list[str] = []
     nodes = q.nodes
@@ -73,8 +73,6 @@ def fraction_audit(q: QuantizerSet) -> StructureReport:
     rights = [right(node) for node in nodes]
     points = [node.centroid for node in nodes]
     masses = [mass(node) for node in nodes]
-    if q.n != len(nodes) or q.n < 1:
-        failures.append("node count mismatch")
     if any(not (lo < next_lo and hi <= next_lo)
            for lo, hi, next_lo in zip(lefts, rights, lefts[1:])):
         failures.append("regions out of order or overlapping")

@@ -251,8 +251,11 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "optimal", "--n", "0")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "optimal", "--n", "3", "--format", "dot")[0] == 2
-    assert run(capsys, "verify", "--n", "1") == (
-        2, "", "usage error: verify needs n >= 2, got 1\n")
+    for n in ("0", "1"):
+        code, out, err = run(capsys, "verify", "--n", n)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            f"quantizer verify: error: argument --n: n must be >= 2, got {n}"), err
     # A flag that int() cannot read names itself, and a value past the
     # interpreter's 4300-digit limit is shown by its first 40 characters.
     long = "7" * 5000
@@ -327,10 +330,10 @@ def _peak_bytes(monkeypatch, argv):
 
 
 def test_table_csv_keeps_no_rows(monkeypatch):
-    # A list of the 2*10^5 (n, V) rows peaked at 40.7 MB; written as they
-    # are made, they peak at about 0.5 MB, the block table included.
-    argv = ["table", "--from", "1", "--to", "200000", "--format", "csv"]
-    assert _peak_bytes(monkeypatch, argv) < 2 * 2**20
+    # A list of the 2*10^4 (n, V) rows peaked at 4.0 MB; written as they
+    # are made, they peak at about 0.3 MB, the block table included.
+    argv = ["table", "--from", "1", "--to", "20000", "--format", "csv"]
+    assert _peak_bytes(monkeypatch, argv) < 2**20
 
 
 def test_table_json_keeps_no_rows(monkeypatch):
@@ -479,7 +482,7 @@ def test_verify_rederives_set_totals(monkeypatch, capsys):
     def swap_first_node(sets):
         q = sets[0]
         wrong = make_node(Region(q.nodes[0].kind, (9,)))
-        return [engine.QuantizerSet((wrong, *q.nodes[1:]), q.n, q.v), *sets[1:]]
+        return [engine.QuantizerSet((wrong, *q.nodes[1:]), q.v), *sets[1:]]
 
     out = _tampered_verify(monkeypatch, capsys, swap_first_node)
     assert "count matches enumeration for n <= 16 FAIL (n=1," in out
@@ -506,7 +509,7 @@ def test_verify_reports_a_structure_failure(monkeypatch, capsys):
     audit = engine.validate_structure
 
     def doubled_total(q):
-        return audit(q if q.n == 1 else engine.QuantizerSet(q.nodes, q.n, 2 * q.v))
+        return audit(q if q.n == 1 else engine.QuantizerSet(q.nodes, 2 * q.v))
 
     monkeypatch.setattr(engine, "validate_structure", doubled_total)
     code, out, _ = run(capsys, "verify", "--n", "5")

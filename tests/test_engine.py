@@ -447,7 +447,7 @@ def test_validate_structure_catches_forced_centroid(monkeypatch):
     # moving the cylinder centroid to S_w(8/7) puts the root's outside [0, 1].
     monkeypatch.setitem(engine._OFFSETS, CLOSED, (0, 8, 1))
     node = root_node()
-    broken = QuantizerSet((node,), 1, node.error)
+    broken = QuantizerSet((node,), node.error)
     report = validate_structure(broken)
     assert not report.ok
     assert any("centroid outside region" in f for f in report.failures)
@@ -457,16 +457,15 @@ def test_validate_structure_catches_forced_centroid(monkeypatch):
 def _replaced(q, i, **fields):
     nodes = list(q.nodes)
     nodes[i] = nodes[i]._replace(**fields)
-    return QuantizerSet(tuple(nodes), q.n, q.v)
+    return QuantizerSet(tuple(nodes), q.v)
 
 
 def _swapped(q, i, j):
     nodes = list(q.nodes)
     nodes[i], nodes[j] = nodes[j], nodes[i]
-    return QuantizerSet(tuple(nodes), q.n, q.v)
+    return QuantizerSet(tuple(nodes), q.v)
 
 
-_COUNT = "node count mismatch"
 _ORDER = "regions out of order or overlapping"
 _INCREASING = "centroids not strictly increasing"
 _VORONOI = "voronoi midpoint outside the region gap"
@@ -476,9 +475,11 @@ _ERROR = "total error differs from the node error sum"
 
 
 @pytest.mark.parametrize("n, tamper, expected", [
-    (3, lambda q: QuantizerSet(q.nodes, q.n + 1, q.v), (_COUNT,)),
-    (3, lambda q: QuantizerSet(q.nodes[1:], q.n, q.v), (_COUNT, _MASS, _MEAN, _ERROR)),
-    (3, lambda q: QuantizerSet(q.nodes[::2], 2, q.v), (_MASS, _MEAN, _ERROR)),
+    # A set's size is its node count, so no size check refuses an empty
+    # set: its masses and mean do, as its error 0 is right.
+    (1, lambda q: QuantizerSet((), F(0)), (_MASS, _MEAN)),
+    (3, lambda q: QuantizerSet(q.nodes[1:], q.v), (_MASS, _MEAN, _ERROR)),
+    (3, lambda q: QuantizerSet(q.nodes[::2], q.v), (_MASS, _MEAN, _ERROR)),
     (3, lambda q: _swapped(q, 0, 1), (_ORDER, _INCREASING, _VORONOI)),
     # optimal_set(2) is cylinder 1 and the tail of 1; dn = 1 moves the
     # cylinder onto [1/4, 1/2], so the regions stay in order, but the
@@ -490,8 +491,8 @@ _ERROR = "total error differs from the node error sum"
     (3, lambda q: _replaced(q, 1, dn=3), (_MEAN,)),
     # The tail of 2 has M = 43 * 3: M = 43 also reads a third of its mass.
     (3, lambda q: _replaced(q, 2, m=43), (_MASS, _MEAN, _ERROR)),
-    (3, lambda q: QuantizerSet(q.nodes, q.n, q.v / 2), (_ERROR,)),
-], ids=["n", "dropped", "dropped-n", "swapped", "moved-right", "moved-left", "dn",
+    (3, lambda q: QuantizerSet(q.nodes, q.v / 2), (_ERROR,)),
+], ids=["empty", "dropped", "dropped-n", "swapped", "moved-right", "moved-left", "dn",
         "m", "v"])
 def test_validate_structure_catches_each_tampering(n, tamper, expected):
     # optimal_set(3) is cylinder 1, cylinder 2 and the tail of 2.
@@ -504,7 +505,7 @@ def test_validate_structure_catches_each_tampering(n, tamper, expected):
 
 def test_validate_structure_catches_wrong_total():
     q = optimal_set(3)
-    broken = QuantizerSet(q.nodes, q.n, q.v + 1)
+    broken = QuantizerSet(q.nodes, q.v + 1)
     report = validate_structure(broken)
     assert not report.ok
     assert any("total error" in f for f in report.failures)
@@ -519,7 +520,7 @@ def _audited_sets(draw):
     q = _optimal(draw(st.integers(1, 2000)))
     nodes, n, v = list(q.nodes), q.n, q.v
     i = draw(st.integers(0, n - 1))
-    tamper = draw(st.sampled_from(["none", "swap", "drop", "node", "n", "v"]))
+    tamper = draw(st.sampled_from(["none", "swap", "drop", "node", "v"]))
     if tamper == "swap":
         j = draw(st.integers(0, n - 1))
         nodes[i], nodes[j] = nodes[j], nodes[i]
@@ -534,11 +535,9 @@ def _audited_sets(draw):
             fields["kind"] = CLOSED
         nodes[i] = node._replace(**draw(st.sampled_from(
             [{key: value} for key, value in fields.items()])))
-    elif tamper == "n":
-        n += draw(st.sampled_from([-n, -1, 1]))
     elif tamper == "v":
         v += F(draw(st.integers(-1, 1)), 3577 << 3 * draw(st.integers(0, 40)))
-    return QuantizerSet(tuple(nodes), n, v)
+    return QuantizerSet(tuple(nodes), v)
 
 
 @settings(max_examples=60, deadline=None)

@@ -83,7 +83,7 @@ def test_letter_tables_cover_every_letter():
 def test_sample_values_in_unit_interval():
     assert BATCH.values.min() >= 0.0
     assert BATCH.values.max() <= 1.0
-    assert BATCH.count == BATCH.values.size == 300_000
+    assert BATCH.values.size == 300_000
 
 
 def test_sample_rejects_bad_args():
@@ -148,7 +148,7 @@ def test_lloyd_rejects_k_above_sample_count():
 
 def test_lloyd_reseeds_empty_cluster():
     xs = np.array([0.6, 0.62, 0.7, 0.9])
-    crafted = SampleBatch(xs, 0, 1, xs.size)
+    crafted = SampleBatch(xs, 0, 1)
     result = lloyd(crafted, 2, [0.1, 0.65])
     # the left cluster starts empty; reseeding must still yield two centers
     assert result.centers.size == 2
@@ -160,7 +160,7 @@ def test_lloyd_rejects_k_above_distinct_values():
     # Three distinct values cannot fill four clusters; reseeding onto samples
     # already on a center would only run out the sweep limit.
     xs = np.array([0.1, 0.1, 0.5, 0.5, 0.9, 0.9])
-    crafted = SampleBatch(xs, 0, 1, xs.size)
+    crafted = SampleBatch(xs, 0, 1)
     with pytest.raises(ValueError, match="k=4 exceeds the 3 distinct sample values"):
         lloyd(crafted, 4, [0.1, 0.3, 0.5, 0.9])
 
@@ -199,7 +199,7 @@ def test_kmeans_matches_quadratic_dp(k):
         rng.random(k),
     ]
     for xs in inputs:
-        batch = SampleBatch(xs, 0, 1, xs.size)
+        batch = SampleBatch(xs, 0, 1)
         result = kmeans_1d_exact(batch, k)
         assert result.centers.size == k
         assert np.all(np.diff(result.centers) > 0)
@@ -224,7 +224,7 @@ def test_kmeans_matches_reference_dp(decimals):
         xs = rng.random(n)
         if decimals is not None:
             xs = np.round(xs, decimals)
-        batch = SampleBatch(xs, 0, 1, n)
+        batch = SampleBatch(xs, 0, 1)
         result = kmeans_1d_exact(batch, k)
         if np.unique(xs).size >= k:
             reference = kmeans_reference.kmeans_1d_exact(batch, k)
@@ -264,7 +264,7 @@ def test_kmeans_never_worse_than_lloyd(init):
 def test_kmeans_rejects_bad_k():
     with pytest.raises(ValueError):
         kmeans_1d_exact(BATCH, 0)
-    small = SampleBatch(np.array([0.1, 0.2]), 0, 1, 2)
+    small = SampleBatch(np.array([0.1, 0.2]), 0, 1)
     with pytest.raises(ValueError):
         kmeans_1d_exact(small, 3)
 
@@ -276,7 +276,7 @@ def test_mc_distortion_two_means():
 
 def test_mc_distortion_stats_needs_two_samples():
     # One sample has no standard error: refuse it instead of returning nan.
-    single = SampleBatch(np.array([0.3]), 0, 1, 1)
+    single = SampleBatch(np.array([0.3]), 0, 1)
     with pytest.raises(ValueError, match="at least 2 samples, got 1"):
         mc_distortion_stats(single, [0.5])
 
