@@ -224,27 +224,27 @@ def cmd_tree(args) -> int:
 
 
 def _draw(args):
-    """The float oracles, imported only now, and the batch the sampling flags draw."""
+    """The float oracles, imported only now, and the sample the sampling flags draw."""
     from . import oracle
 
     return oracle, oracle.sample(args.samples, args.depth, args.seed, args.threads)
 
 
 def cmd_oracle_sample(args) -> int:
-    oracle, batch = _draw(args)
+    oracle, values = _draw(args)
     if args.out:
         try:
-            oracle.write_batch(batch, args.out)
+            oracle.write_batch(values, args.out)
         except OSError as exc:
             raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from exc
     _report(args, _payload_rows({
-        "count": batch.values.size,
-        "depth": batch.depth,
-        "seed": batch.seed,
-        "mean": float(batch.values.mean()),
-        "variance": float(batch.values.var()),
-        "mass_first_cylinder": oracle.empirical_mass(batch, 0.0, 0.25),
-        "mass_second_cylinder": oracle.empirical_mass(batch, 0.5, 0.625),
+        "count": values.size,
+        "depth": args.depth,
+        "seed": args.seed,
+        "mean": float(values.mean()),
+        "variance": float(values.var()),
+        "mass_first_cylinder": oracle.empirical_mass(values, 0.0, 0.25),
+        "mass_second_cylinder": oracle.empirical_mass(values, 0.5, 0.625),
     }))
     return 0
 
@@ -275,9 +275,9 @@ def _payload_rows(payload: dict, label=str) -> list[tuple[str, dict]]:
 
 def cmd_oracle_lloyd(args) -> int:
     k = args.n
-    oracle, batch = _draw(args)
-    lloyd_result = oracle.lloyd(batch, k, oracle.quantile_init(batch, k))
-    dp_result = oracle.kmeans_1d_exact(batch, k)
+    oracle, values = _draw(args)
+    lloyd_result = oracle.lloyd(values, oracle.quantile_init(values, k))
+    dp_result = oracle.kmeans_1d_exact(values, k)
     points = engine.optimal_set(k).points()
     exact = [float(c) for c in points]
     _report(args, _payload_rows({
@@ -297,11 +297,11 @@ def cmd_oracle_lloyd(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     n = args.n
-    oracle, batch = _draw(args)
+    oracle, values = _draw(args)
     q = engine.optimal_set(n)
     exact = q.v
     centers = [float(c) for c in q.points()]
-    estimate, stderr = oracle.mc_distortion_stats(batch, centers)
+    estimate, stderr = oracle.mc_distortion_stats(values, centers)
     gap = abs(estimate - float(exact))
     # Equal distortions on every sample give a zero standard error and an
     # empty band: the Monte Carlo line then says nothing either way, and

@@ -489,9 +489,13 @@ class TransitionGraph:
     edges are pairs of those names, by ``transition_graph``'s edge rule.
     """
 
-    n_lo: int
     layers: tuple[tuple[QuantizerSet, ...], ...]
     edges: tuple[tuple[str, str], ...]
+
+    @property
+    def n_lo(self) -> int:
+        """The first layer's size, the size of its sets."""
+        return self.layers[0][0].n
 
 
 def transition_graph(n_lo: int, n_hi: int, cap: int = DEFAULT_CAP) -> TransitionGraph:
@@ -517,7 +521,7 @@ def transition_graph(n_lo: int, n_hi: int, cap: int = DEFAULT_CAP) -> Transition
             edges.extend((vertex_label(k - 1, src), vertex_label(k, dst))
                          for dst in targets)
         previous = order
-    return TransitionGraph(n_lo, tuple(layers), tuple(edges))
+    return TransitionGraph(tuple(layers), tuple(edges))
 
 
 def transition_graph_dot(graph: TransitionGraph) -> Iterator[str]:

@@ -28,19 +28,6 @@ LLOYD_MAX_ITERS = 200
 LLOYD_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class SampleBatch:
-    """Deterministic float samples of the measure.
-
-    values is a read-only float64 array, a pure function of
-    (seed, depth, values.size) regardless of thread count.
-    """
-
-    values: np.ndarray
-    seed: int
-    depth: int
-
-
 # Letter j maps x to 2^-(j+1) x + 1 - 2^-(j-1); both powers of two are
 # exact table entries.  No float64 uniform yields a letter above 54, since
 # u <= 1 - 2^-53 gives log2(3/(1-u)) <= log2(3 * 2^53) < 55.
@@ -75,9 +62,10 @@ def sample(
     depth: int = DEFAULT_DEPTH,
     seed: int = DEFAULT_SEED,
     threads: int = 1,
-) -> SampleBatch:
+) -> np.ndarray:
     """Draw `count` samples: each composes `depth` random letter maps
-    applied to the global mean.
+    applied to the global mean.  The result is a read-only float64 array,
+    a pure function of (seed, depth, count) whatever the thread count.
 
     Letters come from the exact inverse CDF, so the infinite alphabet needs
     no truncation; at the default depth the truncation displacement is below
@@ -106,43 +94,41 @@ def sample(
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(fill, range(0, count, CHUNK_SIZE)))
     values.setflags(write=False)
-    return SampleBatch(values, seed, depth)
+    return values
 
 
-def empirical_mass(batch: SampleBatch, lo: float, hi: float) -> float:
+def empirical_mass(values: np.ndarray, lo: float, hi: float) -> float:
     """Fraction of samples falling in [lo, hi]."""
-    return float(np.mean((batch.values >= lo) & (batch.values <= hi)))
+    return float(np.mean((values >= lo) & (values <= hi)))
 
 
-def _min_sq(batch: SampleBatch, centers) -> np.ndarray:
+def _min_sq(values: np.ndarray, centers) -> np.ndarray:
     c = np.sort(np.asarray(centers, dtype=float))
     if c.size == 0:
         raise ValueError("need at least one center")
     mids = (c[1:] + c[:-1]) / 2.0
-    idx = np.searchsorted(mids, batch.values)
-    diff = batch.values - c[idx]
+    idx = np.searchsorted(mids, values)
+    diff = values - c[idx]
     return diff * diff
 
 
-def mc_distortion(batch: SampleBatch, centers) -> float:
+def mc_distortion(values: np.ndarray, centers) -> float:
     """Mean over samples of the squared distance to the nearest center."""
-    return float(_min_sq(batch, centers).mean())
+    return float(_min_sq(values, centers).mean())
 
 
-def mc_distortion_stats(batch: SampleBatch, centers) -> tuple[float, float]:
+def mc_distortion_stats(values: np.ndarray, centers) -> tuple[float, float]:
     """(estimate, standard error) of the Monte Carlo distortion; the
     standard error needs at least 2 samples."""
-    if batch.values.size < 2:
-        raise ValueError(
-            f"a standard error needs at least 2 samples, got {batch.values.size}"
-        )
-    d = _min_sq(batch, centers)
+    if values.size < 2:
+        raise ValueError(f"a standard error needs at least 2 samples, got {values.size}")
+    d = _min_sq(values, centers)
     return float(d.mean()), float(d.std(ddof=1) / math.sqrt(d.size))
 
 
 @dataclass(frozen=True)
 class ClusterResult:
-    """Centers with the empirical (nearest-center) distortion on the batch.
+    """Centers with the empirical (nearest-center) distortion on the sample.
 
     iterations counts Lloyd sweeps; it is 0 for the exact DP solver.
     """
@@ -152,59 +138,57 @@ class ClusterResult:
     iterations: int = 0
 
 
-def quantile_init(batch: SampleBatch, k: int) -> np.ndarray:
+def quantile_init(values: np.ndarray, k: int) -> np.ndarray:
     """Lloyd's starting centers: the k mid-quantiles of the sample, ties
     nudged apart by 1e-12 so that they increase strictly."""
-    init = np.quantile(batch.values, (np.arange(k) + 0.5) / k)
+    init = np.quantile(values, (np.arange(k) + 0.5) / k)
     for i in range(1, k):
         if init[i] <= init[i - 1]:
             init[i] = init[i - 1] + 1e-12
     return init
 
 
-def lloyd(batch: SampleBatch, k: int, init) -> ClusterResult:
-    """Alternate nearest-center assignment and cluster means until the
-    largest center movement drops below LLOYD_TOL, for at most
-    LLOYD_MAX_ITERS sweeps.
+def lloyd(values: np.ndarray, init) -> ClusterResult:
+    """Alternate nearest-center assignment and cluster means, starting from
+    the k = len(init) centers of ``init``, until the largest center movement
+    drops below LLOYD_TOL, for at most LLOYD_MAX_ITERS sweeps.
 
     Empty-cluster policy: the center is reseeded at the sample point
     farthest from its assigned center, and iteration continues.  When
-    every sample already sits on a center, the batch has fewer distinct
+    every sample already sits on a center, the sample has fewer distinct
     values than k and ValueError is raised.
     """
     centers = np.array(init, dtype=float)
-    if centers.size != k:
-        raise ValueError(f"init must supply {k} centers, got {centers.size}")
-    if k > 1 and not np.all(np.diff(centers) > 0):
+    k = centers.size
+    if not np.all(np.diff(centers) > 0):
         raise ValueError("init must be strictly increasing")
-    xs = batch.values
-    if k > xs.size:
-        raise ValueError(f"k={k} exceeds sample count {xs.size}")
+    if k > values.size:
+        raise ValueError(f"k={k} exceeds sample count {values.size}")
     iterations = 0
     for iterations in range(1, LLOYD_MAX_ITERS + 1):
         mids = (centers[1:] + centers[:-1]) / 2.0
-        idx = np.searchsorted(mids, xs)
+        idx = np.searchsorted(mids, values)
         counts = np.bincount(idx, minlength=k)
         if np.any(counts == 0):
-            d2 = (xs - centers[idx]) ** 2
+            d2 = (values - centers[idx]) ** 2
             for empty in np.nonzero(counts == 0)[0]:
                 farthest = int(np.argmax(d2))
                 if d2[farthest] <= 0.0:
-                    distinct = np.unique(xs).size
+                    distinct = np.unique(values).size
                     raise ValueError(
                         f"k={k} exceeds the {distinct} distinct sample values"
                     )
-                centers[empty] = xs[farthest]
+                centers[empty] = values[farthest]
                 d2[farthest] = -1.0  # do not reuse the same point
             centers = np.sort(centers)
             continue
-        sums = np.bincount(idx, weights=xs, minlength=k)
+        sums = np.bincount(idx, weights=values, minlength=k)
         updated = np.sort(sums / counts)
         movement = float(np.max(np.abs(updated - centers)))
         centers = updated
         if movement < LLOYD_TOL:
             break
-    return ClusterResult(centers, mc_distortion(batch, centers), iterations)
+    return ClusterResult(centers, mc_distortion(values, centers), iterations)
 
 
 def _fill_row(prev, row, opt, first, prefix, prefix_sq):
@@ -248,7 +232,7 @@ def _fill_row(prev, row, opt, first, prefix, prefix_sq):
         jlo, jhi, ilo, ihi = jlo[keep], jhi[keep], ilo[keep], ihi[keep]
 
 
-def kmeans_1d_exact(batch: SampleBatch, k: int) -> ClusterResult:
+def kmeans_1d_exact(values: np.ndarray, k: int) -> ClusterResult:
     """Globally optimal k-clustering of the sample under squared error.
 
     Interval dynamic programming over the sorted sample: the cost of any
@@ -267,7 +251,7 @@ def kmeans_1d_exact(batch: SampleBatch, k: int) -> ClusterResult:
     floats that bound fails on tied costs, as on rounded samples, and
     would change which of two splits of equal cost wins.
     """
-    xs = np.sort(batch.values)
+    xs = np.sort(values)
     n = int(xs.size)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
@@ -298,25 +282,25 @@ def kmeans_1d_exact(batch: SampleBatch, k: int) -> ClusterResult:
     centers = np.array(
         [float(xs[a:b].mean()) for a, b in zip(bounds, bounds[1:])]
     )
-    return ClusterResult(centers, mc_distortion(batch, centers))
+    return ClusterResult(centers, mc_distortion(values, centers))
 
 
-def write_batch(batch: SampleBatch, path) -> None:
-    """Write a batch as flat binary: 8-byte magic, little-endian uint64
+def write_batch(values: np.ndarray, path) -> None:
+    """Write a sample as flat binary: 8-byte magic, little-endian uint64
     count, then count little-endian float64 values."""
-    header = struct.pack("<8sQ", BATCH_MAGIC, batch.values.size)
-    Path(path).write_bytes(header + batch.values.astype("<f8").tobytes())
+    header = struct.pack("<8sQ", BATCH_MAGIC, values.size)
+    Path(path).write_bytes(header + values.astype("<f8").tobytes())
 
 
 def read_batch_values(path) -> np.ndarray:
-    """Read back the values of a written batch."""
+    """Read back the values ``write_batch`` wrote."""
     raw = Path(path).read_bytes()
     if len(raw) < 16:
         raise ValueError("batch file too short")
     magic, count = struct.unpack_from("<8sQ", raw)
     if magic != BATCH_MAGIC:
         raise ValueError(f"bad batch magic {magic!r}")
-    values = np.frombuffer(raw, dtype="<f8", offset=16)
-    if values.size != count:
-        raise ValueError(f"batch count {count} does not match payload {values.size}")
-    return values
+    if len(raw) - 16 != 8 * count:
+        raise ValueError(f"batch count {count} does not match payload "
+                         f"of {len(raw) - 16} bytes")
+    return np.frombuffer(raw, dtype="<f8", offset=16)

@@ -81,7 +81,6 @@ def reference_graph(n_lo: int, n_hi: int) -> TransitionGraph:
         for src, dst in edges[k - 1]
     )
     return TransitionGraph(
-        n_lo,
         tuple(sets),
         tuple((vertex_label(k, i), vertex_label(k + 1, j)) for k, i, j in pairs),
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ifsquant.oracle import ClusterResult, SampleBatch, mc_distortion
+from ifsquant.oracle import ClusterResult, mc_distortion
 
 
 def _fill_row(dp_prev, dp_new, opt, first, prefix, prefix_sq):
@@ -51,7 +51,7 @@ def _fill_row(dp_prev, dp_new, opt, first, prefix, prefix_sq):
         jlo, jhi, ilo, ihi = jlo[keep], jhi[keep], ilo[keep], ihi[keep]
 
 
-def kmeans_1d_exact(batch: SampleBatch, k: int) -> ClusterResult:
+def kmeans_1d_exact(values: np.ndarray, k: int) -> ClusterResult:
     """Globally optimal k-clustering of the sample under squared error.
 
     Interval dynamic programming over the sorted sample: the cost of any
@@ -61,7 +61,7 @@ def kmeans_1d_exact(batch: SampleBatch, k: int) -> ClusterResult:
     k = 8 on 2*10^5 samples takes about 0.5 s and k = 20 on 10^6 samples
     about 19 s.  Ties go to the leftmost split position.
     """
-    xs = np.sort(batch.values)
+    xs = np.sort(values)
     n = int(xs.size)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
@@ -87,4 +87,4 @@ def kmeans_1d_exact(batch: SampleBatch, k: int) -> ClusterResult:
     centers = np.array(
         [float(xs[a:b].mean()) for a, b in zip(bounds, bounds[1:])]
     )
-    return ClusterResult(centers, mc_distortion(batch, centers))
+    return ClusterResult(centers, mc_distortion(values, centers))

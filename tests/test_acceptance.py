@@ -133,7 +133,7 @@ def test_criterion_6():
     }
     for k, init in inits.items():
         exact = [float(c) for c in optimal_set(k).points()]
-        local = lloyd(batch, k, init)
+        local = lloyd(batch, init)
         assert max(abs(a - b) for a, b in zip(local.centers, exact)) < 3e-3, k
         global_dp = kmeans_1d_exact(batch, k)
         assert max(abs(a - b) for a, b in zip(global_dp.centers, exact)) < 3e-3, k

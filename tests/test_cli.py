@@ -610,7 +610,12 @@ def test_oracle_sample_out_file(tmp_path, capsys):
     raw = target.read_bytes()
     assert raw[:8] == b"IFSQSMP1"
     assert int.from_bytes(raw[8:16], "little") == 5000
+    assert raw[16:] == oracle.sample(5000, 10, exact_oracle.DEFAULT_SEED, 1).tobytes()
     assert "mean = " in out
+    threaded = tmp_path / "threaded.bin"
+    assert run(capsys, "oracle-sample", "--samples", "5000", "--depth", "10",
+               "--threads", "2", "--out", str(threaded))[0] == 0
+    assert threaded.read_bytes() == raw
 
 
 def test_oracle_sample_unwritable_out_exits_2(tmp_path, capsys):

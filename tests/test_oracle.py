@@ -16,7 +16,6 @@ from ifsquant.engine import enumerate_optimal_sets, optimal_set, quantization_er
 from ifsquant.exact_oracle import exhaustive_min
 from ifsquant.measure import Region, closed, node_error, region_interval, tail
 from ifsquant.oracle import (
-    SampleBatch,
     empirical_mass,
     kmeans_1d_exact,
     lloyd,
@@ -30,13 +29,20 @@ from ifsquant.oracle import (
 BATCH = sample(300_000)
 
 
+def test_sample_is_read_only():
+    assert isinstance(BATCH, np.ndarray) and BATCH.dtype == np.float64
+    assert not BATCH.flags.writeable
+    with pytest.raises(ValueError):
+        BATCH[0] = 0.0
+
+
 def test_sample_determinism():
     again = sample(300_000)
-    assert np.array_equal(BATCH.values, again.values)
+    assert np.array_equal(BATCH, again)
     threaded = sample(300_000, threads=4)
-    assert np.array_equal(BATCH.values, threaded.values)
+    assert np.array_equal(BATCH, threaded)
     other_seed = sample(10_000, seed=1)
-    assert not np.array_equal(other_seed.values, sample(10_000, seed=2).values)
+    assert not np.array_equal(other_seed, sample(10_000, seed=2))
 
 
 def _reference_chunk(seed, index, size, depth):
@@ -65,7 +71,7 @@ def test_sample_matches_reference_kernel(seed, depth):
             for index, size in enumerate(sizes)
         )
         for threads in (1, 2):
-            got = sample(count, depth, seed, threads).values.tobytes()
+            got = sample(count, depth, seed, threads).tobytes()
             assert got == expected, (count, threads)
 
 
@@ -81,9 +87,9 @@ def test_letter_tables_cover_every_letter():
 
 
 def test_sample_values_in_unit_interval():
-    assert BATCH.values.min() >= 0.0
-    assert BATCH.values.max() <= 1.0
-    assert BATCH.values.size == 300_000
+    assert BATCH.min() >= 0.0
+    assert BATCH.max() <= 1.0
+    assert BATCH.size == 300_000
 
 
 def test_sample_rejects_bad_args():
@@ -98,8 +104,8 @@ def test_sample_rejects_bad_args():
 
 
 def test_sample_moments():
-    assert abs(BATCH.values.mean() - 4 / 7) < 2e-3
-    assert abs(BATCH.values.var() - 288 / 3577) < 2e-3
+    assert abs(BATCH.mean() - 4 / 7) < 2e-3
+    assert abs(BATCH.var() - 288 / 3577) < 2e-3
 
 
 def test_sample_region_masses():
@@ -118,38 +124,35 @@ def test_sample_tail_support():
 
 
 def test_lloyd_two_means():
-    result = lloyd(BATCH, 2, [0.2, 0.8])
+    result = lloyd(BATCH, [0.2, 0.8])
     assert abs(result.centers[0] - 1 / 7) < 2e-3
     assert abs(result.centers[1] - 5 / 7) < 2e-3
 
 
 def test_lloyd_three_means():
-    result = lloyd(BATCH, 3, [0.1, 0.5, 0.9])
+    result = lloyd(BATCH, [0.1, 0.5, 0.9])
     exact = [1 / 7, 4 / 7, 6 / 7]
     assert max(abs(c - e) for c, e in zip(result.centers, exact)) < 2e-3
 
 
 def test_lloyd_one_mean():
-    result = lloyd(BATCH, 1, [0.3])
+    result = lloyd(BATCH, [0.3])
     assert abs(result.centers[0] - 4 / 7) < 1e-3
 
 
 def test_lloyd_validates_init():
     with pytest.raises(ValueError):
-        lloyd(BATCH, 2, [0.5])
-    with pytest.raises(ValueError):
-        lloyd(BATCH, 2, [0.8, 0.2])
+        lloyd(BATCH, [0.8, 0.2])
 
 
 def test_lloyd_rejects_k_above_sample_count():
     with pytest.raises(ValueError, match="k=5 exceeds sample count 3"):
-        lloyd(sample(3, threads=1), 5, [0.1, 0.2, 0.3, 0.4, 0.5])
+        lloyd(sample(3, threads=1), [0.1, 0.2, 0.3, 0.4, 0.5])
 
 
 def test_lloyd_reseeds_empty_cluster():
     xs = np.array([0.6, 0.62, 0.7, 0.9])
-    crafted = SampleBatch(xs, 0, 1)
-    result = lloyd(crafted, 2, [0.1, 0.65])
+    result = lloyd(xs, [0.1, 0.65])
     # the left cluster starts empty; reseeding must still yield two centers
     assert result.centers.size == 2
     assert result.centers[0] < result.centers[1]
@@ -160,9 +163,8 @@ def test_lloyd_rejects_k_above_distinct_values():
     # Three distinct values cannot fill four clusters; reseeding onto samples
     # already on a center would only run out the sweep limit.
     xs = np.array([0.1, 0.1, 0.5, 0.5, 0.9, 0.9])
-    crafted = SampleBatch(xs, 0, 1)
     with pytest.raises(ValueError, match="k=4 exceeds the 3 distinct sample values"):
-        lloyd(crafted, 4, [0.1, 0.3, 0.5, 0.9])
+        lloyd(xs, [0.1, 0.3, 0.5, 0.9])
 
 
 def _brute_min_cost(xs, k):
@@ -199,15 +201,14 @@ def test_kmeans_matches_quadratic_dp(k):
         rng.random(k),
     ]
     for xs in inputs:
-        batch = SampleBatch(xs, 0, 1)
-        result = kmeans_1d_exact(batch, k)
+        result = kmeans_1d_exact(xs, k)
         assert result.centers.size == k
         assert np.all(np.diff(result.centers) > 0)
         expected = _brute_min_cost(xs, k) / xs.size
-        got = mc_distortion(batch, result.centers)
+        got = mc_distortion(xs, result.centers)
         assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
         assert np.unique(xs).size >= k
-        reference = kmeans_reference.kmeans_1d_exact(batch, k)
+        reference = kmeans_reference.kmeans_1d_exact(xs, k)
         assert result.centers.tobytes() == reference.centers.tobytes()
 
 
@@ -224,14 +225,13 @@ def test_kmeans_matches_reference_dp(decimals):
         xs = rng.random(n)
         if decimals is not None:
             xs = np.round(xs, decimals)
-        batch = SampleBatch(xs, 0, 1)
-        result = kmeans_1d_exact(batch, k)
+        result = kmeans_1d_exact(xs, k)
         if np.unique(xs).size >= k:
-            reference = kmeans_reference.kmeans_1d_exact(batch, k)
+            reference = kmeans_reference.kmeans_1d_exact(xs, k)
             assert result.centers.tobytes() == reference.centers.tobytes()
         else:
             expected = _brute_min_cost(xs, k) / n
-            got = mc_distortion(batch, result.centers)
+            got = mc_distortion(xs, result.centers)
             assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
@@ -245,7 +245,7 @@ def test_kmeans_matches_reference_dp_on_a_large_sample():
 
 def test_kmeans_one_mean_is_sample_mean():
     result = kmeans_1d_exact(BATCH, 1)
-    assert result.centers[0] == pytest.approx(float(BATCH.values.mean()), abs=1e-15)
+    assert result.centers[0] == pytest.approx(float(BATCH.mean()), abs=1e-15)
 
 
 def test_kmeans_five_means_near_exact():
@@ -257,14 +257,14 @@ def test_kmeans_five_means_near_exact():
 @pytest.mark.parametrize("init", [(0.2, 0.8), (0.1, 0.3), (0.5, 0.9), (0.05, 0.97)])
 def test_kmeans_never_worse_than_lloyd(init):
     dp = kmeans_1d_exact(BATCH, 2)
-    local = lloyd(BATCH, 2, list(init))
+    local = lloyd(BATCH, list(init))
     assert dp.distortion <= local.distortion + 1e-12
 
 
 def test_kmeans_rejects_bad_k():
     with pytest.raises(ValueError):
         kmeans_1d_exact(BATCH, 0)
-    small = SampleBatch(np.array([0.1, 0.2]), 0, 1)
+    small = np.array([0.1, 0.2])
     with pytest.raises(ValueError):
         kmeans_1d_exact(small, 3)
 
@@ -276,7 +276,7 @@ def test_mc_distortion_two_means():
 
 def test_mc_distortion_stats_needs_two_samples():
     # One sample has no standard error: refuse it instead of returning nan.
-    single = SampleBatch(np.array([0.3]), 0, 1)
+    single = np.array([0.3])
     with pytest.raises(ValueError, match="at least 2 samples, got 1"):
         mc_distortion_stats(single, [0.5])
 
@@ -449,7 +449,7 @@ def test_batch_io_roundtrip(tmp_path):
     assert raw[:8] == b"IFSQSMP1"
     assert int.from_bytes(raw[8:16], "little") == 1000
     values = read_batch_values(path)
-    assert np.array_equal(values, small.values)
+    assert np.array_equal(values, small)
 
 
 def test_batch_io_rejects_garbage(tmp_path):
@@ -463,3 +463,8 @@ def test_batch_io_rejects_garbage(tmp_path):
     path.write_bytes(b"IFSQSMP1" + b"\x00" * 7)
     with pytest.raises(ValueError, match="too short"):
         read_batch_values(path)
+    # Payloads that are no whole number of doubles fail on the count, too.
+    for count, size in ((1, 7), (2, 12)):
+        path.write_bytes(b"IFSQSMP1" + count.to_bytes(8, "little") + b"\x00" * size)
+        with pytest.raises(ValueError, match=f"batch count {count} does not match payload"):
+            read_batch_values(path)
