@@ -39,13 +39,13 @@ from __future__ import annotations
 import heapq
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, combinations, groupby, islice, zip_longest
 from math import comb, gcd, inf, log, log1p, pi
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import measure
 from .measure import CLOSED, TAIL, MEAN, VARIANCE
@@ -69,7 +69,7 @@ _OFFSETS = {CLOSED: (0, 4, 1), TAIL: (2, 20, 4)}
 _MASS_BASE = {CLOSED: 9, TAIL: 43}
 
 
-class Node(NamedTuple):
+class Node(namedtuple("Node", "kind word m a dn")):
     """A frontier element: a region's kind and word, and its exact integers.
 
     For a word w with a = sum(w) + len(w), the composed map is
@@ -82,11 +82,7 @@ class Node(NamedTuple):
     ``children`` build one, so nothing re-validates a record.
     """
 
-    kind: str
-    word: Word
-    m: int
-    a: int
-    dn: int
+    __slots__ = ()
 
     @property
     def error(self) -> Fraction:
@@ -130,12 +126,10 @@ def children(node: Node) -> tuple[Node, Node]:
 _split = children
 
 
-@dataclass(frozen=True)
-class QuantizerSet:
-    """A frontier in canonical (left-to-right) order with its exact error."""
+class QuantizerSet(namedtuple("QuantizerSet", "nodes v")):
+    """A frontier in canonical (left-to-right) order with its exact error v."""
 
-    nodes: tuple[Node, ...]
-    v: Fraction
+    __slots__ = ()
 
     @property
     def n(self) -> int:
@@ -198,13 +192,10 @@ class GenerationState:
         return QuantizerSet.from_nodes(self.nodes())
 
 
-class Block(NamedTuple):
+class Block(namedtuple("Block", "kind M a m")):
     """The m tree nodes of error V * M / (9 * 8^a): all cylinders or all tails."""
 
-    kind: str
-    M: int
-    a: int
-    m: int
+    __slots__ = ()
 
 
 # Error taken away by splitting a node of error e, in units of e / 4128:
@@ -480,8 +471,7 @@ def vertex_label(n: int, i: int) -> str:
     return f"a_{{{n},{i}}}"
 
 
-@dataclass(frozen=True)
-class TransitionGraph:
+class TransitionGraph(namedtuple("TransitionGraph", "layers edges")):
     """Layered DAG of optimal sets: edges are single-split derivations.
 
     ``layers[k]`` holds the optimal sets of size n_lo + k in canonical
@@ -489,8 +479,7 @@ class TransitionGraph:
     edges are pairs of those names, by ``transition_graph``'s edge rule.
     """
 
-    layers: tuple[tuple[QuantizerSet, ...], ...]
-    edges: tuple[tuple[str, str], ...]
+    __slots__ = ()
 
     @property
     def n_lo(self) -> int:
@@ -535,12 +524,11 @@ def transition_graph_dot(graph: TransitionGraph) -> Iterator[str]:
     yield "}\n"
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(namedtuple("StructureReport", "failures")):
     """Outcome of the structural audit of a quantizer set: the failed
     checks' messages, in the audit's order; it passed when there are none."""
 
-    failures: tuple[str, ...]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -19,7 +19,7 @@ deviation and standard error to three significant figures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .words import Word, count_non_ones, last, parent, successor
@@ -42,24 +42,24 @@ TAIL_OFFSET = Fraction(8, 7)
 FLOAT_SPEC = ".10g"
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(namedtuple("Region", "kind word")):
     """A cylinder J_w (kind "closed") or the tail region of w (kind "tail").
 
     Tail regions need a nonempty word; Region(CLOSED, ()) is the whole
-    support [0, 1].
+    support [0, 1].  The checks run on construction; namedtuple's
+    ``_make`` and ``_replace`` skip them, and no caller uses either.
     """
 
-    kind: str
-    word: Word
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in (CLOSED, TAIL):
-            raise ValueError(f"unknown region kind {self.kind!r}")
-        if self.kind == TAIL and not self.word:
+    def __new__(cls, kind: str, word: Word) -> Region:
+        if kind not in (CLOSED, TAIL):
+            raise ValueError(f"unknown region kind {kind!r}")
+        if kind == TAIL and not word:
             raise ValueError("tail region requires a nonempty word")
-        if self.word and min(self.word) < 1:
-            raise ValueError(f"word letters must be >= 1: {self.word!r}")
+        if word and min(word) < 1:
+            raise ValueError(f"word letters must be >= 1: {word!r}")
+        return super().__new__(cls, kind, word)
 
 
 def closed(*letters: int) -> Region:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 import struct
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -126,16 +126,14 @@ def mc_distortion_stats(values: np.ndarray, centers) -> tuple[float, float]:
     return float(d.mean()), float(d.std(ddof=1) / math.sqrt(d.size))
 
 
-@dataclass(frozen=True)
-class ClusterResult:
+class ClusterResult(namedtuple("ClusterResult", "centers distortion iterations",
+                               defaults=(0,))):
     """Centers with the empirical (nearest-center) distortion on the sample.
 
     iterations counts Lloyd sweeps; it is 0 for the exact DP solver.
     """
 
-    centers: np.ndarray
-    distortion: float
-    iterations: int = 0
+    __slots__ = ()
 
 
 def quantile_init(values: np.ndarray, k: int) -> np.ndarray:
@@ -160,6 +158,8 @@ def lloyd(values: np.ndarray, init) -> ClusterResult:
     """
     centers = np.array(init, dtype=float)
     k = centers.size
+    if k == 0:
+        raise ValueError("need at least one center")
     if not np.all(np.diff(centers) > 0):
         raise ValueError("init must be strictly increasing")
     if k > values.size:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import kmeans_reference
-from ifsquant import exact_oracle, golden, measure, oracle
+from ifsquant import engine, exact_oracle, golden, measure, oracle
 from ifsquant.engine import enumerate_optimal_sets, optimal_set, quantization_error
 from ifsquant.exact_oracle import exhaustive_min
 from ifsquant.measure import Region, closed, node_error, region_interval, tail
@@ -143,6 +143,8 @@ def test_lloyd_one_mean():
 def test_lloyd_validates_init():
     with pytest.raises(ValueError):
         lloyd(BATCH, [0.8, 0.2])
+    with pytest.raises(ValueError, match="^need at least one center$"):
+        lloyd(BATCH[:100], [])
 
 
 def test_lloyd_rejects_k_above_sample_count():
@@ -439,6 +441,37 @@ def test_exact_core_loads_without_numpy():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=60)
     assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
+
+
+def test_cold_start_loads_no_record_machinery():
+    # -S keeps site's .pth files out: they may import typing themselves.
+    src = Path(oracle.__file__).resolve().parent.parent
+    code = ("import sys, ifsquant.cli; ifsquant.cli.main(['count', '--n', '20']); "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & sys.modules.keys()))")
+    result = subprocess.run([sys.executable, "-S", "-c", code],
+                            env=dict(os.environ, PYTHONPATH=str(src)),
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout) == (0, "3\n[]\n"), result.stderr
+
+
+def test_records_are_immutable_and_slotted():
+    _, block, _, _ = next(engine._layers(5, 5))
+    # Without __slots__ = () a record gets a dict per instance: each of the
+    # 20 000 nodes of an optimal 20 000-set, say.
+    records = [
+        (engine.root_node(), "word"),
+        (block, "m"),
+        (optimal_set(5), "v"),
+        (engine.transition_graph(18, 19), "edges"),
+        (engine.validate_structure(optimal_set(5)), "failures"),
+        (Region(measure.CLOSED, ()), "kind"),
+        (kmeans_1d_exact(BATCH[:1000], 3), "iterations"),
+    ]
+    for record, field in records:
+        getattr(record, field)  # the field exists, so setting it is refused
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        assert not hasattr(record, "__dict__"), type(record).__name__
 
 
 def test_batch_io_roundtrip(tmp_path):
