@@ -80,8 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
                            default=DEFAULT_SAMPLES)
             p.add_argument("--depth", type=_integer("depth"),
                            default=exact_oracle.DEFAULT_DEPTH)
-            p.add_argument("--threads", type=_integer("threads"),
-                           default=_usable_cpus())
+            p.add_argument("--threads", type=_integer("threads"))
         if size == "n":
             p.add_argument("--n", type=_integer("n"), required=True)
         elif size == "range":
@@ -107,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("oracle-check", "Monte Carlo and exhaustive check of V_n", cmd_oracle_check,
         ("json", "text"), sampling=True, size="n")
     p = add("verify", "golden values, structure, counts and oracle agreement", cmd_verify)
-    p.add_argument("--n", type=_integer("n", least=2), default=12,
+    p.add_argument("--n", type=_integer("n"), default=12,
                    help="largest n for the structural / counting checks")
     return parser
 
@@ -224,10 +223,12 @@ def cmd_tree(args) -> int:
 
 
 def _draw(args):
-    """The float oracles, imported only now, and the sample the sampling flags draw."""
+    """The float oracles, imported only now, and the sample the sampling flags
+    draw, on the usable CPUs unless --threads says otherwise."""
     from . import oracle
 
-    return oracle, oracle.sample(args.samples, args.depth, args.seed, args.threads)
+    return oracle, oracle.sample(args.samples, args.depth, args.seed,
+                                 args.threads or _usable_cpus())
 
 
 def cmd_oracle_sample(args) -> int:
@@ -307,11 +308,9 @@ def cmd_oracle_check(args) -> int:
     # empty band: the Monte Carlo line then says nothing either way, and
     # the verdict rests on the exhaustive line alone.
     conclusive = stderr > 0
-    if not conclusive and n < 2:
-        raise ValueError(
-            f"every sample has the same distortion (stderr 0) and n={n} has no "
-            "exhaustive check; draw more or deeper samples")
-    ok = not conclusive or gap <= 4 * stderr
+    best_v, _ = exact_oracle.exhaustive_min(n)
+    agree = best_v == exact
+    ok = agree and (not conclusive or gap <= 4 * stderr)
     deviation = f"deviation = {format(gap, '.3g')}"
     rows = [
         (f"n = {n}", {"n": n}),
@@ -320,15 +319,10 @@ def cmd_oracle_check(args) -> int:
          {"mc_estimate": estimate, "mc_stderr": stderr}),
         (f"{deviation} ({format(gap / stderr, '.3g')} stderr)", {}) if conclusive
         else (f"{deviation} (inconclusive: stderr 0)", {"mc_inconclusive": True}),
+        (f"exhaustive minimum = {best_v} ({'agrees' if agree else 'DISAGREES'})",
+         {"exhaustive_min": str(best_v), "exhaustive_agrees": agree}),
+        ("result: " + ("PASS" if ok else "FAIL"), {"pass": ok}),
     ]
-    if n >= 2:
-        best_v, _ = exact_oracle.exhaustive_min(n)
-        agree = best_v == exact
-        ok = ok and agree
-        rows.append((f"exhaustive minimum = {best_v} "
-                     f"({'agrees' if agree else 'DISAGREES'})",
-                     {"exhaustive_min": str(best_v), "exhaustive_agrees": agree}))
-    rows.append(("result: " + ("PASS" if ok else "FAIL"), {"pass": ok}))
     _report(args, rows)
     return 0 if ok else 1
 
@@ -394,7 +388,7 @@ def _counts(upper: int) -> tuple[bool, str]:
 
 
 def _exhaustive(upper: int) -> tuple[bool, str]:
-    bad = [n for n in range(2, upper + 1)
+    bad = [n for n in range(1, upper + 1)
            if exact_oracle.exhaustive_min(n)[0] != engine.quantization_error(n)]
     return not bad, "n=" + ",".join(map(str, bad[:5]))
 

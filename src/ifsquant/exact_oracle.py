@@ -72,22 +72,22 @@ def _fill(n: int) -> None:
 def exhaustive_min(n: int) -> tuple[Fraction, tuple[Region, ...]]:
     """Exact minimum total error over ALL split frontiers of size n.
 
-    A region holding k >= 2 frontier regions is split, with i of them under
-    its cylinder child and k - i under its tail child.  Child errors are
-    fixed multiples of the parent's, one pair per region kind, so a
-    region's least k-frontier error over its own error, best(kind, k),
-    depends only on its kind and k: it is the minimum over i of the
-    cylinder child's multiple times best(CLOSED, i) plus the tail child's
-    multiple times best(TAIL, k - i), and cut[kind][k] keeps the smallest
-    such i.  The tables fill in O(n^2) steps, with no pruning, once for
-    the largest n asked for; a smaller n reads them back.  Node errors
-    come straight from the measure formulas, independent of the greedy
-    engine.
+    For n = 1 it is the root alone.  A region holding k >= 2 frontier
+    regions is split, i of them under its cylinder child and k - i under
+    its tail child.  Child errors are fixed multiples of the parent's, one
+    pair per region kind, so a region's least k-frontier error over its
+    own error, best(kind, k), depends only on its kind and k: it is the
+    minimum over i of the cylinder child's multiple times best(CLOSED, i)
+    plus the tail child's multiple times best(TAIL, k - i), and
+    cut[kind][k] keeps the smallest such i.  The tables fill in O(n^2)
+    steps, with no pruning, once for the largest n asked for; a smaller n
+    reads them back.  Node errors come straight from the measure formulas,
+    independent of the greedy engine.
 
     Returns (least total error, a frontier attaining it, left to right).
     """
-    if n < 2:
-        raise ValueError(f"exhaustive search needs n >= 2, got {n}")
+    if n < 1:
+        raise ValueError(f"exhaustive search needs n >= 1, got {n}")
     _fill(n)
     # Read the frontier back depth first, cylinder child first: the
     # cylinder child lies left of the tail child, so regions come out left

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from exact_reference import make_node, transition_graph_to_dict
-from ifsquant import engine, exact_oracle, golden, measure, oracle
+from ifsquant import cli, engine, exact_oracle, golden, measure, oracle
 from ifsquant.cli import build_parser, main
 from ifsquant.measure import Region
 from ifsquant.words import render
@@ -251,11 +251,10 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "optimal", "--n", "0")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "optimal", "--n", "3", "--format", "dot")[0] == 2
-    for n in ("0", "1"):
-        code, out, err = run(capsys, "verify", "--n", n)
-        assert (code, out) == (2, "")
-        assert err.splitlines()[-1] == (
-            f"quantizer verify: error: argument --n: n must be >= 2, got {n}"), err
+    code, out, err = run(capsys, "verify", "--n", "0")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        "quantizer verify: error: argument --n: n must be >= 1, got 0"), err
     # A flag that int() cannot read names itself, and a value past the
     # interpreter's 4300-digit limit is shown by its first 40 characters.
     long = "7" * 5000
@@ -368,24 +367,29 @@ def test_table_json_is_json_dumps_of_the_rows(capsys):
 
 
 def test_threads_default_to_the_usable_cpus(monkeypatch):
-    def threads():
-        return build_parser().parse_args(["oracle-sample"]).threads
-
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.delattr(os, "process_cpu_count", raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert threads() == 1  # as under taskset -c 0 on a 64-CPU machine
+    assert cli._usable_cpus() == 1  # as under taskset -c 0 on a 64-CPU machine
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
-    assert threads() == 3
+    assert cli._usable_cpus() == 3
     monkeypatch.setattr(os, "process_cpu_count", lambda: 2, raising=False)
-    assert threads() == 2
+    assert cli._usable_cpus() == 2
     monkeypatch.setattr(os, "process_cpu_count", lambda: None)
-    assert threads() == 1
+    assert cli._usable_cpus() == 1
     monkeypatch.delattr(os, "process_cpu_count")
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert threads() == 64
+    assert cli._usable_cpus() == 64
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert threads() == 1
+    assert cli._usable_cpus() == 1
+    # The parser reads no CPU count; _draw asks for it only without --threads.
+    assert build_parser().parse_args(["oracle-sample"]).threads is None
+    drawn = []
+    monkeypatch.setattr(oracle, "sample", lambda *args: drawn.append(args[-1]))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 7)
+    for argv in (["oracle-sample"], ["oracle-sample", "--threads", "3"]):
+        cli._draw(build_parser().parse_args(argv))
+    assert drawn == [7, 3]
 
 
 def test_cap_limits_only_the_requested_layer(capsys):
@@ -525,12 +529,12 @@ def test_verify_reports_an_exhaustive_mismatch(monkeypatch, capsys):
 
     def doubled_minimum(n):
         best_v, frontier = search(n)
-        return (2 * best_v if n in (3, 5) else best_v), frontier
+        return (2 * best_v if n in (1, 3, 5) else best_v), frontier
 
     monkeypatch.setattr(exact_oracle, "exhaustive_min", doubled_minimum)
     code, out, _ = run(capsys, "verify", "--n", "6")
     assert code == 1
-    assert "exhaustive search agrees for n <= 6 FAIL (n=3,5)\n" in out
+    assert "exhaustive search agrees for n <= 6 FAIL (n=1,3,5)\n" in out
     assert out.endswith("verification FAILED\n")
 
 
@@ -718,15 +722,17 @@ def test_oracle_check_zero_stderr_rests_on_exhaustive(capsys):
     report = json.loads(out)
     assert code == 0
     assert report["mc_inconclusive"] is True and report["pass"] is True
-    # The exhaustive line runs for every n >= 2, so n = 13 passes on it too.
+    # The exhaustive line runs for every n, so n = 13 passes on it too, and
+    # so does n = 1, whose two samples both sit at the mean, its one center.
     code, out, err = run(capsys, *args[:2], "13", *args[3:])
     assert (code, err) == (0, "")
     assert out.endswith("(agrees)\nresult: PASS\n")
-    # Without an exhaustive line (n = 1) nothing is left to decide: too few
-    # samples.  Both samples sit at the mean, the one-point set's center.
     code, out, err = run(capsys, *args[:2], "1", *args[3:])
-    assert (code, out) == (2, "")
-    assert err.startswith("usage error: every sample has the same distortion")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2:] == ["mc estimate = 0 (stderr 0)",
+                                    "deviation = 0.0805 (inconclusive: stderr 0)",
+                                    "exhaustive minimum = 288/3577 (agrees)",
+                                    "result: PASS"]
 
 
 def test_oracle_check_passes(capsys):
@@ -756,10 +762,12 @@ def test_oracle_check_json_reports_exhaustive(capsys):
     assert report["exhaustive_min"] == "69/3577"
     assert report["exhaustive_agrees"] is True
     assert report["pass"] is True
-    # a one-point set has no exhaustive search, so the keys are absent
+    # the one-point set's exhaustive minimum is the variance
     code, out, _ = run(capsys, *args, "--n", "1")
     assert code == 0
-    assert "exhaustive_min" not in json.loads(out)
+    report = json.loads(out)
+    assert report["exhaustive_min"] == "288/3577"
+    assert report["exhaustive_agrees"] is True
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -782,7 +790,7 @@ def test_oracle_check_forms_state_the_same_results(capsys, argv, code):
     inconclusive = stderr == 0
     assert list(report) == ["n", "V", "mc_estimate", "mc_stderr",
                             *["mc_inconclusive"] * inconclusive,
-                            *["exhaustive_min", "exhaustive_agrees"] * (n >= 2),
+                            "exhaustive_min", "exhaustive_agrees",
                             "pass"]
     assert report.get("mc_inconclusive", True) is True
     gap = abs(estimate - float(Fraction(v)))
@@ -792,22 +800,21 @@ def test_oracle_check_forms_state_the_same_results(capsys, argv, code):
              f"V_{n} = {v} = {measure.float_str(Fraction(v))}",
              f"mc estimate = {measure.float_str(estimate)} "
              f"(stderr {format(stderr, '.3g')})",
-             f"deviation = {format(gap, '.3g')} ({band})"]
-    if n >= 2:
-        verdict = "agrees" if report["exhaustive_agrees"] else "DISAGREES"
-        lines.append(f"exhaustive minimum = {report['exhaustive_min']} ({verdict})")
-    lines.append("result: " + ("PASS" if report["pass"] else "FAIL"))
+             f"deviation = {format(gap, '.3g')} ({band})",
+             f"exhaustive minimum = {report['exhaustive_min']} "
+             f"({'agrees' if report['exhaustive_agrees'] else 'DISAGREES'})",
+             "result: " + ("PASS" if report["pass"] else "FAIL")]
     assert text_out.splitlines() == lines
     assert report["pass"] is (code == 0)
 
 
-def test_oracle_check_one_point_skips_exhaustive(capsys):
-    # A one-point set has nothing to search, so only the Monte Carlo band runs.
+def test_oracle_check_one_point_runs_exhaustive(capsys):
+    # The one-point set is the root alone, and its search says so.
     code, out, err = run(capsys, "oracle-check", "--n", "1",
                          "--samples", "20000", "--threads", "1")
     assert code == 0, err
-    assert "result: PASS" in out
-    assert "exhaustive minimum" not in out
+    assert out.splitlines()[-2:] == ["exhaustive minimum = 288/3577 (agrees)",
+                                     "result: PASS"]
 
 
 def test_exact_commands_run_without_numpy():
@@ -854,6 +861,13 @@ def test_verify_small(capsys):
     assert "card C_18 = 1 PASS" in out
     assert "structure valid for n <= 4 PASS" in out
     assert "verification PASSED" in out
+    # --n has the least of every size flag, and each sweep starts at n = 1.
+    code, out, err = run(capsys, "verify", "--n", "1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-4:] == ["structure valid for n <= 1 PASS",
+                                     "count matches enumeration for n <= 1 PASS",
+                                     "exhaustive search agrees for n <= 1 PASS",
+                                     "verification PASSED"]
 
 
 def test_help_exits_zero(capsys):

@@ -305,6 +305,11 @@ def test_mc_distortion_tracks_exact_error_for_small_n():
         assert abs(estimate - float(quantization_error(n))) < 4 * stderr
 
 
+def test_exhaustive_min_one_mean():
+    # The 1-frontier is the root alone, whose error is the variance.
+    assert exhaustive_min(1) == (measure.VARIANCE, (Region(measure.CLOSED, ()),))
+
+
 def test_exhaustive_min_two_means():
     best, frontier = exhaustive_min(2)
     assert best == F(69, 3577)
@@ -318,7 +323,7 @@ def test_exhaustive_min_six_means():
 
 def test_exhaustive_matches_greedy_and_enumeration():
     # n = 60..77 is the first block with many tied optimal sets.
-    for n in range(2, 201):
+    for n in range(1, 301):
         best, frontier = exhaustive_min(n)
         assert best == quantization_error(n), n
         if n <= 77:
@@ -372,8 +377,9 @@ def test_exhaustive_against_unpruned_enumeration(n):
 
 
 def test_exhaustive_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        exhaustive_min(1)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n >= 1"):
+            exhaustive_min(n)
 
 
 def test_child_error_ratios_from_the_measure_formulas():
