@@ -142,8 +142,7 @@ def cmd_optimal(args) -> int:
         print(f"V_{q.n} = {q.v}")
         return 0
     if args.format == "json":
-        _, text, _ = engine.quantizer_sets_json([q])
-        print(text)
+        print(*engine.quantizer_sets_json([[q]]))
     else:  # one row per node, the JSON form's node keys the header
         print(_NODE_HEADER)
         sys.stdout.writelines(f"{engine.NODE_CSV % engine.node_fields(node)}\n"
@@ -192,7 +191,7 @@ def cmd_enumerate(args) -> int:
         for index, q in enumerate(sets, start=1):
             print(f"set {index}: {' '.join(map(names.__getitem__, q.nodes))}")
     elif args.format == "json":
-        sys.stdout.writelines(engine.quantizer_sets_json(sets))
+        sys.stdout.writelines(engine.json_list(engine.quantizer_sets_json([sets])))
         print()
     else:  # as for optimal, each row led by the set's index
         texts = engine.NodeMemo(lambda node: engine.NODE_CSV % engine.node_fields(node))

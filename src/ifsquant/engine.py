@@ -40,12 +40,12 @@ import heapq
 import threading
 from bisect import bisect_left
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain, combinations, groupby, islice, zip_longest
+from itertools import combinations, islice, zip_longest
 from math import comb, gcd, inf, log, log1p, pi
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from . import measure
 from .measure import CLOSED, TAIL, MEAN, VARIANCE
@@ -693,20 +693,19 @@ def json_list(items: Iterable[str]) -> Iterator[str]:
     yield "]"
 
 
-def _layer_runs(sets: Iterable[QuantizerSet]) -> Iterator[tuple[int, str, str, Iterator]]:
-    """(n, V's text, its float hint's text, the sets) for each run of sets
-    of one layer, so that V is formatted once per layer."""
-    for (n, v), run in groupby(sets, key=attrgetter("n", "v")):
-        yield n, str(v), repr(measure.float_val(v)), run
+def _v_texts(layer: Sequence[QuantizerSet]) -> tuple[int, str, str]:
+    """A layer's n and V's text and float hint, made once for all its sets."""
+    q = layer[0]
+    return q.n, str(q.v), repr(measure.float_val(q.v))
 
 
-def quantizer_sets_json(sets: Iterable[QuantizerSet]) -> Iterator[str]:
-    """The one writer of a set's JSON, ``json.dumps`` of the sets'
-    ``quantizer_set_to_dict`` list, in ``json_list``'s pieces; each distinct
-    node's ``NODE_JSON`` text is made once."""
+def quantizer_sets_json(layers: Iterable[Sequence[QuantizerSet]]) -> Iterator[str]:
+    """The one writer of a set's JSON: ``json.dumps`` of each set's
+    ``quantizer_set_to_dict``, one text per set, layer by layer, for
+    ``json_list`` to frame; each distinct node's ``NODE_JSON`` text is made once."""
     texts = NodeMemo(lambda node: NODE_JSON % node_fields(node))
-    return json_list(SET_JSON % (n, v, hint, ", ".join(map(texts.__getitem__, q.nodes)))
-                     for n, v, hint, run in _layer_runs(sets) for q in run)
+    return (SET_JSON % (n, v, hint, ", ".join(map(texts.__getitem__, q.nodes)))
+            for layer in layers for n, v, hint in [_v_texts(layer)] for q in layer)
 
 
 def transition_graph_json(graph: TransitionGraph) -> Iterator[str]:
@@ -718,8 +717,8 @@ def transition_graph_json(graph: TransitionGraph) -> Iterator[str]:
     yield from json_list(
         VERTEX_JSON % (vertex_label(n, index), n, index, v, hint,
                        ", ".join(map(names.__getitem__, q.nodes)))
-        for n, v, hint, run in _layer_runs(chain.from_iterable(graph.layers))
-        for index, q in enumerate(run, start=1))
+        for layer in graph.layers for n, v, hint in [_v_texts(layer)]
+        for index, q in enumerate(layer, start=1))
     yield ', "edges": '
     yield from json_list(f'["{src}", "{dst}"]' for src, dst in graph.edges)
     yield "}"

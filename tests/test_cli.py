@@ -196,7 +196,7 @@ def test_enumerate_node_memo_matches_the_dict_forms(n):
     sets = engine.enumerate_optimal_sets(n)
     data = [engine.quantizer_set_to_dict(q) for q in sets]
     expected = json.dumps(data)
-    assert "".join(engine.quantizer_sets_json(sets)) == expected
+    assert "".join(engine.json_list(engine.quantizer_sets_json([sets]))) == expected
     assert _stdout("enumerate", "--n", str(n), "--format", "json") == expected + "\n"
     lines = _stdout("enumerate", "--n", str(n)).splitlines()
     assert lines[3:] == [f"set {index}: {' '.join(_names(q))}"
@@ -208,12 +208,29 @@ def test_enumerate_node_memo_matches_the_dict_forms(n):
 
 
 def test_quantizer_sets_json_of_no_sets_and_of_two_layers():
-    assert "".join(engine.quantizer_sets_json([])) == json.dumps([])
-    # The set wrapper follows n and V from one set to the next.
-    sets = [*engine.enumerate_optimal_sets(16), engine.optimal_set(17),
-            engine.optimal_set(16)]
-    assert "".join(engine.quantizer_sets_json(sets)) \
-        == json.dumps([engine.quantizer_set_to_dict(q) for q in sets])
+    assert "".join(engine.json_list(engine.quantizer_sets_json([]))) == json.dumps([])
+    # The set wrapper follows n and V from one layer to the next.
+    layers = [engine.enumerate_optimal_sets(16), [engine.optimal_set(17)],
+              [engine.optimal_set(16)]]
+    assert "".join(engine.json_list(engine.quantizer_sets_json(layers))) \
+        == json.dumps([engine.quantizer_set_to_dict(q) for layer in layers for q in layer])
+
+
+@pytest.mark.parametrize("argv, layers", [
+    ("tree --from 60 --to 67 --format json", 8),
+    ("enumerate --n 67 --format json", 1),
+    ("optimal --n 2000 --format json", 1),
+])
+def test_v_texts_are_made_once_per_layer(monkeypatch, argv, layers):
+    # V's float hint is made from a Fraction and a node's from a float, so
+    # the Fraction calls count V's formatting: once per layer, not per set.
+    expected = _stdout(*argv.split())
+    fractions = []
+    float_val = measure.float_val
+    monkeypatch.setattr(measure, "float_val", lambda x: fractions.append(
+        isinstance(x, Fraction)) or float_val(x))
+    assert _stdout(*argv.split()) == expected
+    assert sum(fractions) == layers
 
 
 @settings(max_examples=15, deadline=None)

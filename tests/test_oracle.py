@@ -437,6 +437,34 @@ def test_numpy_is_imported_only_by_the_oracles():
         assert "numpy" not in roots, path.name
 
 
+def _calls_of(name):
+    """(module, innermost def) of each call in the package of a callable
+    whose name, or last attribute, is ``name``."""
+    found = []
+
+    def visit(node, module, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == name:
+            found.append((module, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for path in sorted(Path(oracle.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    return found
+
+
+def test_one_comb_call_in_the_package():
+    # The size rule builds a binomial only near its limit; nothing else does.
+    assert _calls_of("comb") == [("engine", "_binomial_at_most")]
+
+
+def test_only_the_oracle_reports_call_json_dumps():
+    # Every exact JSON form is written from templates by engine.json_list.
+    assert _calls_of("dumps") == [("cli", "_report")]
+
+
 def test_exact_core_loads_without_numpy():
     src = Path(oracle.__file__).resolve().parent.parent
     code = ("import sys, ifsquant.engine, ifsquant.measure, ifsquant.words, "
