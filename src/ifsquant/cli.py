@@ -135,18 +135,18 @@ def main(argv=None) -> int:
 
 
 def cmd_optimal(args) -> int:
-    q = engine.optimal_set(args.n)
-    if args.format == "text":
-        for node in q.nodes:
-            print(engine.centroid_str(node))
-        print(f"V_{q.n} = {q.v}")
-        return 0
+    # The text and CSV forms write each node as they reach it, not a list of texts.
+    layer = next(engine.canonical_layers(args.n, args.n))
     if args.format == "json":
-        print(*engine.quantizer_sets_json([[q]]))
+        print(*engine.quantizer_sets_json([layer]))
+    elif args.format == "text":
+        sys.stdout.writelines(f"{engine.centroid_str(node)}\n"
+                              for node in layer.sets()[0].nodes)
+        print("V_%d = %d/%d" % (layer.n, *layer.v))
     else:  # one row per node, the JSON form's node keys the header
         print(_NODE_HEADER)
         sys.stdout.writelines(f"{engine.NODE_CSV % engine.node_fields(node)}\n"
-                              for node in q.nodes)
+                              for node in layer.sets()[0].nodes)
     return 0
 
 
@@ -180,24 +180,22 @@ def cmd_table(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    # A layer's sets share their nodes, so every form looks each node's
-    # text up in a NodeMemo made for this call.
-    sets = engine.enumerate_optimal_sets(args.n, cap=args.cap)
+    # Every form splices the texts of the layer's walked nodes, each made once.
+    [layer] = engine.optimal_layers(args.n, args.n, cap=args.cap)
     if args.format == "text":
-        print(f"n = {args.n}")
-        print(f"count = {len(sets)}")
-        print(f"V = {sets[0].v}")
-        names = engine.NodeMemo(engine.node_name)
-        for index, q in enumerate(sets, start=1):
-            print(f"set {index}: {' '.join(map(names.__getitem__, q.nodes))}")
+        print(f"n = {layer.n}")
+        print(f"count = {len(layer.choices)}")
+        print("V = %d/%d" % layer.v)
+        for index, names in enumerate(layer.spliced(engine.node_name), start=1):
+            print(f"set {index}: {' '.join(names)}")
     elif args.format == "json":
-        sys.stdout.writelines(engine.json_list(engine.quantizer_sets_json([sets])))
+        sys.stdout.writelines(engine.json_list(engine.quantizer_sets_json([layer])))
         print()
     else:  # as for optimal, each row led by the set's index
-        texts = engine.NodeMemo(lambda node: engine.NODE_CSV % engine.node_fields(node))
         print(f'"set",{_NODE_HEADER}')
-        sys.stdout.writelines(f"{index},{texts[node]}\n"
-                              for index, q in enumerate(sets, 1) for node in q.nodes)
+        rows = layer.spliced(lambda node: engine.NODE_CSV % engine.node_fields(node))
+        sys.stdout.writelines(f"{index},{text}\n"
+                              for index, texts in enumerate(rows, 1) for text in texts)
     return 0
 
 
@@ -213,8 +211,9 @@ def cmd_tree(args) -> int:
     elif args.format == "json":
         lines = chain(engine.transition_graph_json(graph), ["\n"])
     else:
-        labels = ((n, [engine.vertex_label(n, i) for i in range(1, len(layer) + 1)])
-                  for n, layer in enumerate(graph.layers, start=graph.n_lo))
+        labels = ((layer.n, [engine.vertex_label(layer.n, i)
+                             for i in range(1, len(layer.choices) + 1)])
+                  for layer in graph.layers)
         lines = chain((f"layer {n}: {' '.join(names)}\n" for n, names in labels),
                       ["edges:\n"], (f"{src} -> {dst}\n" for src, dst in graph.edges))
     sys.stdout.writelines(lines)

@@ -17,9 +17,9 @@ two is stripped, then one gcd with 3577 * 1161 is taken, and a Fraction
 is built only for a library value or a set's V.  One depth-first walk
 builds the frontier above a block in canonical order and leaves the
 block's tied nodes unsplit (``_walk``), and one tie rule splices the
-children of the chosen tied nodes into it (``_splice``): the canonical
-sets choose the first r, one walk per block (``canonical_sets``), and the
-enumeration every r of them.
+children of the chosen tied nodes into it (``_splice``).  A ``Layer`` is a
+walk and the choices of one size, the first r or every r, built with one
+walk per block (``_built``); its sets and their texts are splices of it.
 One size rule settles if a binomial is at most a limit, built only near
 it (``_binomial_at_most``), for the count and the one cap rule, a budget of
 sets for a window of layers (``_within_cap``); one edge rule links the layers
@@ -40,7 +40,7 @@ import heapq
 import threading
 from bisect import bisect_left
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, islice, zip_longest
@@ -121,8 +121,8 @@ def children(node: Node) -> tuple[Node, Node]:
             Node(TAIL, word, m, a + 1, 2 * dn + 4))
 
 
-# The name ``_walk`` and ``canonical_sets`` split through: a tracer that wraps
-# ``children`` then counts only the tied-node splits of ``_layer_sets``.
+# The name ``_walk`` and the canonical layers split through: a tracer that
+# wraps ``children`` then counts only the enumeration's tied-node splits.
 _split = children
 
 
@@ -330,8 +330,8 @@ def _walk(block: Block) -> tuple[list[Node], list[int]]:
     return nodes, tied
 
 
-def _splice(nodes: list[Node], tied: list[int], chosen: Iterable[int],
-            halves: list[tuple[Node, Node]]) -> tuple[Node, ...]:
+def _splice(nodes: list, tied: list[int], chosen: Iterable[int],
+            halves: list[tuple]) -> tuple:
     """The one tie rule: the frontier with tied node i split, for each i in
     ``chosen``.
 
@@ -339,7 +339,7 @@ def _splice(nodes: list[Node], tied: list[int], chosen: Iterable[int],
     ``halves[i]`` is tied node i's pair of children.  A node's two children
     cover its own region, closed child first, so they take its place in
     the canonical order.  The nodes between chosen ones are copied as list
-    slices, so a set takes O(r) Python steps, not O(n).
+    slices, so a set takes O(r) Python steps, not O(n), of nodes or texts.
     """
     parts, start = [], 0
     for i in chosen:
@@ -351,16 +351,58 @@ def _splice(nodes: list[Node], tied: list[int], chosen: Iterable[int],
     return tuple(parts)
 
 
-def canonical_sets(n_lo: int, n_hi: int) -> Iterator[QuantizerSet]:
-    """The canonical optimal sets of sizes n_lo .. n_hi: each splits its
-    block's first r tied nodes, that is ties split at the leftmost region.
-    One walk serves a block, and each next size adds one pair to ``halves``."""
+class Layer(namedtuple("Layer", "n v nodes tied halves choices")):
+    """The optimal n-sets as one walk: V_n's reduced pair, ``_walk``'s frontier
+    and tied positions, the tied nodes' children (``halves``, of each tied
+    node a choice splits at least), and the tied indices each set splits, in
+    signature order.  The layers of one block share its walk."""
+
+    __slots__ = ()
+
+    def sets(self) -> list[QuantizerSet]:
+        """The layer's sets, all of one Fraction V built from the pair."""
+        v = Fraction(*self.v)
+        return [QuantizerSet(_splice(self.nodes, self.tied, chosen, self.halves), v)
+                for chosen in self.choices]
+
+    def spliced(self, form: Callable[[Node], object]) -> Iterator[tuple]:
+        """Each set as its nodes' forms, each walked node and half formed once."""
+        forms = list(map(form, self.nodes))
+        halves = [tuple(map(form, pair)) for pair in self.halves]
+        return (_splice(forms, self.tied, chosen, halves) for chosen in self.choices)
+
+
+def _built(items: Iterable[tuple], every: bool) -> Iterator[Layer]:
+    """The one layer builder: a ``Layer`` per ``_layers`` item, one walk per
+    block, with every r-choice of its tied nodes or, not ``every``, the first r.
+
+    Choices come in signature order with no sort: two sets first differ at
+    the first tied node one splits and the other keeps, and a kept cylinder w
+    sorts before its first child w.1, whose word w prefixes, a kept tail after
+    its first child, a cylinder ("closed" < "tail").  So a tail block's
+    choices come in ``combinations`` order, and a cylinder block's in reverse.
+    """
     current = None
-    for _, block, r, v in _layers(n_lo, n_hi):
+    for n, block, r, v in items:
         if block is not current:
             current, (nodes, tied), halves = block, _walk(block), []
-        halves += map(_split, (nodes[slot] for slot in tied[len(halves):r]))
-        yield QuantizerSet(_splice(nodes, tied, range(r), halves), Fraction(*v))
+        wanted = tied[len(halves):len(tied) if every else r]
+        halves += map(children if every else _split, (nodes[slot] for slot in wanted))
+        choices = list(combinations(range(len(tied)), r)) if every else [range(r)]
+        if every and block.kind == CLOSED:
+            choices.reverse()
+        yield Layer(n, v, nodes, tied, halves, choices)
+
+
+def canonical_layers(n_lo: int, n_hi: int) -> Iterator[Layer]:
+    """The layers of sizes n_lo .. n_hi with the canonical set alone, which
+    splits the first r tied nodes: ties split at the leftmost region."""
+    return _built(_layers(n_lo, n_hi), every=False)
+
+
+def canonical_sets(n_lo: int, n_hi: int) -> Iterator[QuantizerSet]:
+    """The canonical optimal sets of sizes n_lo .. n_hi, one walk per block."""
+    return (q for layer in canonical_layers(n_lo, n_hi) for q in layer.sets())
 
 
 def optimal_set(n: int) -> QuantizerSet:
@@ -371,30 +413,6 @@ def optimal_set(n: int) -> QuantizerSet:
 def quantization_error(n: int) -> Fraction:
     """Exact minimal mean squared error over n-point sets."""
     return Fraction(*next(_layers(n, n))[3])
-
-
-def _layer_sets(block: Block, r: int,
-                v: tuple[int, int]) -> Iterator[tuple[tuple[int, ...], QuantizerSet]]:
-    """The optimal sets of one ``_layers`` item as (chosen, set) pairs, all
-    of one Fraction V built from the item's pair.
-
-    ``chosen`` holds the indices, in left-to-right order, of the split tied
-    nodes, and ``_splice`` builds each set from one walk.  Pairs come in
-    signature order with no sort.  Two sets first differ at the first tied
-    node one splits and the other keeps.  A kept cylinder w sorts before
-    its first child, the cylinder w.1, whose word w prefixes; a kept tail
-    sorts after its first child, a cylinder, as "closed" < "tail".  So a
-    tail block's sets come in ``combinations`` order, and a cylinder
-    block's in reverse.
-    """
-    nodes, tied = _walk(block)
-    halves = [children(nodes[slot]) for slot in tied]
-    chosen_sets = combinations(range(len(tied)), r)
-    if block.kind == CLOSED:
-        chosen_sets = reversed(list(chosen_sets))
-    v = Fraction(*v)
-    for chosen in chosen_sets:
-        yield chosen, QuantizerSet(_splice(nodes, tied, chosen, halves), v)
 
 
 def _binomial_at_most(m: int, r: int, log_limit: float,
@@ -443,15 +461,17 @@ def _within_cap(n_lo: int, n_hi: int,
     return items
 
 
-def enumerate_optimal_sets(n: int, cap: int = DEFAULT_CAP) -> list[QuantizerSet]:
-    """All optimal n-point sets, in signature order.
+def optimal_layers(n_lo: int, n_hi: int, cap: int = DEFAULT_CAP) -> list[Layer]:
+    """The layers of sizes n_lo .. n_hi with every optimal set.  Raises
+    CapExceeded past ``cap`` sets in all, by the cap rule, before any walk."""
+    return list(_built(_within_cap(n_lo, n_hi, cap), every=True))
 
-    Built from the threshold-block description, so the cost follows the
-    number of sets in layer n alone.  Raises CapExceeded past ``cap``
-    sets, by the cap rule ``_within_cap`` on the one-layer window.
-    """
-    [(_, block, r, v)] = _within_cap(n, n, cap)
-    return [q for _, q in _layer_sets(block, r, v)]
+
+def enumerate_optimal_sets(n: int, cap: int = DEFAULT_CAP) -> list[QuantizerSet]:
+    """All optimal n-point sets, in signature order: the one-layer window of
+    ``optimal_layers``, so the cost follows the sets of layer n alone."""
+    [layer] = optimal_layers(n, n, cap)
+    return layer.sets()
 
 
 def count_optimal_sets(n: int) -> int:
@@ -474,7 +494,7 @@ def vertex_label(n: int, i: int) -> str:
 class TransitionGraph(namedtuple("TransitionGraph", "layers edges")):
     """Layered DAG of optimal sets: edges are single-split derivations.
 
-    ``layers[k]`` holds the optimal sets of size n_lo + k in canonical
+    ``layers[k]`` is the ``Layer`` of size n_lo + k, its sets in canonical
     order; ``vertex_label(n, i)`` names the i-th set of layer n, and the
     edges are pairs of those names, by ``transition_graph``'s edge rule.
     """
@@ -484,7 +504,7 @@ class TransitionGraph(namedtuple("TransitionGraph", "layers edges")):
     @property
     def n_lo(self) -> int:
         """The first layer's size, the size of its sets."""
-        return self.layers[0][0].n
+        return self.layers[0].n
 
 
 def transition_graph(n_lo: int, n_hi: int, cap: int = DEFAULT_CAP) -> TransitionGraph:
@@ -495,19 +515,17 @@ def transition_graph(n_lo: int, n_hi: int, cap: int = DEFAULT_CAP) -> Transition
     takes the one set before it as the empty choice.  Raises CapExceeded
     past ``cap`` sets in all, by the cap rule ``_within_cap``.
     """
-    layers: list[tuple[QuantizerSet, ...]] = []
+    layers = optimal_layers(n_lo, n_hi, cap)
     edges: list[tuple[str, str]] = []
     previous = {}
-    for k, block, r, v in _within_cap(n_lo, n_hi, cap):
-        pairs = list(_layer_sets(block, r, v))
-        order = {chosen: index for index, (chosen, _) in enumerate(pairs, start=1)}
-        layers.append(tuple(q for _, q in pairs))
-        if r == 1 and previous:  # the one set before a block chose none of it
+    for layer in layers:
+        order = {chosen: index for index, chosen in enumerate(layer.choices, start=1)}
+        if len(layer.choices[0]) == 1 and previous:  # the one set before chose none
             previous = {(): 1}
         for chosen, src in previous.items():
             targets = sorted(order[tuple(sorted((*chosen, x)))]
-                             for x in range(block.m) if x not in chosen)
-            edges.extend((vertex_label(k - 1, src), vertex_label(k, dst))
+                             for x in range(len(layer.tied)) if x not in chosen)
+            edges.extend((vertex_label(layer.n - 1, src), vertex_label(layer.n, dst))
                          for dst in targets)
         previous = order
     return TransitionGraph(tuple(layers), tuple(edges))
@@ -516,8 +534,9 @@ def transition_graph(n_lo: int, n_hi: int, cap: int = DEFAULT_CAP) -> Transition
 def transition_graph_dot(graph: TransitionGraph) -> Iterator[str]:
     """The graph as DOT lines, layers flowing left to right."""
     yield from ("digraph optimal_sets {\n", "  rankdir=LR;\n", "  node [shape=box];\n")
-    for n, layer in enumerate(graph.layers, start=graph.n_lo):
-        names = " ".join(f'"{vertex_label(n, i)}";' for i in range(1, len(layer) + 1))
+    for layer in graph.layers:
+        names = " ".join(f'"{vertex_label(layer.n, i)}";'
+                         for i in range(1, len(layer.choices) + 1))
         yield f"  {{ rank=same; {names} }}\n"
     for src, dst in graph.edges:
         yield f'  "{src}" -> "{dst}";\n'
@@ -648,27 +667,6 @@ def node_name(node: Node) -> str:
     return f"{node.kind}:{render(node.word)}"
 
 
-class NodeMemo(dict):
-    """Each distinct node's form, made by ``format_node`` on first lookup.
-
-    The optimal sets of a layer share their nodes: the 3432 sets of layer
-    71 hold 243 672 node entries of 92 distinct nodes.  So a command that
-    prints many sets looks every node up here and formats each distinct
-    node once.  The memo formats nothing itself: ``format_node`` fills a
-    template (``NODE_JSON`` or ``NODE_CSV``) over ``node_fields``, or gives
-    ``node_name``, quoted for JSON.  Make one per command run and drop it
-    with the run, as it keeps every node it has seen.
-    """
-
-    def __init__(self, format_node: Callable[[Node], object]) -> None:
-        super().__init__()
-        self.format_node = format_node
-
-    def __missing__(self, node: Node) -> object:
-        form = self[node] = self.format_node(node)
-        return form
-
-
 def quantizer_set_to_dict(q: QuantizerSet) -> dict:
     """A quantizer set as a dict of n, V, V's float hint and its nodes' fields;
     no command prints it, and ``quantizer_sets_json`` is tested against it."""
@@ -693,32 +691,32 @@ def json_list(items: Iterable[str]) -> Iterator[str]:
     yield "]"
 
 
-def _v_texts(layer: Sequence[QuantizerSet]) -> tuple[int, str, str]:
-    """A layer's n and V's text and float hint, made once for all its sets."""
-    q = layer[0]
-    return q.n, str(q.v), repr(measure.float_val(q.v))
+def _v_texts(layer: Layer) -> tuple[int, str, str]:
+    """A layer's n and V's text and float hint, made once for all its sets from
+    the reduced pair, as ``str`` and ``float`` of the Fraction give them."""
+    num, den = layer.v
+    return layer.n, f"{num}/{den}", repr(measure.float_val(num / den))
 
 
-def quantizer_sets_json(layers: Iterable[Sequence[QuantizerSet]]) -> Iterator[str]:
+def quantizer_sets_json(layers: Iterable[Layer]) -> Iterator[str]:
     """The one writer of a set's JSON: ``json.dumps`` of each set's
     ``quantizer_set_to_dict``, one text per set, layer by layer, for
-    ``json_list`` to frame; each distinct node's ``NODE_JSON`` text is made once."""
-    texts = NodeMemo(lambda node: NODE_JSON % node_fields(node))
-    return (SET_JSON % (n, v, hint, ", ".join(map(texts.__getitem__, q.nodes)))
-            for layer in layers for n, v, hint in [_v_texts(layer)] for q in layer)
+    ``json_list`` to frame; each walked node's ``NODE_JSON`` text is made once."""
+    return (SET_JSON % (n, v, hint, ", ".join(texts))
+            for layer in layers for n, v, hint in [_v_texts(layer)]
+            for texts in layer.spliced(lambda node: NODE_JSON % node_fields(node)))
 
 
 def transition_graph_json(graph: TransitionGraph) -> Iterator[str]:
     """The graph's JSON in pieces: its size range, a ``VERTEX_JSON`` per
-    set and a label pair per edge; each distinct node's name is quoted once."""
-    names = NodeMemo(lambda node: f'"{node_name(node)}"')
-    yield (f'{{"n_lo": {graph.n_lo}, "n_hi": {graph.n_lo + len(graph.layers) - 1}, '
+    set and a label pair per edge; each walked node's name is quoted once."""
+    yield (f'{{"n_lo": {graph.n_lo}, "n_hi": {graph.layers[-1].n}, '
            '"vertices": ')
     yield from json_list(
-        VERTEX_JSON % (vertex_label(n, index), n, index, v, hint,
-                       ", ".join(map(names.__getitem__, q.nodes)))
+        VERTEX_JSON % (vertex_label(n, index), n, index, v, hint, ", ".join(names))
         for layer in graph.layers for n, v, hint in [_v_texts(layer)]
-        for index, q in enumerate(layer, start=1))
+        for index, names in enumerate(
+            layer.spliced(lambda node: f'"{node_name(node)}"'), start=1))
     yield ', "edges": '
     yield from json_list(f'["{src}", "{dst}"]' for src, dst in graph.edges)
     yield "}"

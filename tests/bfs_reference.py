@@ -4,7 +4,7 @@ Layer k+1 is built by splitting, in every optimal k-set, each node that
 ties for the maximal error; duplicates collapse by node identity.  This
 assumes nothing about the tie structure, so it checks the engine's
 threshold-block description independently: it uses only ``root_node``,
-``children``, the set and graph containers and the vertex names.  One pass over layers
+``children``, the set container and the vertex names.  One pass over layers
 1 .. 67 takes a couple of seconds and is cached for the whole session.
 """
 
@@ -12,13 +12,7 @@ from __future__ import annotations
 
 import functools
 
-from ifsquant.engine import (
-    QuantizerSet,
-    TransitionGraph,
-    children,
-    root_node,
-    vertex_label,
-)
+from ifsquant.engine import QuantizerSet, children, root_node, vertex_label
 
 REFERENCE_N = 67
 
@@ -65,8 +59,9 @@ def reference_sets(n: int) -> list[QuantizerSet]:
     return sets
 
 
-def reference_graph(n_lo: int, n_hi: int) -> TransitionGraph:
-    """The transition graph of layers n_lo .. n_hi, without any cap."""
+def reference_graph(n_lo: int, n_hi: int):
+    """The transition graph of layers n_lo .. n_hi, without any cap: each
+    layer's sets in signature order, and the edges between their labels."""
     layers, edges = _pass(n_hi)
     order = {}
     sets = []
@@ -80,7 +75,7 @@ def reference_graph(n_lo: int, n_hi: int) -> TransitionGraph:
         for k in range(n_lo, n_hi)
         for src, dst in edges[k - 1]
     )
-    return TransitionGraph(
+    return (
         tuple(sets),
         tuple((vertex_label(k, i), vertex_label(k + 1, j)) for k, i, j in pairs),
     )

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from ifsquant import measure
 from ifsquant.engine import (
-    _DROP, _MASS_BASE, _OFFSETS, Block, Node, NodeMemo, QuantizerSet, StructureReport,
+    _DROP, _MASS_BASE, _OFFSETS, Block, Node, QuantizerSet, StructureReport,
     TransitionGraph, children, node_name, root_node, vertex_label,
 )
 from ifsquant.measure import CLOSED, MEAN, TAIL, VARIANCE, Region
@@ -231,9 +231,7 @@ def countdown_walk(block: Block, r: int) -> list[Node]:
 
 
 def transition_graph_to_dict(graph: TransitionGraph) -> dict:
-    """JSON-ready adjacency form of the graph; each distinct node is named
-    once, through a ``NodeMemo``."""
-    names = NodeMemo(node_name)
+    """JSON-ready adjacency form of the graph, from each layer's sets."""
     return {
         "n_lo": graph.n_lo,
         "n_hi": graph.n_lo + len(graph.layers) - 1,
@@ -244,10 +242,10 @@ def transition_graph_to_dict(graph: TransitionGraph) -> dict:
                 "index": index,
                 "V": str(q.v),
                 "V_float": measure.float_val(q.v),
-                "nodes": list(map(names.__getitem__, q.nodes)),
+                "nodes": list(map(node_name, q.nodes)),
             }
             for layer in graph.layers
-            for index, q in enumerate(layer, start=1)
+            for index, q in enumerate(layer.sets(), start=1)
         ],
         "edges": [[src, dst] for src, dst in graph.edges],
     }

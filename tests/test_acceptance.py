@@ -93,7 +93,7 @@ def test_criterion_3():
 @criterion(4, "transition graph 18..21 edge relations")
 def test_criterion_4():
     graph = transition_graph(18, 21, cap=100)
-    assert [len(layer) for layer in graph.layers] == [1, 3, 3, 1]
+    assert [len(layer.choices) for layer in graph.layers] == [1, 3, 3, 1]
     out = {}
     for src, dst in graph.edges:
         out.setdefault(src, set()).add(dst)

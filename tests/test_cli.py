@@ -9,6 +9,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -189,14 +190,15 @@ SMALL_CAP = 364
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(1, 90))
-def test_enumerate_node_memo_matches_the_dict_forms(n):
-    # Each form formats a distinct node once and reuses its text; every
+def test_enumerate_forms_match_the_dict_forms(n):
+    # Each form formats a walked node once and splices its text; every
     # form must equal the one built from quantizer_set_to_dict set by set.
     assume(engine.count_optimal_sets(n) <= SMALL_CAP)
     sets = engine.enumerate_optimal_sets(n)
     data = [engine.quantizer_set_to_dict(q) for q in sets]
     expected = json.dumps(data)
-    assert "".join(engine.json_list(engine.quantizer_sets_json([sets]))) == expected
+    assert "".join(engine.json_list(engine.quantizer_sets_json(
+        engine.optimal_layers(n, n)))) == expected
     assert _stdout("enumerate", "--n", str(n), "--format", "json") == expected + "\n"
     lines = _stdout("enumerate", "--n", str(n)).splitlines()
     assert lines[3:] == [f"set {index}: {' '.join(_names(q))}"
@@ -210,10 +212,11 @@ def test_enumerate_node_memo_matches_the_dict_forms(n):
 def test_quantizer_sets_json_of_no_sets_and_of_two_layers():
     assert "".join(engine.json_list(engine.quantizer_sets_json([]))) == json.dumps([])
     # The set wrapper follows n and V from one layer to the next.
-    layers = [engine.enumerate_optimal_sets(16), [engine.optimal_set(17)],
-              [engine.optimal_set(16)]]
+    layers = [*engine.optimal_layers(16, 16), *engine.canonical_layers(17, 17),
+              *engine.canonical_layers(16, 16)]
     assert "".join(engine.json_list(engine.quantizer_sets_json(layers))) \
-        == json.dumps([engine.quantizer_set_to_dict(q) for layer in layers for q in layer])
+        == json.dumps([engine.quantizer_set_to_dict(q)
+                       for layer in layers for q in layer.sets()])
 
 
 @pytest.mark.parametrize("argv, layers", [
@@ -222,15 +225,18 @@ def test_quantizer_sets_json_of_no_sets_and_of_two_layers():
     ("optimal --n 2000 --format json", 1),
 ])
 def test_v_texts_are_made_once_per_layer(monkeypatch, argv, layers):
-    # V's float hint is made from a Fraction and a node's from a float, so
-    # the Fraction calls count V's formatting: once per layer, not per set.
+    # V's texts are made once per layer, not per set, and from the layer's
+    # reduced pair: no Fraction reaches the float hint.
     expected = _stdout(*argv.split())
-    fractions = []
-    float_val = measure.float_val
+    made, fractions = [], []
+    v_texts, float_val = engine._v_texts, measure.float_val
+    monkeypatch.setattr(engine, "_v_texts", lambda layer: made.append(layer.n)
+                        or v_texts(layer))
     monkeypatch.setattr(measure, "float_val", lambda x: fractions.append(
         isinstance(x, Fraction)) or float_val(x))
     assert _stdout(*argv.split()) == expected
-    assert sum(fractions) == layers
+    assert len(made) == layers
+    assert fractions and not any(fractions)
 
 
 @settings(max_examples=15, deadline=None)
@@ -245,22 +251,32 @@ def test_tree_json_node_names_match_the_signatures(n_lo, width):
                   "--format", "json")
     assert out == json.dumps(data) + "\n"
     assert [vertex["nodes"] for vertex in data["vertices"]] \
-        == [_names(q) for layer in graph.layers for q in layer]
+        == [_names(q) for layer in graph.layers for q in layer.sets()]
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_node_memo_lives_for_one_call(monkeypatch, capsys, fmt):
+@pytest.mark.parametrize("argv, formatter, window", [
+    ("enumerate --n 16 --format json", "node_fields", (16, 16)),
+    ("enumerate --n 16 --format csv", "node_fields", (16, 16)),
+    ("enumerate --n 16", "node_name", (16, 16)),
+    ("tree --from 60 --to 67 --format json", "node_name", (60, 67)),
+], ids=["json", "csv", "text", "tree"])
+def test_each_walked_node_is_formed_once(monkeypatch, capsys, argv, formatter, window):
     formatted = []
-    node_fields = engine.node_fields
-    monkeypatch.setattr(engine, "node_fields",
-                        lambda node: formatted.append(node) or node_fields(node))
+    form = getattr(engine, formatter)
+    monkeypatch.setattr(engine, formatter,
+                        lambda node: formatted.append(node) or form(node))
+    # Layer by layer, its walked nodes and two per half.
+    walked = [node for layer in engine.optimal_layers(*window)
+              for node in (*layer.nodes, *chain.from_iterable(layer.halves))]
     distinct = {node for q in engine.enumerate_optimal_sets(16) for node in q.nodes}
     assert len(distinct) < 3 * 16
     for calls in (1, 2):
-        assert run(capsys, "enumerate", "--n", "16", "--format", fmt)[0] == 0
-        # Each call formats every distinct node once, the second one again.
-        assert len(formatted) == calls * len(distinct)
-        assert set(formatted[-len(distinct):]) == distinct
+        assert run(capsys, *argv.split())[0] == 0
+        assert formatted == calls * walked
+        if window == (16, 16):
+            # Each call formats every distinct node once, the second one again.
+            assert len(formatted) == calls * len(distinct)
+            assert set(formatted[-len(distinct):]) == distinct
 
 
 def test_usage_errors_exit_2(capsys):
@@ -370,6 +386,22 @@ def test_tree_json_keeps_no_dict(monkeypatch):
     # written as they are made, the vertices and edges peak under 1 MB.
     argv = ["tree", "--from", "60", "--to", "67", "--format", "json"]
     assert _peak_bytes(monkeypatch, argv) < 2 * 2**20
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_optimal_streams_its_nodes(monkeypatch, fmt):
+    # The text and CSV forms write each node as they reach it, and peak 2 to
+    # 11 % above optimal_set(20000) alone; a list of the set's texts, made
+    # first, peaked 49 % (text) and 76 % (CSV) above it.
+    engine.optimal_set(20000)  # takes the rows, which the process keeps
+    tracemalloc.start()
+    try:
+        engine.optimal_set(20000)
+        alone = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    argv = ["optimal", "--n", "20000", "--format", fmt]
+    assert _peak_bytes(monkeypatch, argv) < 1.3 * alone
 
 
 def test_table_json_is_json_dumps_of_the_rows(capsys):

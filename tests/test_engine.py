@@ -401,18 +401,21 @@ def test_layer_sets_come_in_signature_order():
     (60, 67),
 ])
 def test_transition_graph_matches_breadth_first_reference(n_lo, n_hi):
-    assert transition_graph(n_lo, n_hi) == reference_graph(n_lo, n_hi)
+    graph = transition_graph(n_lo, n_hi)
+    assert (tuple(tuple(layer.sets()) for layer in graph.layers), graph.edges) \
+        == reference_graph(n_lo, n_hi)
 
 
 def test_transition_graph_chain():
     graph = transition_graph(2, 3, cap=10)
-    assert [len(graph.layers[n - graph.n_lo]) for n in (2, 3)] == [1, 1]
+    assert [len(graph.layers[n - graph.n_lo].choices) for n in (2, 3)] == [1, 1]
     assert graph.edges == (("a_{2,1}", "a_{3,1}"),)
 
 
 def test_transition_graph_layers_15_18():
     graph = transition_graph(15, 18, cap=100)
-    assert [len(graph.layers[n - graph.n_lo]) for n in range(15, 19)] == [1, 3, 3, 1]
+    assert [len(graph.layers[n - graph.n_lo].choices)
+            for n in range(15, 19)] == [1, 3, 3, 1]
 
 
 def test_transition_graph_18_21_pattern():
@@ -667,7 +670,8 @@ def test_library_values_stay_fractions():
     assert type(optimal_set(71).v) is F
     assert {type(q.v) for q in engine.canonical_sets(1, 80)} == {F}
     assert {type(q.v) for q in enumerate_optimal_sets(71)} == {F}
-    assert {type(q.v) for layer in transition_graph(60, 67).layers for q in layer} == {F}
+    assert {type(q.v) for layer in transition_graph(60, 67).layers
+            for q in layer.sets()} == {F}
 
 
 def test_counts_match_heap_runs(heap_run):
@@ -740,6 +744,11 @@ def test_canonical_sets_walk_once_per_block(monkeypatch):
     assert sets[-1] == optimal_set(400)
     with pytest.raises(ValueError):
         next(engine.canonical_sets(5, 4))
+    # The layers of a transition graph share their block's walk too.
+    walks.clear()
+    transition_graph(60, 67)
+    blocks = [block for _, block, _, _ in engine._layers(60, 67)]
+    assert walks == list(dict.fromkeys(blocks)) and len(walks) < len(blocks)
 
 
 def test_optimal_set_is_the_first_choice_of_its_layer():

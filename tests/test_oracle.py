@@ -497,6 +497,7 @@ def test_records_are_immutable_and_slotted():
         (block, "m"),
         (optimal_set(5), "v"),
         (engine.transition_graph(18, 19), "edges"),
+        (engine.optimal_layers(18, 18)[0], "choices"),
         (engine.validate_structure(optimal_set(5)), "failures"),
         (Region(measure.CLOSED, ()), "kind"),
         (kmeans_1d_exact(BATCH[:1000], 3), "iterations"),
