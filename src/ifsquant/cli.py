@@ -111,10 +111,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser, built on the first call and kept: it reads nothing from the
+# machine, and parsing leaves it as it was.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
@@ -135,18 +139,18 @@ def main(argv=None) -> int:
 
 
 def cmd_optimal(args) -> int:
-    # The text and CSV forms write each node as they reach it, not a list of texts.
+    # A canonical layer's records are its set's: the text and CSV forms write
+    # each record as they reach it, not a list of texts.
     layer = next(engine.canonical_layers(args.n, args.n))
     if args.format == "json":
         print(*engine.quantizer_sets_json([layer]))
     elif args.format == "text":
-        sys.stdout.writelines(f"{engine.centroid_str(node)}\n"
-                              for node in layer.sets()[0].nodes)
+        sys.stdout.writelines(f"{engine.centroid_str(node)}\n" for node in layer.nodes)
         print("V_%d = %d/%d" % (layer.n, *layer.v))
     else:  # one row per node, the JSON form's node keys the header
         print(_NODE_HEADER)
         sys.stdout.writelines(f"{engine.NODE_CSV % engine.node_fields(node)}\n"
-                              for node in layer.sets()[0].nodes)
+                              for node in layer.nodes)
     return 0
 
 
@@ -372,15 +376,17 @@ def _structure(n_max: int) -> tuple[bool, str]:
 def _counts(upper: int) -> tuple[bool, str]:
     # Besides the count, check what the block description takes for
     # granted: the sets are distinct, and each one's total, re-derived node
-    # by node from the measure formulas, is the optimal error.
-    node_error = functools.cache(lambda *kw: measure.node_error(measure.Region(*kw)))
+    # by node from the measure formulas, is the optimal error.  A node is
+    # its region, so the sets' nodes tell them apart, and a node's word is
+    # read only the first time its error is derived.
+    node_error = functools.cache(
+        lambda node: measure.node_error(measure.Region(node.kind, node.word)))
     bad = []
     for n in range(1, upper + 1):
         sets, v = engine.enumerate_optimal_sets(n), engine.quantization_error(n)
         if (engine.count_optimal_sets(n) != len(sets)
-                or len({q.signature() for q in sets}) != len(sets)
-                or any(sum(node_error(node.kind, node.word) for node in q.nodes) != v
-                       for q in sets)):
+                or len({q.nodes for q in sets}) != len(sets)
+                or any(sum(map(node_error, q.nodes)) != v for q in sets)):
             bad.append(n)
     return not bad, "n=" + ",".join(map(str, bad[:5]))
 

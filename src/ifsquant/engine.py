@@ -18,24 +18,29 @@ is built only for a library value or a set's V.  One depth-first walk
 builds the frontier above a block in canonical order and leaves the
 block's tied nodes unsplit (``_walk``), and one tie rule splices the
 children of the chosen tied nodes into it (``_splice``).  A ``Layer`` is a
-walk and the choices of one size, the first r or every r, built with one
-walk per block (``_built``); its sets and their texts are splices of it.
+walk and every r-choice of one size, or the canonical set alone, its first
+r tied nodes spliced as it is built, made with one walk per block
+(``_built``); its sets and their texts are splices of it.
 One size rule settles if a binomial is at most a limit, built only near
 it (``_binomial_at_most``), for the count and the one cap rule, a budget of
 sets for a window of layers (``_within_cap``); one edge rule links the layers
 (``transition_graph``): a set leads to each set that splits one more of
 its block's tied nodes, and the set before a block's first layer splits
 none of them.  ``GenerationState`` runs the induction step by step, as the
-tests' reference.  A node is one integer record: its region's kind and
-word and three integers (M, a, dn), split by one rule (``children``).  Its
-endpoints, centroid and mass are integers over 2^a or 7 * 2^a, and its
-error is V times an integer over 9 * 8^a, so the structural audit and the
-serialisation work on integers over one power of two; a Fraction is built
-only where one is read.
+tests' reference.  A walked node is a plain tuple record, its region's kind,
+three integers (M, a, dn) and its word's text, split by one rule
+(``children``) that carries the text down the walk: a cylinder w's
+children are w.1, a tail w.j's are w.(j+1).  Its endpoints, centroid and
+mass are integers over 2^a or 7 * 2^a, and its error is V times an integer
+over 9 * 8^a, so the structural audit and every printed form work on the
+records, over one power of two; a ``Node``, the record with its rationals
+and word as properties, is built only for a set a library caller reads
+(``Layer.sets``), and a Fraction only where one is read.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import threading
 from bisect import bisect_left
@@ -49,7 +54,8 @@ from operator import itemgetter
 
 from . import measure
 from .measure import CLOSED, TAIL, MEAN, VARIANCE
-from .words import Word, render
+# ``render`` stays bound here, unused: perfbench/tracing.py wraps engine.render.
+from .words import Word, render  # noqa: F401
 
 DEFAULT_CAP = 10000  # most sets enumerate_optimal_sets and transition_graph build
 COUNT_DIGITS = 100_000  # most digits of a count that count_optimal_sets builds
@@ -69,20 +75,31 @@ _OFFSETS = {CLOSED: (0, 4, 1), TAIL: (2, 20, 4)}
 _MASS_BASE = {CLOSED: 9, TAIL: 43}
 
 
-class Node(namedtuple("Node", "kind word m a dn")):
-    """A frontier element: a region's kind and word, and its exact integers.
+# A walked node: its region's kind, M, a, dn and its word's text.
+Record = tuple[str, int, int, int, str]
+
+
+class Node(namedtuple("Node", "kind m a dn text")):
+    """A frontier element as a library caller reads it: a walk record, its
+    rationals and its word built from its fields each time they are read.
 
     For a word w with a = sum(w) + len(w), the composed map is
     S_w(x) = (x + dn) / 2^a, the region's error is V * M / (9 * 2^(3a))
-    and its mass (M // 9) / 2^a for a cylinder, (M // 43) / 2^a for a tail.
-    The rationals are built from these integers each time they are read;
-    the audit and serialisation read the integers instead.  Equal regions
-    have equal integers, so equality, hashing and order amount to region
-    identity, kind first.  In the package only ``root_node`` and
-    ``children`` build one, so nothing re-validates a record.
+    and its mass (M // 9) / 2^a for a cylinder, (M // 43) / 2^a for a tail;
+    ``text`` is w as ``render`` writes it.  The audit and every printed
+    form read the fields instead.  Equal regions have equal fields, so
+    equality, hashing and order amount to region identity, kind first.  In
+    the package only ``root_node``, ``GenerationState`` and ``Layer.sets``
+    build one, so nothing re-validates a record.
     """
 
     __slots__ = ()
+
+    @property
+    def word(self) -> Word:
+        """The region's word, read back from its text: ``children`` writes
+        it in canonical form, so it needs none of ``parse``'s checks."""
+        return tuple(map(int, self.text.split("."))) if self.text else ()
 
     @property
     def error(self) -> Fraction:
@@ -100,25 +117,31 @@ class Node(namedtuple("Node", "kind word m a dn")):
         return Fraction(self.dn + _OFFSETS[self.kind][0], 1 << self.a)
 
 
+_ROOT: Record = (CLOSED, 9, 0, 0, "")  # the whole support, the empty word
+
+
 def root_node() -> Node:
     """The whole-support node: one point at the global mean."""
-    return Node(CLOSED, (), 9, 0, 0)
+    return Node._make(_ROOT)
 
 
-def children(node: Node) -> tuple[Node, Node]:
-    """The split rule: a node's two children, cylinder first.
+def children(node: Record) -> tuple[Record, Record]:
+    """The split rule: a record's two children, cylinder first.
 
-    The error quotients M'/(M * 2^(3(a'-a))) are 1/64 and 43/192 for a
-    cylinder, 9/344 and 1/8 for a tail.
+    Both children have one word, which the rule writes from the parent's
+    text: a cylinder w splits into cylinder and tail w.1, a tail w.j into
+    cylinder and tail w.(j+1).  The error quotients M'/(M * 2^(3(a'-a)))
+    are 1/64 and 43/192 for a cylinder, 9/344 and 1/8 for a tail.
     """
-    kind, word, m, a, dn = node
+    kind, m, a, dn, text = node
     if kind == CLOSED:
-        word += (1,)
-        return (Node(CLOSED, word, m, a + 2, 4 * dn),
-                Node(TAIL, word, 43 * (m // 3), a + 2, 4 * dn))
-    word = word[:-1] + (word[-1] + 1,)
-    return (Node(CLOSED, word, 9 * (m // 43), a + 1, 2 * dn + 4),
-            Node(TAIL, word, m, a + 1, 2 * dn + 4))
+        text = f"{text}.1" if text else "1"
+        dn *= 4
+        return (CLOSED, m, a + 2, dn, text), (TAIL, 43 * (m // 3), a + 2, dn, text)
+    head, dot, last = text.rpartition(".")
+    text = f"{head}{dot}{int(last) + 1}"
+    dn = 2 * dn + 4
+    return (CLOSED, 9 * (m // 43), a + 1, dn, text), (TAIL, m, a + 1, dn, text)
 
 
 # The name ``_walk`` and the canonical layers split through: a tracer that
@@ -177,7 +200,7 @@ class GenerationState:
     def split(self) -> tuple[Node, Node, Node]:
         """Replace the maximal-error node by its children; returns all three."""
         parent = heapq.heappop(self._heap)[-1]
-        first, second = children(parent)
+        first, second = map(Node._make, children(parent))
         heapq.heappush(self._heap, self._entry(first))
         heapq.heappush(self._heap, self._entry(second))
         self.v += first.error + second.error - parent.error
@@ -306,23 +329,24 @@ def _take_rows(end: int) -> None:
             raise
 
 
-def _walk(block: Block) -> tuple[list[Node], list[int]]:
+def _walk(block: Block) -> tuple[list[Record], list[int]]:
     """The frontier that splits every node above ``block`` and none in it.
 
-    A depth-first walk from the root, cylinder child first, so the nodes
-    come out in canonical left-to-right order with no sort.  A node is
+    A depth-first walk from the root, cylinder child first, so the records
+    come out in canonical left-to-right order with no sort.  A record is
     split when its error is above the block's.  Returns the frontier and
-    the positions in it of the block's m tied nodes, all left unsplit;
+    the positions in it of the block's m tied records, all left unsplit;
     ``_splice`` then splits the chosen ones.
     """
     m_t, a_t = block.M, block.a
     nodes, tied = [], []
-    stack = [root_node()]
+    stack = [_ROOT]
     while stack:
         node = stack.pop()
-        above = (node.m << 3 * a_t) - (m_t << 3 * node.a)
+        above = (node[1] << 3 * a_t) - (m_t << 3 * node[2])
         if above > 0:
-            stack += reversed(_split(node))  # the cylinder child on top
+            first, second = _split(node)
+            stack += second, first  # the cylinder child on top
         else:
             if above == 0:
                 tied.append(len(nodes))
@@ -339,7 +363,7 @@ def _splice(nodes: list, tied: list[int], chosen: Iterable[int],
     ``halves[i]`` is tied node i's pair of children.  A node's two children
     cover its own region, closed child first, so they take its place in
     the canonical order.  The nodes between chosen ones are copied as list
-    slices, so a set takes O(r) Python steps, not O(n), of nodes or texts.
+    slices, so a set takes O(r) Python steps, not O(n), of records or texts.
     """
     parts, start = [], 0
     for i in chosen:
@@ -352,21 +376,23 @@ def _splice(nodes: list, tied: list[int], chosen: Iterable[int],
 
 
 class Layer(namedtuple("Layer", "n v nodes tied halves choices")):
-    """The optimal n-sets as one walk: V_n's reduced pair, ``_walk``'s frontier
-    and tied positions, the tied nodes' children (``halves``, of each tied
-    node a choice splits at least), and the tied indices each set splits, in
-    signature order.  The layers of one block share its walk."""
+    """The optimal n-sets as one walk: V_n's reduced pair, a frontier of
+    records and the positions of its tied ones, the tied records' children
+    (``halves``, of each tied record a choice splits at least), and the tied
+    indices each set splits, in signature order.  The layers of one block
+    that hold every set share its walk; a canonical layer holds its one
+    set's frontier, its first r tied records already split, and no ties."""
 
     __slots__ = ()
 
     def sets(self) -> list[QuantizerSet]:
-        """The layer's sets, all of one Fraction V built from the pair."""
+        """The layer's sets, of ``Node``s, all of one Fraction V built from
+        the pair; each walked record and half becomes one Node."""
         v = Fraction(*self.v)
-        return [QuantizerSet(_splice(self.nodes, self.tied, chosen, self.halves), v)
-                for chosen in self.choices]
+        return [QuantizerSet(nodes, v) for nodes in self.spliced(Node._make)]
 
-    def spliced(self, form: Callable[[Node], object]) -> Iterator[tuple]:
-        """Each set as its nodes' forms, each walked node and half formed once."""
+    def spliced(self, form: Callable[[Record], object]) -> Iterator[tuple]:
+        """Each set as its records' forms, each walked record and half formed once."""
         forms = list(map(form, self.nodes))
         halves = [tuple(map(form, pair)) for pair in self.halves]
         return (_splice(forms, self.tied, chosen, halves) for chosen in self.choices)
@@ -374,7 +400,8 @@ class Layer(namedtuple("Layer", "n v nodes tied halves choices")):
 
 def _built(items: Iterable[tuple], every: bool) -> Iterator[Layer]:
     """The one layer builder: a ``Layer`` per ``_layers`` item, one walk per
-    block, with every r-choice of its tied nodes or, not ``every``, the first r.
+    block, with every r-choice of its tied records or, not ``every``, the
+    canonical set alone, spliced from the first r.
 
     Choices come in signature order with no sort: two sets first differ at
     the first tied node one splits and the other keeps, and a kept cylinder w
@@ -388,10 +415,13 @@ def _built(items: Iterable[tuple], every: bool) -> Iterator[Layer]:
             current, (nodes, tied), halves = block, _walk(block), []
         wanted = tied[len(halves):len(tied) if every else r]
         halves += map(children if every else _split, (nodes[slot] for slot in wanted))
-        choices = list(combinations(range(len(tied)), r)) if every else [range(r)]
-        if every and block.kind == CLOSED:
-            choices.reverse()
-        yield Layer(n, v, nodes, tied, halves, choices)
+        if every:
+            choices = list(combinations(range(len(tied)), r))
+            if block.kind == CLOSED:
+                choices.reverse()
+            yield Layer(n, v, nodes, tied, halves, choices)
+        else:  # no tied record is left for a form to format and not print
+            yield Layer(n, v, _splice(nodes, tied, range(r), halves), (), (), [()])
 
 
 def canonical_layers(n_lo: int, n_hi: int) -> Iterator[Layer]:
@@ -572,7 +602,7 @@ def validate_structure(q: QuantizerSet) -> StructureReport:
     top = max((node.a for node in nodes), default=0)
     lefts, rights, points = [], [], []
     mass_sum = mean_sum = error_sum = 0
-    for kind, _, m, a, dn in nodes:
+    for kind, m, a, dn, _ in nodes:
         off_l, off_c, off_r = _OFFSETS[kind]
         shift = top - a
         dn *= 7
@@ -589,11 +619,9 @@ def validate_structure(q: QuantizerSet) -> StructureReport:
         failures.append("regions out of order or overlapping")
     if any(not x < y for x, y in zip(points, points[1:])):
         failures.append("centroids not strictly increasing")
-    for node, lo, hi, x in zip(nodes, lefts, rights, points):
+    for (kind, _, _, _, text), lo, hi, x in zip(nodes, lefts, rights, points):
         if not lo <= x <= hi:
-            failures.append(
-                f"centroid outside region ({node.kind} {render(node.word)!r})"
-            )
+            failures.append(f"centroid outside region ({kind} {text!r})")
             break
     if any(not 2 * hi <= x + y <= 2 * next_lo
            for hi, next_lo, x, y in zip(rights, lefts[1:], points, points[1:])):
@@ -619,9 +647,10 @@ def _centroid_terms(kind: str, a: int, dn: int) -> tuple[int, int]:
     return num >> shift, 7 << (a - shift)
 
 
-def centroid_str(node: Node) -> str:
+def centroid_str(node: Record) -> str:
     """The centroid as "num/den", the string ``str(node.centroid)`` gives."""
-    return "%d/%d" % _centroid_terms(node.kind, node.a, node.dn)
+    kind, _, a, dn, _ = node
+    return "%d/%d" % _centroid_terms(kind, a, dn)
 
 
 def _error_terms(m: int, a: int) -> tuple[int, int]:
@@ -631,6 +660,13 @@ def _error_terms(m: int, a: int) -> tuple[int, int]:
     """
     shift = min(5, 3 * a)
     return 32 * m >> shift, 3577 << (3 * a - shift)
+
+
+@functools.cache
+def _error_text(m: int, a: int) -> str:
+    """The error as "num/den", made once per (M, a): a node's (M, a) is its
+    block's, so a process keeps one text per block it prints nodes of."""
+    return "%d/%d" % _error_terms(m, a)
 
 
 # A node's JSON object and CSV row are templates over its fields, and a set's and a
@@ -648,23 +684,24 @@ VERTEX_JSON = ('{"label": "%s", "n": %d, "index": %d, "V": "%s", "V_float": %s, 
                '"nodes": [%s]}')
 
 
-def node_fields(node: Node) -> tuple[str, str, str, float, str]:
-    """The one formatting rule for a node: its fields in ``NODE_KEYS`` order.
+def node_fields(node: Record) -> tuple[str, str, str, float, str]:
+    """The one formatting rule for a record: its fields in ``NODE_KEYS`` order.
 
-    Strings are formatted from the integers with their common factor known
-    in advance, and equal the strings of the reduced Fractions; the
-    centroid's hint is ``measure.float_val`` of the same correctly rounded
-    integer division that ``float(Fraction)`` performs.
+    The word's text is the record's own.  Strings are formatted from the
+    integers with their common factor known in advance, and equal the
+    strings of the reduced Fractions; the centroid's hint is
+    ``measure.float_val`` of the same correctly rounded integer division
+    that ``float(Fraction)`` performs.
     """
-    kind, word, m, a, dn = node
+    kind, m, a, dn, text = node
     num, den = _centroid_terms(kind, a, dn)
-    return (render(word), kind, f"{num}/{den}", measure.float_val(num / den),
-            "%d/%d" % _error_terms(m, a))
+    return text, kind, f"{num}/{den}", measure.float_val(num / den), _error_text(m, a)
 
 
-def node_name(node: Node) -> str:
-    """A node's name "kind:word", as the text and tree forms print it."""
-    return f"{node.kind}:{render(node.word)}"
+def node_name(node: Record) -> str:
+    """A record's name "kind:word", as the text and tree forms print it."""
+    kind, _, _, _, text = node
+    return f"{kind}:{text}"
 
 
 def quantizer_set_to_dict(q: QuantizerSet) -> dict:

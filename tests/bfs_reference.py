@@ -4,7 +4,8 @@ Layer k+1 is built by splitting, in every optimal k-set, each node that
 ties for the maximal error; duplicates collapse by node identity.  This
 assumes nothing about the tie structure, so it checks the engine's
 threshold-block description independently: it uses only ``root_node``,
-``children``, the set container and the vertex names.  One pass over layers
+``children`` (whose records it reads as ``Node``s), the set container and
+the vertex names.  One pass over layers
 1 .. 67 takes a couple of seconds and is cached for the whole session.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import functools
 
-from ifsquant.engine import QuantizerSet, children, root_node, vertex_label
+from ifsquant.engine import Node, QuantizerSet, children, root_node, vertex_label
 
 REFERENCE_N = 67
 
@@ -37,7 +38,7 @@ def _bfs(n_max: int):
             for node in members:
                 if node.error != top:
                     continue
-                child = (members - {node}) | set(children(node))
+                child = (members - {node}) | set(map(Node._make, children(node)))
                 child_key = _sig(child)
                 nxt.setdefault(child_key, child)
                 out.add((key, child_key))

@@ -5,7 +5,8 @@ power of two.  The functions here do the same work the direct way, on
 ``Fraction`` values built by the node's properties, so the tests can check
 the integer forms against them:
 
-- ``make_node`` builds a region's node from its word alone, and ``right``
+- ``make_node`` builds a region's node from its word alone,
+  ``child_nodes`` reads the split rule's two records as nodes, and ``right``
   and ``mass`` read a node's right endpoint and mass as ``Fraction``
   values, where the engine builds nodes only by splitting and reads
   neither;
@@ -51,7 +52,13 @@ def make_node(region: Region) -> Node:
         m *= 9
     else:
         m *= 129 if word[-1] == 1 else 43
-    return Node(region.kind, word, m, a, dn)
+    return Node(region.kind, m, a, dn, render(word))
+
+
+def child_nodes(node: Node) -> tuple[Node, Node]:
+    """``children`` of a node, read as the two ``Node``s the split rule's
+    records stand for."""
+    return tuple(map(Node._make, children(node)))
 
 
 def right(node: Node) -> Fraction:
@@ -212,16 +219,18 @@ def block_table_reference(depth: int) -> list[tuple[int, int, int, Block]]:
     return rows
 
 
-def countdown_walk(block: Block, r: int) -> list[Node]:
+def countdown_walk(block: Block, r: int) -> list[tuple]:
     """The canonical frontier of a block with r of its nodes split, in one
-    depth-first walk: a node is split when its error is above the block's,
-    or equal to it while fewer than r tied nodes have been split."""
+    depth-first walk of the split rule's records: a node is split when its
+    error is above the block's, or equal to it while fewer than r tied
+    nodes have been split."""
     m_t, a_t = block.M, block.a
     nodes = []
     stack = [root_node()]
     while stack:
         node = stack.pop()
-        above = (node.m << 3 * a_t) - (m_t << 3 * node.a)
+        _, m, a, _, _ = node
+        above = (m << 3 * a_t) - (m_t << 3 * a)
         if above > 0 or (above == 0 and r):
             r -= above == 0
             stack += reversed(children(node))

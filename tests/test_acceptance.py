@@ -12,11 +12,10 @@ import time
 from fractions import Fraction as F
 
 from bfs_reference import reference_sets
-from exact_reference import make_node, mass
+from exact_reference import child_nodes, make_node, mass
 from ifsquant import golden, measure
 from ifsquant.engine import (
     GenerationState,
-    children,
     count_optimal_sets,
     enumerate_optimal_sets,
     optimal_set,
@@ -198,7 +197,7 @@ def test_criterion_7():
         node = make_node(
             Region(kind, tuple(rng.randint(1, 10) for _ in range(length)))
         )
-        first, second = children(node)
+        first, second = child_nodes(node)
         if kind == CLOSED:
             assert first.error == node.error * F(1, 64)
             assert second.error == node.error * F(43, 192)

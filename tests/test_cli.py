@@ -279,6 +279,40 @@ def test_each_walked_node_is_formed_once(monkeypatch, capsys, argv, formatter, w
             assert set(formatted[-len(distinct):]) == distinct
 
 
+@pytest.mark.parametrize("form, formatter", [
+    ("json", "node_fields"), ("csv", "node_fields"), ("text", "centroid_str"),
+])
+def test_optimal_forms_only_the_nodes_it_prints(monkeypatch, capsys, form, formatter):
+    # At n = 2 * 10^4 the walk leaves 1530 tied nodes and the set splits 462
+    # of them: a canonical layer splices them in before any text is made, so
+    # no tied node's text is made and dropped.
+    formatted = []
+    original = getattr(engine, formatter)
+    monkeypatch.setattr(engine, formatter,
+                        lambda node: formatted.append(node) or original(node))
+    assert run(capsys, "optimal", "--n", "20000", "--format", form)[0] == 0
+    assert len(formatted) == 20000
+    assert formatted == list(next(engine.canonical_layers(20000, 20000)).nodes)
+
+
+def test_successive_calls_share_one_parser(capsys):
+    # The parser is built on the first call and kept: calls of different
+    # commands in a row, usage errors among them, print what calls on a
+    # freshly built parser print.
+    calls = [("optimal", "--n", "7", "--format", "csv"), ("enumerate", "--n", "16"),
+             ("optimal", "--n", "0"), ("table", "--from", "3", "--to", "5"),
+             ("nonsense",), ("verify", "--n", "3"), ("count", "--n", "16"),
+             ("tree", "--from", "15", "--to", "17", "--format", "json")]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    cli._parser.cache_clear()
+    assert [run(capsys, *argv) for argv in calls] == fresh
+    assert cli._parser.cache_info().misses == 1
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 2, 0, 0, 0]
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "optimal")[0] == 2            # missing --n
     assert run(capsys, "optimal", "--n", "0")[0] == 2

@@ -17,6 +17,7 @@ from bfs_reference import REFERENCE_N, reference_graph, reference_sets
 from exact_reference import (
     block_table_reference,
     branch_decomposition,
+    child_nodes,
     countdown_walk,
     fraction_audit,
     make_node,
@@ -64,17 +65,17 @@ def _fields(node):
 
 
 def test_children_of_root():
-    first, second = children(root_node())
+    first, second = child_nodes(root_node())
     assert _region(first) == closed(1)
     assert _region(second) == tail(1)
     assert (first.centroid, second.centroid) == (F(1, 7), F(5, 7))
 
 
 def test_children_of_tail():
-    first, second = children(make_node(tail(1)))
+    first, second = child_nodes(make_node(tail(1)))
     assert (_region(first), _region(second)) == (closed(2), tail(2))
     assert (first.centroid, second.centroid) == (F(4, 7), F(6, 7))
-    first, second = children(make_node(tail(2, 1)))
+    first, second = child_nodes(make_node(tail(2, 1)))
     assert (_region(first), _region(second)) == (closed(2, 2), tail(2, 2))
 
 
@@ -98,7 +99,7 @@ def test_children_match_measure_formulas():
     for _ in range(300):
         node = make_node(random_region(rng))
         _assert_matches_measure(node)
-        for child in children(node):
+        for child in child_nodes(node):
             _assert_matches_measure(child)
             assert child.error < node.error
 
@@ -119,7 +120,7 @@ def test_child_error_ratios_exact():
     rng = random.Random(6)
     for _ in range(300):
         node = make_node(random_region(rng))
-        first, second = children(node)
+        first, second = child_nodes(node)
         if node.kind == CLOSED:
             assert first.error == node.error * F(1, 64)
             assert second.error == node.error * F(43, 192)
@@ -727,7 +728,7 @@ def test_canonical_chain_splits_one_node_at_a_time():
         node = old[i]
         assert new == old[:i] + children(node) + old[i + 1:], q.n
         assert (node.kind, node.m, node.a) == (block.kind, block.M, block.a), q.n
-        assert q.v == previous.v - node.error + sum(c.error for c in children(node))
+        assert q.v == previous.v - node.error + sum(c.error for c in child_nodes(node))
         previous = q
     assert previous.n == 3000
 
@@ -775,8 +776,8 @@ def test_walk_leaves_every_tied_node_unsplit():
     for block in blocks.union(big):
         nodes, tied = engine._walk(block)
         assert len(tied) == block.m, block
-        assert tied == [i for i, node in enumerate(nodes)
-                        if (node.m, node.a) == (block.M, block.a)], block
+        assert tied == [i for i, (_, m, a, _, _) in enumerate(nodes)
+                        if (m, a) == (block.M, block.a)], block
 
 
 def _assert_matches_countdown_walk(n):
@@ -942,7 +943,7 @@ def test_equal_probability_error_relations():
 
 
 def _split_gain(region: Region) -> F:
-    first, second = children(make_node(region))
+    first, second = child_nodes(make_node(region))
     return first.error + second.error - node_error(region)
 
 

@@ -3,10 +3,10 @@
 Every exact operation of ``perfbench/workloads.py`` is run once and its own
 check applied: CLI operations must print, byte for byte, the stdout whose
 SHA-256 digest ``perfbench/expected.json`` records.  The benchmark's tracer
-must still find every function it wraps.  Every form of ``tree``, and the
-``enumerate``, ``verify`` and ``table`` calls below, print, byte for byte,
-the stdout whose SHA-256 digest is recorded here, and so do
-``str(quantization_error(n))`` at a few deep n.
+must still find every function it wraps.  Every form of ``tree`` and of
+``optimal``, and the ``enumerate``, ``verify`` and ``table`` calls below,
+print, byte for byte, the stdout whose SHA-256 digest is recorded here, and
+so do ``str(quantization_error(n))`` at a few deep n.
 """
 
 import hashlib
@@ -119,6 +119,82 @@ def test_enumerate_output_digest(capsys, argv, digest):
     assert main(["enumerate", *argv.split()]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# optimal's json, csv and text digests, recorded when the walk built a Node
+# and its word tuple for every region and each form rendered the word.  The
+# sizes cover n = 1, a tail block's first set (71) and a cylinder block's
+# last (62), block ends and starts (23, 24), and the deep sets up to 10^5.
+OPTIMAL_DIGESTS = {
+    1: (
+        "b80e8eb15137ac26732e92b471f2156296fb699320ca8d3f45a09fd8e603527f",
+        "7897ccb9b1785703f6df367bf2c1a15a8872e49f03714973f268d5881481faca",
+        "ec9dd0086716f005cc78bd8f4a2318f9f852e8569f86388ac86bcc9a3a2228ae",
+    ),
+    2: (
+        "da7c6a25ec7d898933a056925d9ae2b35675a25914be26eec5e0a502c6d086c9",
+        "558f7174710ac0e1d218f74f152a72ed29a4ef19959ad5b1db9148759d0fdd10",
+        "80f69d296506da497bbea001504c14ab178ed11e86428524aec92b99e1e7dcf5",
+    ),
+    7: (
+        "1e59c114a37ab7806a47fcf2fb11cf2671da415be4969700cb04c9b76b25a35a",
+        "42e36a1181d002fd3f9a41baea97445d4cc5a4a8b0c069baf12898aa047c8ff9",
+        "02f096a890750b2e8e624c043e3d596edd087cc9dca27c5830d5b6cf254397b8",
+    ),
+    16: (
+        "0e87ad80316b2e89034d02e7914126e0da5b696097710cc186b52afef1014f01",
+        "e85d83ff64bd5be12d72b619e23c3bf08ec39d56a2fcf7f43cfaf2edb5abc847",
+        "e3300e9e808fa0c2d0f71ba96ab7bc6d275bf91fdb4ef9b5ab8ded73fea58134",
+    ),
+    23: (
+        "b8802b53c588289a0dfeb7530ff654a9a77b78d72bff0397f0b6054bb8c4058f",
+        "f8351296a574308e54eccbed8cd60f9a8313085035f4e062ac4d154796a4ca3c",
+        "d8f4b10e94843f89684becb087c903bfdc20397bb9d989e890bebe087fbc231e",
+    ),
+    24: (
+        "1d02046f058fe761418c34dad62cfb9048bafe3306a01d3f8e24d2b4b78da762",
+        "ddbf9e35a96cdd0080be04d488e27c21981c340b975e05380b46a8c66ef891f8",
+        "3228e9180ccfe818fc999bf48e6bf4ab9bd671df8ecbc31f16ad88bd27b17903",
+    ),
+    62: (
+        "a617262faaf501c9978ab8436520b004d7efd0812ae4f1851c3b56cad583662b",
+        "fa3407467a25f3489ddc0fb56e5055aa1c18955ff209fbeb205e6f4774e3239f",
+        "56b83687943b5d3a49b7e80783bc8168ec4ccbd8da3e49182e286f3acd2791d0",
+    ),
+    67: (
+        "b68eef43ce7ffbda6473a06ab2bb116fa34e9e1e0f3be7a815735b526a3939ef",
+        "20804100d99599979fd35e994dfb10d91f71b38e365be4ceed9c4e14a8b38fe0",
+        "81385621588bdc82f8c681d1f31732f35fda2dd07f67fe0289fb3deb4b9983dd",
+    ),
+    71: (
+        "a51a6c1e8bcff9502fa90ce21201a35d4741f14380547df7c7444a9136053dd0",
+        "d7f794c58a8421519db68abbb4b95355fcddb39325040f370c895360e0970bc9",
+        "1ee6ad3d91c34b5b687ab9c390b19f56eb5d872f2d1062152c6b90c92b3d43ca",
+    ),
+    2000: (
+        "ec03818252c75d5f6969f3320082d17235216cce94ba749d428caa90287d9a4f",
+        "70ac33842625031c0b628c91cd580b71bb0be9dc720759160c1265ed79e32659",
+        "f54dc9ac7f53b4838d288f44859df4adeb8e629acb383f33b520a2a4b3fcb129",
+    ),
+    20000: (
+        "591f76990af3f2ee8690f3ff3387ed5ecaae1e16bb732d8fcd1726c50bb44dd8",
+        "1f7059eda53ff1357c3d5a55f02f2da89fa7c1057358e52f5f2a7e4b62e37258",
+        "6c7e8e27e95fddf9d87c11c237e8f94861a4b50716a6ac62a0bb5c65989e7034",
+    ),
+    100000: (
+        "2881be6698138efd979e724daa1a0e03d1b87bc37a39a93b92e98ad2017daab8",
+        "cae4784efc1da584b90c50d7ca92682e0d333ea364cb7e61ff88c497b1cecb3e",
+        "eaa3c1af6506394bd9d3d35cbe5cf6ccfb938cf679ee9b57aedfd703476b1863",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(OPTIMAL_DIGESTS))
+def test_optimal_output_digest(capsys, n):
+    for form, digest in zip(("json", "csv", "text"), OPTIMAL_DIGESTS[n]):
+        assert main(["optimal", "--n", str(n), "--format", form]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, form
 
 
 # table writes V_n from _layers' reduced pairs: the digests were recorded
