@@ -380,7 +380,7 @@ def _counts(upper: int) -> tuple[bool, str]:
     # its region, so the sets' nodes tell them apart, and a node's word is
     # read only the first time its error is derived.
     node_error = functools.cache(
-        lambda node: measure.node_error(measure.Region(node.kind, node.word)))
+        lambda node: measure.node_error(measure.Region(node[0], engine.word_of(node))))
     bad = []
     for n in range(1, upper + 1):
         sets, v = engine.enumerate_optimal_sets(n), engine.quantization_error(n)

@@ -27,15 +27,15 @@ sets for a window of layers (``_within_cap``); one edge rule links the layers
 (``transition_graph``): a set leads to each set that splits one more of
 its block's tied nodes, and the set before a block's first layer splits
 none of them.  ``GenerationState`` runs the induction step by step, as the
-tests' reference.  A walked node is a plain tuple record, its region's kind,
-three integers (M, a, dn) and its word's text, split by one rule
-(``children``) that carries the text down the walk: a cylinder w's
-children are w.1, a tail w.j's are w.(j+1).  Its endpoints, centroid and
-mass are integers over 2^a or 7 * 2^a, and its error is V times an integer
-over 9 * 8^a, so the structural audit and every printed form work on the
-records, over one power of two; a ``Node``, the record with its rationals
-and word as properties, is built only for a set a library caller reads
-(``Layer.sets``), and a Fraction only where one is read.
+tests' reference.  A node is one plain tuple, its region's kind, three
+integers (M, a, dn) and its word's text, split by one rule (``children``)
+that carries the text down the walk: a cylinder w's children are w.1, a
+tail w.j's are w.(j+1).  Its endpoints, centroid and mass are integers
+over 2^a or 7 * 2^a, and its error is V times an integer over 9 * 8^a, so
+the structural audit and every printed form work on the nodes, over one
+power of two.  A set holds the walk's own nodes, and a node's word and
+rationals are read by functions of it (``word_of``, ``error_of``,
+``centroid_of``, ``left_of``), a Fraction built only where one is read.
 """
 
 from __future__ import annotations
@@ -68,65 +68,57 @@ class CapExceeded(RuntimeError):
 # Where each region kind sits in the unit interval of its map S_w: the
 # left endpoint, 7 times the centroid and the right endpoint.  A cylinder is
 # S_w([0, 1]) with mean S_w(4/7); a tail region is S_w([2, 4]) with mean
-# S_w(20/7).  Node's properties and the audit both read this table.
+# S_w(20/7).  ``left_of``, ``centroid_of`` and the audit read this table.
 _OFFSETS = {CLOSED: (0, 4, 1), TAIL: (2, 20, 4)}
 
 # A region of mass 3^c' / 2^a has M = 9 * 3^c' (cylinder) or 43 * 3^c' (tail).
 _MASS_BASE = {CLOSED: 9, TAIL: 43}
 
 
-# A walked node: its region's kind, M, a, dn and its word's text.
-Record = tuple[str, int, int, int, str]
+# A frontier node, the one form the walk, the sets and every reader share:
+# (kind, M, a, dn, text).  For a word w with a = sum(w) + len(w), the composed
+# map is S_w(x) = (x + dn) / 2^a, the region's error is V * M / (9 * 2^(3a)) and
+# its mass (M // 9) / 2^a for a cylinder, (M // 43) / 2^a for a tail; text is w
+# as ``render`` writes it.  Equal regions have equal fields, so equality,
+# hashing and order amount to region identity, kind first.
+Node = tuple[str, int, int, int, str]
 
 
-class Node(namedtuple("Node", "kind m a dn text")):
-    """A frontier element as a library caller reads it: a walk record, its
-    rationals and its word built from its fields each time they are read.
-
-    For a word w with a = sum(w) + len(w), the composed map is
-    S_w(x) = (x + dn) / 2^a, the region's error is V * M / (9 * 2^(3a))
-    and its mass (M // 9) / 2^a for a cylinder, (M // 43) / 2^a for a tail;
-    ``text`` is w as ``render`` writes it.  The audit and every printed
-    form read the fields instead.  Equal regions have equal fields, so
-    equality, hashing and order amount to region identity, kind first.  In
-    the package only ``root_node``, ``GenerationState`` and ``Layer.sets``
-    build one, so nothing re-validates a record.
-    """
-
-    __slots__ = ()
-
-    @property
-    def word(self) -> Word:
-        """The region's word, read back from its text: ``children`` writes
-        it in canonical form, so it needs none of ``parse``'s checks."""
-        return tuple(map(int, self.text.split("."))) if self.text else ()
-
-    @property
-    def error(self) -> Fraction:
-        """Exact squared-error contribution of the region."""
-        return Fraction(*_error_terms(self.m, self.a))
-
-    @property
-    def centroid(self) -> Fraction:
-        """Mean of the region: S_w(4/7) for a cylinder, S_w(20/7) for a tail."""
-        return Fraction(*_centroid_terms(self.kind, self.a, self.dn))
-
-    @property
-    def left(self) -> Fraction:
-        """Left endpoint of the region interval: S_w(0), or S_w(2) for a tail."""
-        return Fraction(self.dn + _OFFSETS[self.kind][0], 1 << self.a)
+def word_of(node: Node) -> Word:
+    """A node's word, read back from its text: ``children`` writes it in
+    canonical form, so it needs none of ``parse``'s checks."""
+    text = node[4]
+    return tuple(map(int, text.split("."))) if text else ()
 
 
-_ROOT: Record = (CLOSED, 9, 0, 0, "")  # the whole support, the empty word
+def error_of(node: Node) -> Fraction:
+    """A node's exact squared-error contribution."""
+    _, m, a, _, _ = node
+    return Fraction(*_error_terms(m, a))
+
+
+def centroid_of(node: Node) -> Fraction:
+    """A node's mean: S_w(4/7) for a cylinder, S_w(20/7) for a tail."""
+    kind, _, a, dn, _ = node
+    return Fraction(*_centroid_terms(kind, a, dn))
+
+
+def left_of(node: Node) -> Fraction:
+    """A node's left endpoint: S_w(0), or S_w(2) for a tail."""
+    kind, _, a, dn, _ = node
+    return Fraction(dn + _OFFSETS[kind][0], 1 << a)
+
+
+_ROOT: Node = (CLOSED, 9, 0, 0, "")  # the whole support, the empty word
 
 
 def root_node() -> Node:
     """The whole-support node: one point at the global mean."""
-    return Node._make(_ROOT)
+    return _ROOT
 
 
-def children(node: Record) -> tuple[Record, Record]:
-    """The split rule: a record's two children, cylinder first.
+def children(node: Node) -> tuple[Node, Node]:
+    """The split rule: a node's two children, cylinder first.
 
     Both children have one word, which the rule writes from the parent's
     text: a cylinder w splits into cylinder and tail w.1, a tail w.j into
@@ -161,16 +153,16 @@ class QuantizerSet(namedtuple("QuantizerSet", "nodes v")):
 
     @classmethod
     def from_nodes(cls, nodes: Iterable[Node]) -> "QuantizerSet":
-        ordered = tuple(sorted(nodes, key=lambda node: (node.left, node)))
-        return cls(ordered, sum((node.error for node in ordered), Fraction(0)))
+        ordered = tuple(sorted(nodes, key=lambda node: (left_of(node), node)))
+        return cls(ordered, sum(map(error_of, ordered), Fraction(0)))
 
     def points(self) -> tuple[Fraction, ...]:
         """The quantizer points (node centroids) in increasing order."""
-        return tuple(node.centroid for node in self.nodes)
+        return tuple(map(centroid_of, self.nodes))
 
     def signature(self) -> tuple[tuple[str, Word], ...]:
         """Node identities in canonical order; defines set equality."""
-        return tuple((node.kind, node.word) for node in self.nodes)
+        return tuple((node[0], word_of(node)) for node in self.nodes)
 
 
 class GenerationState:
@@ -184,14 +176,13 @@ class GenerationState:
     """
 
     def __init__(self) -> None:
-        root = root_node()
-        self._heap = [self._entry(root)]
-        self.v = root.error  # exact total error of the frontier
+        self._heap = [self._entry(_ROOT)]
+        self.v = error_of(_ROOT)  # exact total error of the frontier
         self.n = 1
 
     @staticmethod
     def _entry(node: Node) -> tuple:
-        return (-node.error, node.left, node)
+        return (-error_of(node), left_of(node), node)
 
     def peek(self) -> Node:
         """The node the next split will replace."""
@@ -200,10 +191,10 @@ class GenerationState:
     def split(self) -> tuple[Node, Node, Node]:
         """Replace the maximal-error node by its children; returns all three."""
         parent = heapq.heappop(self._heap)[-1]
-        first, second = map(Node._make, children(parent))
+        first, second = children(parent)
         heapq.heappush(self._heap, self._entry(first))
         heapq.heappush(self._heap, self._entry(second))
-        self.v += first.error + second.error - parent.error
+        self.v += error_of(first) + error_of(second) - error_of(parent)
         self.n += 1
         return parent, first, second
 
@@ -329,13 +320,13 @@ def _take_rows(end: int) -> None:
             raise
 
 
-def _walk(block: Block) -> tuple[list[Record], list[int]]:
+def _walk(block: Block) -> tuple[list[Node], list[int]]:
     """The frontier that splits every node above ``block`` and none in it.
 
-    A depth-first walk from the root, cylinder child first, so the records
-    come out in canonical left-to-right order with no sort.  A record is
+    A depth-first walk from the root, cylinder child first, so the nodes
+    come out in canonical left-to-right order with no sort.  A node is
     split when its error is above the block's.  Returns the frontier and
-    the positions in it of the block's m tied records, all left unsplit;
+    the positions in it of the block's m tied nodes, all left unsplit;
     ``_splice`` then splits the chosen ones.
     """
     m_t, a_t = block.M, block.a
@@ -363,7 +354,7 @@ def _splice(nodes: list, tied: list[int], chosen: Iterable[int],
     ``halves[i]`` is tied node i's pair of children.  A node's two children
     cover its own region, closed child first, so they take its place in
     the canonical order.  The nodes between chosen ones are copied as list
-    slices, so a set takes O(r) Python steps, not O(n), of records or texts.
+    slices, so a set takes O(r) Python steps, not O(n), of nodes or texts.
     """
     parts, start = [], 0
     for i in chosen:
@@ -375,24 +366,30 @@ def _splice(nodes: list, tied: list[int], chosen: Iterable[int],
     return tuple(parts)
 
 
-class Layer(namedtuple("Layer", "n v nodes tied halves choices")):
+class Layer(namedtuple("Layer", "v nodes tied halves choices")):
     """The optimal n-sets as one walk: V_n's reduced pair, a frontier of
-    records and the positions of its tied ones, the tied records' children
-    (``halves``, of each tied record a choice splits at least), and the tied
+    nodes and the positions of its tied ones, the tied nodes' children
+    (``halves``, of each tied node a choice splits at least), and the tied
     indices each set splits, in signature order.  The layers of one block
     that hold every set share its walk; a canonical layer holds its one
-    set's frontier, its first r tied records already split, and no ties."""
+    set's frontier, its first r tied nodes already split, and no ties."""
 
     __slots__ = ()
 
-    def sets(self) -> list[QuantizerSet]:
-        """The layer's sets, of ``Node``s, all of one Fraction V built from
-        the pair; each walked record and half becomes one Node."""
-        v = Fraction(*self.v)
-        return [QuantizerSet(nodes, v) for nodes in self.spliced(Node._make)]
+    @property
+    def n(self) -> int:
+        """Its sets' size: the frontier's nodes and the tied nodes each splits."""
+        return len(self.nodes) + len(self.choices[0])
 
-    def spliced(self, form: Callable[[Record], object]) -> Iterator[tuple]:
-        """Each set as its records' forms, each walked record and half formed once."""
+    def sets(self) -> list[QuantizerSet]:
+        """The layer's sets, of the walk's own nodes and halves, all of one
+        Fraction V built from the pair."""
+        v = Fraction(*self.v)
+        return [QuantizerSet(_splice(self.nodes, self.tied, chosen, self.halves), v)
+                for chosen in self.choices]
+
+    def spliced(self, form: Callable[[Node], object]) -> Iterator[tuple]:
+        """Each set as its nodes' forms, each walked node and half formed once."""
         forms = list(map(form, self.nodes))
         halves = [tuple(map(form, pair)) for pair in self.halves]
         return (_splice(forms, self.tied, chosen, halves) for chosen in self.choices)
@@ -400,7 +397,7 @@ class Layer(namedtuple("Layer", "n v nodes tied halves choices")):
 
 def _built(items: Iterable[tuple], every: bool) -> Iterator[Layer]:
     """The one layer builder: a ``Layer`` per ``_layers`` item, one walk per
-    block, with every r-choice of its tied records or, not ``every``, the
+    block, with every r-choice of its tied nodes or, not ``every``, the
     canonical set alone, spliced from the first r.
 
     Choices come in signature order with no sort: two sets first differ at
@@ -410,7 +407,7 @@ def _built(items: Iterable[tuple], every: bool) -> Iterator[Layer]:
     choices come in ``combinations`` order, and a cylinder block's in reverse.
     """
     current = None
-    for n, block, r, v in items:
+    for _, block, r, v in items:
         if block is not current:
             current, (nodes, tied), halves = block, _walk(block), []
         wanted = tied[len(halves):len(tied) if every else r]
@@ -419,9 +416,9 @@ def _built(items: Iterable[tuple], every: bool) -> Iterator[Layer]:
             choices = list(combinations(range(len(tied)), r))
             if block.kind == CLOSED:
                 choices.reverse()
-            yield Layer(n, v, nodes, tied, halves, choices)
-        else:  # no tied record is left for a form to format and not print
-            yield Layer(n, v, _splice(nodes, tied, range(r), halves), (), (), [()])
+            yield Layer(v, nodes, tied, halves, choices)
+        else:  # no tied node is left for a form to format and not print
+            yield Layer(v, _splice(nodes, tied, range(r), halves), (), (), [()])
 
 
 def canonical_layers(n_lo: int, n_hi: int) -> Iterator[Layer]:
@@ -549,13 +546,14 @@ def transition_graph(n_lo: int, n_hi: int, cap: int = DEFAULT_CAP) -> Transition
     edges: list[tuple[str, str]] = []
     previous = {}
     for layer in layers:
+        n = layer.n
         order = {chosen: index for index, chosen in enumerate(layer.choices, start=1)}
         if len(layer.choices[0]) == 1 and previous:  # the one set before chose none
             previous = {(): 1}
         for chosen, src in previous.items():
             targets = sorted(order[tuple(sorted((*chosen, x)))]
                              for x in range(len(layer.tied)) if x not in chosen)
-            edges.extend((vertex_label(layer.n - 1, src), vertex_label(layer.n, dst))
+            edges.extend((vertex_label(n - 1, src), vertex_label(n, dst))
                          for dst in targets)
         previous = order
     return TransitionGraph(tuple(layers), tuple(edges))
@@ -599,7 +597,7 @@ def validate_structure(q: QuantizerSet) -> StructureReport:
     """
     failures: list[str] = []
     nodes = q.nodes
-    top = max((node.a for node in nodes), default=0)
+    top = max((a for _, _, a, _, _ in nodes), default=0)
     lefts, rights, points = [], [], []
     mass_sum = mean_sum = error_sum = 0
     for kind, m, a, dn, _ in nodes:
@@ -647,8 +645,8 @@ def _centroid_terms(kind: str, a: int, dn: int) -> tuple[int, int]:
     return num >> shift, 7 << (a - shift)
 
 
-def centroid_str(node: Record) -> str:
-    """The centroid as "num/den", the string ``str(node.centroid)`` gives."""
+def centroid_str(node: Node) -> str:
+    """The centroid as "num/den", the string ``str(centroid_of(node))`` gives."""
     kind, _, a, dn, _ = node
     return "%d/%d" % _centroid_terms(kind, a, dn)
 
@@ -684,10 +682,10 @@ VERTEX_JSON = ('{"label": "%s", "n": %d, "index": %d, "V": "%s", "V_float": %s, 
                '"nodes": [%s]}')
 
 
-def node_fields(node: Record) -> tuple[str, str, str, float, str]:
-    """The one formatting rule for a record: its fields in ``NODE_KEYS`` order.
+def node_fields(node: Node) -> tuple[str, str, str, float, str]:
+    """The one formatting rule for a node: its fields in ``NODE_KEYS`` order.
 
-    The word's text is the record's own.  Strings are formatted from the
+    The word's text is the node's own.  Strings are formatted from the
     integers with their common factor known in advance, and equal the
     strings of the reduced Fractions; the centroid's hint is
     ``measure.float_val`` of the same correctly rounded integer division
@@ -698,8 +696,8 @@ def node_fields(node: Record) -> tuple[str, str, str, float, str]:
     return text, kind, f"{num}/{den}", measure.float_val(num / den), _error_text(m, a)
 
 
-def node_name(node: Record) -> str:
-    """A record's name "kind:word", as the text and tree forms print it."""
+def node_name(node: Node) -> str:
+    """A node's name "kind:word", as the text and tree forms print it."""
     kind, _, _, _, text = node
     return f"{kind}:{text}"
 

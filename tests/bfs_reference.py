@@ -4,23 +4,25 @@ Layer k+1 is built by splitting, in every optimal k-set, each node that
 ties for the maximal error; duplicates collapse by node identity.  This
 assumes nothing about the tie structure, so it checks the engine's
 threshold-block description independently: it uses only ``root_node``,
-``children`` (whose records it reads as ``Node``s), the set container and
-the vertex names.  One pass over layers
-1 .. 67 takes a couple of seconds and is cached for the whole session.
+``children``, the node readers, the set container and the vertex names.
+One pass over layers 1 .. 67 takes a couple of seconds and is cached for
+the whole session.
 """
 
 from __future__ import annotations
 
 import functools
 
-from ifsquant.engine import Node, QuantizerSet, children, root_node, vertex_label
+from ifsquant.engine import (
+    QuantizerSet, children, error_of, left_of, root_node, vertex_label, word_of,
+)
 
 REFERENCE_N = 67
 
 
 def _sig(nodes):
-    ordered = sorted(nodes, key=lambda node: (node.left, node.kind, node.word))
-    return tuple((node.kind, node.word) for node in ordered)
+    ordered = sorted(nodes, key=lambda node: (left_of(node), node[0], word_of(node)))
+    return tuple((node[0], word_of(node)) for node in ordered)
 
 
 @functools.cache
@@ -34,11 +36,11 @@ def _bfs(n_max: int):
         nxt = {}
         out = set()
         for key, members in current.items():
-            top = max(node.error for node in members)
+            top = max(map(error_of, members))
             for node in members:
-                if node.error != top:
+                if error_of(node) != top:
                     continue
-                child = (members - {node}) | set(map(Node._make, children(node)))
+                child = (members - {node}) | set(children(node))
                 child_key = _sig(child)
                 nxt.setdefault(child_key, child)
                 out.add((key, child_key))

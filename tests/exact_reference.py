@@ -2,11 +2,11 @@
 
 The engine audits and serialises a quantizer set on integers over one
 power of two.  The functions here do the same work the direct way, on
-``Fraction`` values built by the node's properties, so the tests can check
-the integer forms against them:
+``Fraction`` values read from the node by the engine's ``left_of``,
+``centroid_of`` and ``error_of``, so the tests can check the integer forms
+against them:
 
-- ``make_node`` builds a region's node from its word alone,
-  ``child_nodes`` reads the split rule's two records as nodes, and ``right``
+- ``make_node`` builds a region's node from its word alone, and ``right``
   and ``mass`` read a node's right endpoint and mass as ``Fraction``
   values, where the engine builds nodes only by splitting and reads
   neither;
@@ -34,7 +34,8 @@ from fractions import Fraction
 from ifsquant import measure
 from ifsquant.engine import (
     _DROP, _MASS_BASE, _OFFSETS, Block, Node, QuantizerSet, StructureReport,
-    TransitionGraph, children, node_name, root_node, vertex_label,
+    TransitionGraph, centroid_of, children, error_of, left_of, node_name, root_node,
+    vertex_label, word_of,
 )
 from ifsquant.measure import CLOSED, MEAN, TAIL, VARIANCE, Region
 from ifsquant.words import Word, count_non_ones, parse, render
@@ -52,23 +53,19 @@ def make_node(region: Region) -> Node:
         m *= 9
     else:
         m *= 129 if word[-1] == 1 else 43
-    return Node(region.kind, m, a, dn, render(word))
-
-
-def child_nodes(node: Node) -> tuple[Node, Node]:
-    """``children`` of a node, read as the two ``Node``s the split rule's
-    records stand for."""
-    return tuple(map(Node._make, children(node)))
+    return (region.kind, m, a, dn, render(word))
 
 
 def right(node: Node) -> Fraction:
     """Right endpoint of the region interval: S_w(1), or S_w(4) for a tail."""
-    return Fraction(node.dn + _OFFSETS[node.kind][2], 1 << node.a)
+    kind, _, a, dn, _ = node
+    return Fraction(dn + _OFFSETS[kind][2], 1 << a)
 
 
 def mass(node: Node) -> Fraction:
     """P-mass of the region: a tail after letter 1 holds 3 times p_w."""
-    return Fraction(node.m // _MASS_BASE[node.kind], 1 << node.a)
+    kind, m, a, _, _ = node
+    return Fraction(m // _MASS_BASE[kind], 1 << a)
 
 
 def fraction_audit(q: QuantizerSet) -> StructureReport:
@@ -76,9 +73,9 @@ def fraction_audit(q: QuantizerSet) -> StructureReport:
     checks, messages and order as ``engine.validate_structure``."""
     failures: list[str] = []
     nodes = q.nodes
-    lefts = [node.left for node in nodes]
+    lefts = [left_of(node) for node in nodes]
     rights = [right(node) for node in nodes]
-    points = [node.centroid for node in nodes]
+    points = [centroid_of(node) for node in nodes]
     masses = [mass(node) for node in nodes]
     if any(not (lo < next_lo and hi <= next_lo)
            for lo, hi, next_lo in zip(lefts, rights, lefts[1:])):
@@ -88,7 +85,7 @@ def fraction_audit(q: QuantizerSet) -> StructureReport:
     for node, lo, hi, x in zip(nodes, lefts, rights, points):
         if not lo <= x <= hi:
             failures.append(
-                f"centroid outside region ({node.kind} {render(node.word)!r})"
+                f"centroid outside region ({node[0]} {render(word_of(node))!r})"
             )
             break
     if any(not hi <= (x + y) / 2 <= next_lo
@@ -98,7 +95,7 @@ def fraction_audit(q: QuantizerSet) -> StructureReport:
         failures.append("masses do not sum to 1")
     if sum((mass * x for mass, x in zip(masses, points)), Fraction(0)) != MEAN:
         failures.append("mass-weighted centroid differs from the global mean")
-    if sum((node.error for node in nodes), Fraction(0)) != q.v:
+    if sum(map(error_of, nodes), Fraction(0)) != q.v:
         failures.append("total error differs from the node error sum")
     return StructureReport(tuple(failures))
 
@@ -108,9 +105,9 @@ def quantizer_set_from_dict(data: dict) -> QuantizerSet:
     nodes = []
     for entry in data["nodes"]:
         node = make_node(Region(entry["kind"], parse(entry["word"])))
-        if "centroid" in entry and Fraction(entry["centroid"]) != node.centroid:
+        if "centroid" in entry and Fraction(entry["centroid"]) != centroid_of(node):
             raise ValueError(f"centroid mismatch for node {entry['word']!r}")
-        if "error" in entry and Fraction(entry["error"]) != node.error:
+        if "error" in entry and Fraction(entry["error"]) != error_of(node):
             raise ValueError(f"error mismatch for node {entry['word']!r}")
         nodes.append(node)
     q = QuantizerSet.from_nodes(nodes)

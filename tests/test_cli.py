@@ -424,9 +424,10 @@ def test_tree_json_keeps_no_dict(monkeypatch):
 
 @pytest.mark.parametrize("fmt", ["text", "csv"])
 def test_optimal_streams_its_nodes(monkeypatch, fmt):
-    # The text and CSV forms write each node as they reach it, and peak 2 to
-    # 11 % above optimal_set(20000) alone; a list of the set's texts, made
-    # first, peaked 49 % (text) and 76 % (CSV) above it.
+    # The text and CSV forms write each node as they reach it, and peak at
+    # 1.02 (text) and 0.97 (CSV) times optimal_set(20000) alone, which holds
+    # the walk's own nodes; a list of the set's texts, made first, peaked
+    # 49 % (text) and 76 % (CSV) above an optimal_set that copied them.
     engine.optimal_set(20000)  # takes the rows, which the process keeps
     tracemalloc.start()
     try:
@@ -568,7 +569,7 @@ def test_verify_catches_duplicate_sets(monkeypatch, capsys):
 def test_verify_rederives_set_totals(monkeypatch, capsys):
     def swap_first_node(sets):
         q = sets[0]
-        wrong = make_node(Region(q.nodes[0].kind, (9,)))
+        wrong = make_node(Region(q.nodes[0][0], (9,)))
         return [engine.QuantizerSet((wrong, *q.nodes[1:]), q.v), *sets[1:]]
 
     out = _tampered_verify(monkeypatch, capsys, swap_first_node)

@@ -7,7 +7,7 @@ import random
 import re
 from bisect import bisect_left
 from fractions import Fraction as F
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 from operator import itemgetter
 
 import pytest
@@ -17,7 +17,6 @@ from bfs_reference import REFERENCE_N, reference_graph, reference_sets
 from exact_reference import (
     block_table_reference,
     branch_decomposition,
-    child_nodes,
     countdown_walk,
     fraction_audit,
     make_node,
@@ -31,9 +30,12 @@ from ifsquant.engine import (
     CapExceeded,
     GenerationState,
     QuantizerSet,
+    centroid_of,
     children,
     count_optimal_sets,
     enumerate_optimal_sets,
+    error_of,
+    left_of,
     optimal_set,
     quantization_error,
     quantizer_set_to_dict,
@@ -41,6 +43,7 @@ from ifsquant.engine import (
     transition_graph,
     transition_graph_dot,
     validate_structure,
+    word_of,
 )
 from ifsquant.measure import CLOSED, TAIL, Region, closed, node_error, tail
 
@@ -57,36 +60,46 @@ def identity_set(q: QuantizerSet) -> frozenset:
 
 
 def _region(node):
-    return Region(node.kind, node.word)
+    return Region(node[0], word_of(node))
 
 
 def _fields(node):
-    return (node.kind, node.word, node.m, node.a, node.dn, node.error, node.centroid)
+    kind, m, a, dn, _ = node
+    return (kind, word_of(node), m, a, dn, error_of(node), centroid_of(node))
+
+
+_FIELDS = ("kind", "m", "a", "dn", "text")  # a node's fields, in order
+
+
+def _with(node, **fields):
+    """The node with the named fields replaced."""
+    return tuple(fields.get(name, value) for name, value in zip(_FIELDS, node))
 
 
 def test_children_of_root():
-    first, second = child_nodes(root_node())
+    first, second = children(root_node())
     assert _region(first) == closed(1)
     assert _region(second) == tail(1)
-    assert (first.centroid, second.centroid) == (F(1, 7), F(5, 7))
+    assert (centroid_of(first), centroid_of(second)) == (F(1, 7), F(5, 7))
 
 
 def test_children_of_tail():
-    first, second = child_nodes(make_node(tail(1)))
+    first, second = children(make_node(tail(1)))
     assert (_region(first), _region(second)) == (closed(2), tail(2))
-    assert (first.centroid, second.centroid) == (F(4, 7), F(6, 7))
-    first, second = child_nodes(make_node(tail(2, 1)))
+    assert (centroid_of(first), centroid_of(second)) == (F(4, 7), F(6, 7))
+    first, second = children(make_node(tail(2, 1)))
     assert (_region(first), _region(second)) == (closed(2, 2), tail(2, 2))
 
 
 def _assert_matches_measure(node):
     region = _region(node)
-    scale = F(1, 1 << node.a)
+    _, _, a, dn, _ = node
+    scale = F(1, 1 << a)
     assert scale == measure.scale_word(region.word)
-    assert node.dn * scale == measure.apply_map(region.word, F(0))
-    assert node.error == measure.node_error(region)
-    assert node.centroid == measure.centroid(region)
-    assert (node.left, right(node)) == measure.region_interval(region)
+    assert dn * scale == measure.apply_map(region.word, F(0))
+    assert error_of(node) == measure.node_error(region)
+    assert centroid_of(node) == measure.centroid(region)
+    assert (left_of(node), right(node)) == measure.region_interval(region)
     assert mass(node) == measure.region_mass(region)
 
 
@@ -99,9 +112,9 @@ def test_children_match_measure_formulas():
     for _ in range(300):
         node = make_node(random_region(rng))
         _assert_matches_measure(node)
-        for child in child_nodes(node):
+        for child in children(node):
             _assert_matches_measure(child)
-            assert child.error < node.error
+            assert error_of(child) < error_of(node)
 
 
 @pytest.mark.parametrize("n", [1, 2, 77, 1000])
@@ -120,13 +133,13 @@ def test_child_error_ratios_exact():
     rng = random.Random(6)
     for _ in range(300):
         node = make_node(random_region(rng))
-        first, second = child_nodes(node)
-        if node.kind == CLOSED:
-            assert first.error == node.error * F(1, 64)
-            assert second.error == node.error * F(43, 192)
+        first, second = children(node)
+        if node[0] == CLOSED:
+            assert error_of(first) == error_of(node) * F(1, 64)
+            assert error_of(second) == error_of(node) * F(43, 192)
         else:
-            assert first.error == node.error * F(9, 344)
-            assert second.error == node.error * F(1, 8)
+            assert error_of(first) == error_of(node) * F(9, 344)
+            assert error_of(second) == error_of(node) * F(1, 8)
 
 
 def test_lean_state_matches_rich_children():
@@ -451,7 +464,7 @@ def test_validate_structure_catches_forced_centroid(monkeypatch):
     # moving the cylinder centroid to S_w(8/7) puts the root's outside [0, 1].
     monkeypatch.setitem(engine._OFFSETS, CLOSED, (0, 8, 1))
     node = root_node()
-    broken = QuantizerSet((node,), node.error)
+    broken = QuantizerSet((node,), error_of(node))
     report = validate_structure(broken)
     assert not report.ok
     assert any("centroid outside region" in f for f in report.failures)
@@ -460,7 +473,7 @@ def test_validate_structure_catches_forced_centroid(monkeypatch):
 
 def _replaced(q, i, **fields):
     nodes = list(q.nodes)
-    nodes[i] = nodes[i]._replace(**fields)
+    nodes[i] = _with(nodes[i], **fields)
     return QuantizerSet(tuple(nodes), q.v)
 
 
@@ -532,12 +545,13 @@ def _audited_sets(draw):
         del nodes[i]
     elif tamper == "node":
         node = nodes[i]
-        fields = {"m": node.m + draw(st.integers(-2, 2)),
-                  "a": max(0, node.a + draw(st.integers(-2, 2))),
-                  "dn": node.dn + draw(st.integers(-3, 3))}
-        if node.kind == TAIL and draw(st.booleans()):
+        kind, m, a, dn, _ = node
+        fields = {"m": m + draw(st.integers(-2, 2)),
+                  "a": max(0, a + draw(st.integers(-2, 2))),
+                  "dn": dn + draw(st.integers(-3, 3))}
+        if kind == TAIL and draw(st.booleans()):
             fields["kind"] = CLOSED
-        nodes[i] = node._replace(**draw(st.sampled_from(
+        nodes[i] = _with(node, **draw(st.sampled_from(
             [{key: value} for key, value in fields.items()])))
     elif tamper == "v":
         v += F(draw(st.integers(-1, 1)), 3577 << 3 * draw(st.integers(0, 40)))
@@ -563,9 +577,9 @@ def test_serialisation_matches_fraction_formatting(n):
     for node in (*_optimal(n).nodes, *(make_node(random_region(rng)) for _ in range(50))):
         fields = engine.node_fields(node)
         _, _, centroid, centroid_float, error = fields
-        assert centroid == engine.centroid_str(node) == str(node.centroid)
-        assert centroid_float == measure.float_val(node.centroid)
-        assert error == str(node.error)
+        assert centroid == engine.centroid_str(node) == str(centroid_of(node))
+        assert centroid_float == measure.float_val(centroid_of(node))
+        assert error == str(error_of(node))
         assert all(re.fullmatch("[0-9a-z./]*", field)
                    for field in fields if isinstance(field, str))
         assert engine.NODE_JSON % fields == json.dumps(dict(zip(engine.NODE_KEYS, fields)))
@@ -579,7 +593,7 @@ def test_recurrence_and_monotonicity():
     previous = state.v
     for _ in range(300):
         parent, first, second = state.split()
-        expected = previous - parent.error + first.error + second.error
+        expected = previous - error_of(parent) + error_of(first) + error_of(second)
         assert state.v == expected
         assert state.v < previous
         previous = state.v
@@ -601,9 +615,9 @@ def heap_run():
     while True:
         if state.n in picks:
             sets[state.n] = state.quantizer()
-        if state.n >= HEAP_N and state.peek().error != split_errors[-1]:
+        if state.n >= HEAP_N and error_of(state.peek()) != split_errors[-1]:
             return values, split_errors, sets
-        split_errors.append(state.split()[0].error)
+        split_errors.append(error_of(state.split()[0]))
         values.append(state.v)
 
 
@@ -727,8 +741,8 @@ def test_canonical_chain_splits_one_node_at_a_time():
         i = next(i for i, (a, b) in enumerate(zip(old, new)) if a != b)
         node = old[i]
         assert new == old[:i] + children(node) + old[i + 1:], q.n
-        assert (node.kind, node.m, node.a) == (block.kind, block.M, block.a), q.n
-        assert q.v == previous.v - node.error + sum(c.error for c in child_nodes(node))
+        assert node[:3] == (block.kind, block.M, block.a), q.n
+        assert q.v == previous.v - error_of(node) + sum(map(error_of, children(node)))
         previous = q
     assert previous.n == 3000
 
@@ -750,6 +764,31 @@ def test_canonical_sets_walk_once_per_block(monkeypatch):
     transition_graph(60, 67)
     blocks = [block for _, block, _, _ in engine._layers(60, 67)]
     assert walks == list(dict.fromkeys(blocks)) and len(walks) < len(blocks)
+
+
+@pytest.mark.parametrize("layers", [
+    lambda: engine.optimal_layers(60, 67),
+    lambda: engine.canonical_layers(1, 400),
+], ids=["every", "canonical"])
+def test_sets_hold_their_walks_own_nodes(layers):
+    # A set is a splice of its layer's walk: each of its nodes is one of the
+    # walked nodes or the tied nodes' children themselves, not a copy.
+    for layer in layers():
+        own = {id(node) for node in chain(layer.nodes, *layer.halves)}
+        for q in layer.sets():
+            assert all(id(node) in own for node in q.nodes), layer.n
+
+
+@pytest.mark.parametrize("layers, n_hi", [
+    (lambda: engine.optimal_layers(1, 90, cap=10**5), 90),
+    (lambda: engine.canonical_layers(1, 3000), 3000),
+], ids=["every", "canonical"])
+def test_layer_size_is_derived(layers, n_hi):
+    # A layer stores no size: its frontier's nodes and the tied nodes each
+    # set splits are the size of every set it holds.
+    got = list(layers())
+    assert [layer.n for layer in got] == list(range(1, n_hi + 1))
+    assert all({q.n for q in layer.sets()} == {layer.n} for layer in got)
 
 
 def test_optimal_set_is_the_first_choice_of_its_layer():
@@ -869,7 +908,7 @@ def test_state_mass_and_mean_invariants():
         state.split()
     nodes = state.nodes()
     assert sum(map(mass, nodes), F(0)) == 1
-    assert sum((mass(n) * n.centroid for n in nodes), F(0)) == measure.MEAN
+    assert sum((mass(n) * centroid_of(n) for n in nodes), F(0)) == measure.MEAN
 
 
 @pytest.mark.parametrize(
@@ -943,8 +982,8 @@ def test_equal_probability_error_relations():
 
 
 def _split_gain(region: Region) -> F:
-    first, second = child_nodes(make_node(region))
-    return first.error + second.error - node_error(region)
+    first, second = children(make_node(region))
+    return error_of(first) + error_of(second) - node_error(region)
 
 
 def test_maximal_error_split_exchange_inequalities():

@@ -491,9 +491,8 @@ def test_cold_start_loads_no_record_machinery():
 def test_records_are_immutable_and_slotted():
     _, block, _, _ = next(engine._layers(5, 5))
     # Without __slots__ = () a record gets a dict per instance: each of the
-    # 20 000 nodes of an optimal 20 000-set, say.
+    # 3432 sets of layer 71, say.  A node is a plain tuple, which has none.
     records = [
-        (engine.root_node(), "word"),
         (block, "m"),
         (optimal_set(5), "v"),
         (engine.transition_graph(18, 19), "edges"),
