@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from decimal import Decimal
 from itertools import chain
 
 from . import engine, exact_oracle, golden, measure
-from .measure import float_str
+from .measure import float_json, float_str
 from .words import render  # noqa: F401  (perfbench/tracing.py wraps cli.render)
 
 DEFAULT_SAMPLES = 10**6
@@ -169,12 +168,12 @@ def cmd_table(args) -> int:
     rows = _table_rows(args.n_lo, args.n_hi)
     if args.format == "json":  # json.dumps of the rows
         sys.stdout.writelines(engine.json_list(
-            f'{{"n": {n}, "V": "{v}", "V_float": {measure.float_val(x)!r}}}'
+            f'{{"n": {n}, "V": "{v}", "V_float": {float_json(x)}}}'
             for n, v, x in rows))
         print()
     elif args.format == "csv":
         print('"n","V","V_float"')
-        sys.stdout.writelines(f'{n},"{v}",{measure.float_val(x)!r}\n' for n, v, x in rows)
+        sys.stdout.writelines(f'{n},"{v}",{float_json(x)}\n' for n, v, x in rows)
     else:  # a first pass finds V's width; the second prints, n as wide as --to
         width = max(len(v) for _, v, _ in rows)
         n_width = max(6, len(str(args.n_hi)))
@@ -255,8 +254,11 @@ def cmd_oracle_sample(args) -> int:
 def _report(args, rows) -> None:
     """The one printer of the oracle reports, whose rows are (text line,
     JSON fields): the JSON form is one object of every row's fields, in
-    order, and the text form is every row's line."""
+    order, and the text form is every row's line.  ``json`` is imported
+    here, its one user: every exact JSON form is written from templates."""
     if args.format == "json":
+        import json
+
         print(json.dumps({key: value for _, fields in rows
                           for key, value in fields.items()}))
     else:

@@ -671,29 +671,31 @@ def _error_text(m: int, a: int) -> str:
 # tree vertex's JSON objects over their layer's n and V texts and their nodes' texts,
 # exact as a word is digits and dots, a kind "closed" or "tail", a rational "num/den"
 # and a label "a_{n,i}": no field holds a character JSON or CSV would escape, and
-# floats print by repr, as both print them.  A list inside a template, a set's nodes,
-# is joined by json's ", ".
+# a float hint prints as ``measure.float_json``, the repr that both print.  A list
+# inside a template, a set's nodes, is joined by json's ", ".
 NODE_KEYS = ("word", "kind", "centroid", "centroid_float", "error")
 NODE_JSON = ('{"word": "%s", "kind": "%s", "centroid": "%s", '
-             '"centroid_float": %r, "error": "%s"}')
-NODE_CSV = '"%s","%s","%s",%r,"%s"'
+             '"centroid_float": %s, "error": "%s"}')
+NODE_CSV = '"%s","%s","%s",%s,"%s"'
 SET_JSON = '{"n": %d, "V": "%s", "V_float": %s, "nodes": [%s]}'
 VERTEX_JSON = ('{"label": "%s", "n": %d, "index": %d, "V": "%s", "V_float": %s, '
                '"nodes": [%s]}')
 
 
-def node_fields(node: Node) -> tuple[str, str, str, float, str]:
-    """The one formatting rule for a node: its fields in ``NODE_KEYS`` order.
+def node_fields(node: Node) -> tuple[str, str, str, str, str]:
+    """The one formatting rule for a node: its fields' texts in ``NODE_KEYS``
+    order.
 
-    The word's text is the node's own.  Strings are formatted from the
+    The word's text is the node's own.  The rationals are formatted from the
     integers with their common factor known in advance, and equal the
     strings of the reduced Fractions; the centroid's hint is
-    ``measure.float_val`` of the same correctly rounded integer division
-    that ``float(Fraction)`` performs.
+    ``measure.float_json`` of the same correctly rounded integer division
+    that ``float(Fraction)`` performs: the text that JSON and CSV print of
+    ``measure.float_val`` of the centroid.
     """
     kind, m, a, dn, text = node
     num, den = _centroid_terms(kind, a, dn)
-    return text, kind, f"{num}/{den}", measure.float_val(num / den), _error_text(m, a)
+    return text, kind, f"{num}/{den}", measure.float_json(num / den), _error_text(m, a)
 
 
 def node_name(node: Node) -> str:
@@ -709,7 +711,8 @@ def quantizer_set_to_dict(q: QuantizerSet) -> dict:
         "n": q.n,
         "V": str(q.v),
         "V_float": measure.float_val(q.v),
-        "nodes": [dict(zip(NODE_KEYS, node_fields(node))) for node in q.nodes],
+        "nodes": [dict(zip(NODE_KEYS, (text, kind, centroid, float(hint), error)))
+                  for text, kind, centroid, hint, error in map(node_fields, q.nodes)],
     }
 
 
@@ -728,9 +731,10 @@ def json_list(items: Iterable[str]) -> Iterator[str]:
 
 def _v_texts(layer: Layer) -> tuple[int, str, str]:
     """A layer's n and V's text and float hint, made once for all its sets from
-    the reduced pair, as ``str`` and ``float`` of the Fraction give them."""
+    the reduced pair: ``str`` of the Fraction, and ``measure.float_json`` of
+    the division that ``float`` of the Fraction performs."""
     num, den = layer.v
-    return layer.n, f"{num}/{den}", repr(measure.float_val(num / den))
+    return layer.n, f"{num}/{den}", measure.float_json(num / den)
 
 
 def quantizer_sets_json(layers: Iterable[Layer]) -> Iterator[str]:

@@ -11,7 +11,7 @@ J_w = S_w([0, 1]) of mass p_w = p_{w_1} * ... * p_{w_k}; the *tail region*
 of w collects all right siblings J_{w^-(last+i)}, i >= 1.
 
 The measure's functions take and return ``fractions.Fraction`` values, and
-no float enters them.  The two rendering helpers at the bottom write a
+no float enters them.  The rendering helpers at the bottom write a
 decimal hint, for display beside an exact value, of a Fraction or of an
 oracle's float; only ``oracle-check`` formats its own floats, printing its
 deviation and standard error to three significant figures.
@@ -264,8 +264,27 @@ def float_str(x: Fraction | float) -> str:
 
 
 def float_val(x: Fraction | float) -> float:
-    """The float of x's hint (for JSON fields)."""
+    """The float of x's hint: the value a JSON or CSV hint field reads back
+    as, and the one ``float_json`` prints."""
     return float(float_str(x))
+
+
+def float_json(x: float) -> str:
+    """The hint of x as the JSON and CSV forms print it: ``repr(float_val(x))``,
+    the shortest text of the double nearest x's 10-figure rounding.
+
+    For a normal x in (0, 1) that does not round to 1, that is the rounding's
+    own text, with no float read back: a decimal of at most 15 figures reads
+    back through a normal double to the same digits, and ``repr`` and the
+    ``g`` format both write the exponent form below 1e-4 and the fixed form
+    from there up.  Any other x (0, a subnormal, a negative, one that rounds
+    to 1 or above) takes the round trip, whose text may differ ("0.0", or
+    fewer digits for a subnormal).
+    """
+    text = format(x, FLOAT_SPEC)
+    if 2.2250738585072014e-308 <= x < 1 and text != "1":  # the least normal double
+        return text
+    return repr(float(text))
 
 
 if __debug__:

@@ -229,11 +229,11 @@ def test_v_texts_are_made_once_per_layer(monkeypatch, argv, layers):
     # reduced pair: no Fraction reaches the float hint.
     expected = _stdout(*argv.split())
     made, fractions = [], []
-    v_texts, float_val = engine._v_texts, measure.float_val
+    v_texts, float_json = engine._v_texts, measure.float_json
     monkeypatch.setattr(engine, "_v_texts", lambda layer: made.append(layer.n)
                         or v_texts(layer))
-    monkeypatch.setattr(measure, "float_val", lambda x: fractions.append(
-        isinstance(x, Fraction)) or float_val(x))
+    monkeypatch.setattr(measure, "float_json", lambda x: fractions.append(
+        isinstance(x, Fraction)) or float_json(x))
     assert _stdout(*argv.split()) == expected
     assert len(made) == layers
     assert fractions and not any(fractions)

@@ -397,12 +397,18 @@ def test_enumeration_matches_breadth_first_reference(n):
 
 def test_layer_sets_come_in_signature_order():
     # The order is fixed by rule, with no sort: checked on every layer
-    # n <= 1000 of 2 to 500 sets, far past the reference's n <= 67.
+    # n <= 1000 of 2 to 500 sets, far past the reference's n <= 67.  Each
+    # walked node's identity is read once per layer and spliced into every
+    # set's signature; on the first layer of each block kind the spliced
+    # signatures are the sets' own.
     layers = {CLOSED: 0, TAIL: 0}
     for n, block, r, _ in engine._layers(1, 1000):
         if 2 <= math.comb(block.m, r) <= 500:
+            [layer] = engine.optimal_layers(n, n)
+            signatures = list(layer.spliced(lambda node: (node[0], engine.word_of(node))))
+            if not layers[block.kind]:
+                assert signatures == [q.signature() for q in layer.sets()], n
             layers[block.kind] += 1
-            signatures = [q.signature() for q in enumerate_optimal_sets(n)]
             assert all(x < y for x, y in zip(signatures, signatures[1:])), n
     assert layers == {CLOSED: 97, TAIL: 98}
 
@@ -569,22 +575,22 @@ def test_integer_audit_matches_fraction_audit(q):
 def test_serialisation_matches_fraction_formatting(n):
     # The node strings come from the integers with the common factor known
     # in advance; they must be the reduced Fractions' strings, and the
-    # float the Fraction's float rounded the same way.  No string field
-    # holds a character that JSON or CSV would escape, so the templates are
-    # what json and csv write of the fields; random regions, with letters
-    # up to 10, bring words of two-digit letters.
+    # hint the repr of the Fraction's float rounded the same way.  No string
+    # field holds a character that JSON or CSV would escape, so the templates
+    # are what json and csv write of the fields with the hint as a float;
+    # random regions, with letters up to 10, bring words of two-digit letters.
     rng = random.Random(n)
     for node in (*_optimal(n).nodes, *(make_node(random_region(rng)) for _ in range(50))):
         fields = engine.node_fields(node)
-        _, _, centroid, centroid_float, error = fields
+        word, kind, centroid, centroid_float, error = fields
         assert centroid == engine.centroid_str(node) == str(centroid_of(node))
-        assert centroid_float == measure.float_val(centroid_of(node))
+        assert centroid_float == repr(measure.float_val(centroid_of(node)))
         assert error == str(error_of(node))
-        assert all(re.fullmatch("[0-9a-z./]*", field)
-                   for field in fields if isinstance(field, str))
-        assert engine.NODE_JSON % fields == json.dumps(dict(zip(engine.NODE_KEYS, fields)))
+        assert all(re.fullmatch("[0-9a-z./]*", field) for field in (word, kind, centroid, error))
+        values = (word, kind, centroid, float(centroid_float), error)
+        assert engine.NODE_JSON % fields == json.dumps(dict(zip(engine.NODE_KEYS, values)))
         row = io.StringIO()
-        csv.writer(row, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC).writerow(fields)
+        csv.writer(row, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC).writerow(values)
         assert engine.NODE_CSV % fields + "\n" == row.getvalue()
 
 

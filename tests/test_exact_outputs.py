@@ -222,6 +222,31 @@ def test_table_output_digest(capsys, n_lo, n_hi, form, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# Past the normal doubles: V_n's float is subnormal at 10^108 (8.473165e-317
+# in the JSON and CSV forms, which keep fewer figures than the text form) and
+# 0 at 10^111 (0.0 in them, 0 in the text form).
+@pytest.mark.parametrize("exponent, form, hint, digest", [
+    (108, "csv", ",8.473165e-317\n",
+     "898be7389f57d374e97103e1e5973f852d263514c6c8f8ffd436c47ef0470c4b"),
+    (108, "json", '"V_float": 8.473165e-317}',
+     "92ab6435089de08077c8cc1af50986f6ae5bf639e4a96ef7893d1550fc7fc6af"),
+    (108, "text", " 8.473165056e-317\n",
+     "d6076022f9b12445a5ccf99168b62907c2c7ef00012dc579a0d9c583876308ed"),
+    (111, "csv", ",0.0\n",
+     "126456b9e4b1da9d30960d8e19370e7ad7bbe92b7780d25c2d54346957e83551"),
+    (111, "json", '"V_float": 0.0}',
+     "6770286fb191af421377f76648e36c620ee7b209f83d86af6571242668a56de0"),
+    (111, "text", " 0\n",
+     "a72281e74b2c3325cd4a2cc69dbb0c65ca18e1a00298ed109b4d8b3d7ebb1d3c"),
+], ids=[f"10^{e}-{form}" for e in (108, 111) for form in ("csv", "json", "text")])
+def test_table_hint_of_subnormal_and_zero_v(capsys, exponent, form, hint, digest):
+    n = 10**exponent
+    assert main(["table", "--from", str(n), "--to", str(n + 2), "--format", form]) == 0
+    out = capsys.readouterr().out
+    assert out.count(hint) == 3
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # Deep V_n, from the block stream's rows far past n = 10^12.
 DEEP_DIGESTS = {
     10**30: "44d873553946f04aa77898b676248d52cf4a3e0bb41dda2a56a64fcb3d958eb4",

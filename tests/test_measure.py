@@ -1,7 +1,10 @@
+import math
 import random
+import struct
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ifsquant import golden, measure
 from ifsquant.measure import (
@@ -294,3 +297,41 @@ def test_interval_helpers_reject_bad_kind():
 def test_frac_rendering():
     assert measure.float_str(F(69, 3577)) == "0.01928990774"
     assert measure.float_str(F(1, 2)) == "0.5"
+
+
+# Each edge of float_json's fast path, on both sides: zero, the subnormals and
+# the least normal double, the switch to the exponent form at 1e-4, values
+# that round to 1, integral values and values at or near 1e10, where the g
+# format turns to the exponent form and repr does not.
+HINT_EDGES = [
+    0.0, 5e-324, 8.473165056e-317, 2.225073858507201e-308, 2.2250738585072014e-308,
+    2.2250738585072019e-308, 1e-300, 9.99999999949e-05, 9.99999999951e-05, 1e-4,
+    0.01928990774, 0.5, 0.9999999999, 0.99999999994999, 0.99999999995,
+    0.9999999999999999, 1.0, 2.0, 3.0, 123456789.0, 9999999999.0, 9999999999.4,
+    9999999999.5, 1e10, 1e10 + 1, 12345678901.0, 1e16, 1e17, 1.7976931348623157e308,
+    math.inf, math.nan,
+]
+
+
+@pytest.mark.parametrize("x", HINT_EDGES)
+def test_float_json_edges(x):
+    for signed in (x, -x):
+        assert measure.float_json(signed) == repr(measure.float_val(signed))
+
+
+def test_float_json_on_random_doubles():
+    # Random bit patterns cover the whole exponent range and both signs;
+    # random values in (0, 1), spread over every binary exponent down to the
+    # subnormals, cover the fast path itself.
+    rng = random.Random(1)
+    patterns = (struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+                for _ in range(20000))
+    unit = (rng.random() * 2.0 ** -rng.randint(0, 1074) for _ in range(20000))
+    for x in (*patterns, *unit):
+        assert measure.float_json(x) == repr(measure.float_val(x)), x
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats())
+def test_float_json_is_the_repr_of_the_hint(x):
+    assert measure.float_json(x) == repr(measure.float_val(x))

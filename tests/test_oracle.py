@@ -488,6 +488,20 @@ def test_cold_start_loads_no_record_machinery():
     assert (result.returncode, result.stdout) == (0, "3\n[]\n"), result.stderr
 
 
+def test_exact_json_form_loads_no_json():
+    # Only the oracle reports call json, and import it where they do: an
+    # exact JSON form is written from templates.
+    src = Path(oracle.__file__).resolve().parent.parent
+    code = ("import sys, ifsquant.cli; "
+            "code = ifsquant.cli.main(['optimal', '--n', '20', '--format', 'json']); "
+            "print(code, 'json' in sys.modules)")
+    result = subprocess.run([sys.executable, "-S", "-c", code],
+                            env=dict(os.environ, PYTHONPATH=str(src)),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 False", result.stdout[-200:]
+
+
 def test_records_are_immutable_and_slotted():
     _, block, _, _ = next(engine._layers(5, 5))
     # Without __slots__ = () a record gets a dict per instance: each of the
